@@ -75,6 +75,12 @@ let par_map f xs =
     Pool.with_pool ~name:"bench-sweep" ~jobs (fun p -> Pool.map_list p f xs)
   else List.map f xs
 
+(* wall-clock one call: its result and the elapsed seconds *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
 let cycles ?chip compiler key w =
   let c, _, _ = model_cost ?chip compiler key w in
   c

@@ -17,11 +17,6 @@ module Graph = Cim_nnir.Graph
 module Functional = Cim_sim.Functional
 module Rng = Cim_util.Rng
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* min over [n] trials: the harness shares the machine with other tenants,
    and the minimum is the least-disturbed sample *)
 let best n f =

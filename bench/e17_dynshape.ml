@@ -42,11 +42,6 @@ let md5_of_mc (mc : Cmswitch.model_cost) =
     (Digest.string
        (part mc.Cmswitch.layer ^ part mc.Cmswitch.whole ^ part mc.Cmswitch.head))
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 let median xs = Stats.percentile_nearest_rank 50. xs
 
 let run () =

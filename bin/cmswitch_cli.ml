@@ -556,7 +556,7 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
       Serving.poisson_trace rng ~n:16 ~mean_gap:(2. *. pass)
         ~prompt:(max 1 seq) ~output:4
     in
-    let s = Serving.run ~deadline:d profile reqs in
+    let s = Serving.run ~config:{ Serving.deadline = Some d } profile reqs in
     Printf.printf
       "serving (deadline %.3e cycles): %d completed, %d dropped, p95 \
        latency %.3e, %.2f tokens/Mcycle\n"

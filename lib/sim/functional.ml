@@ -1,5 +1,6 @@
 module Chip = Cim_arch.Chip
 module Flow = Cim_metaop.Flow
+module Isa = Cim_metaop.Isa
 module Graph = Cim_nnir.Graph
 module Exec = Cim_nnir.Exec
 module Attr = Cim_nnir.Attr
@@ -85,11 +86,12 @@ let covered cov =
   in
   match merged with [ (0, hi) ] -> hi >= cov.width | _ -> false
 
-let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
-    (p : Flow.program) ~inputs =
-  (match Flow.validate chip p with
-  | Ok () -> ()
-  | Error m -> err "invalid program: %s" m);
+(* The interpreter: a program counter over the command FIFO, the way a
+   device-side sequencer drains it. The stream must already have passed
+   the entry check of [run] or [Isa_sim.run] (it raises to a flow that
+   [Flow.validate] accepts), so brackets are balanced and never nested. *)
+let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
+    (img : Isa.image) ~inputs =
   let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun (n, t) -> Hashtbl.replace env n t) inputs;
   List.iter
@@ -110,54 +112,51 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
   let node_results : (int, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
   let coverages : (int, coverage) Hashtbl.t = Hashtbl.create 32 in
   let computes = ref 0 and vectors = ref 0 in
-  (* Wave pre-evaluation: before executing a [Parallel] block serially,
-     evaluate its pending CIM nodes concurrently — one task per distinct
-     node whose inputs are all available in [env] and not written by any
-     instruction of this block (an op chained on a vector output inside
-     the block must wait for the serial walk). Inputs are snapshotted on
-     the submitting domain before any task runs, tasks never touch [env]
-     or the machine, and results (or exceptions) merge in submission
-     order, so outputs, stats and error points are byte-identical to the
-     serial walk at any job count. *)
+  let cmds = img.Isa.cmds in
+  (* Wave pre-evaluation: before a [PAR_BEGIN] block issues, evaluate its
+     pending CIM nodes concurrently — one task per distinct node whose
+     inputs are all available in [env] and not written by any command of
+     this block (an op chained on a vector output inside the block must
+     wait for the in-order issue). Inputs are snapshotted on the submitting
+     domain before any task runs, tasks never touch [env] or the machine,
+     and results (or exceptions) merge in submission order, so outputs,
+     stats and error points are byte-identical to a serial run at any job
+     count. *)
   let pre_results : (int, (Tensor.t, exn) result) Hashtbl.t = Hashtbl.create 32 in
-  let pre_eval_block is =
+  let pre_eval_block ~lo ~hi =
     let written = Hashtbl.create 16 in
-    List.iter
-      (fun (i : Flow.instr) ->
-        match i with
-        | Flow.Vector_op { output; _ } | Flow.Compute { output; _ } ->
-          Hashtbl.replace written output ()
-        | _ -> ())
-      is;
+    for i = lo to hi do
+      match cmds.(i) with
+      | Isa.Vec { output; _ } | Isa.Compute { output; _ } ->
+        Hashtbl.replace written output ()
+      | _ -> ()
+    done;
     let seen = Hashtbl.create 16 in
-    let pending =
-      List.filter_map
-        (fun (i : Flow.instr) ->
-          match i with
-          | Flow.Compute { node_id; _ }
-            when (not (Hashtbl.mem node_results node_id))
-                 && (not (Hashtbl.mem pre_results node_id))
-                 && not (Hashtbl.mem seen node_id) -> begin
-            Hashtbl.replace seen node_id ();
-            match Graph.find_node g node_id with
-            | exception Graph.Invalid _ -> None
-            | nd ->
-              if
-                List.for_all
-                  (fun nm -> Hashtbl.mem env nm && not (Hashtbl.mem written nm))
-                  nd.Graph.inputs
-              then Some (node_id, nd)
-              else None
-          end
-          | _ -> None)
-        is
-    in
+    let pending = ref [] in
+    for i = lo to hi do
+      match cmds.(i) with
+      | Isa.Compute { node_id; _ }
+        when (not (Hashtbl.mem node_results node_id))
+             && (not (Hashtbl.mem pre_results node_id))
+             && not (Hashtbl.mem seen node_id) -> begin
+        Hashtbl.replace seen node_id ();
+        match Graph.find_node g node_id with
+        | exception Graph.Invalid _ -> ()
+        | nd ->
+          if
+            List.for_all
+              (fun nm -> Hashtbl.mem env nm && not (Hashtbl.mem written nm))
+              nd.Graph.inputs
+          then pending := (node_id, nd) :: !pending
+      end
+      | _ -> ()
+    done;
     let tasks =
-      List.map
+      List.rev_map
         (fun (node_id, (nd : Graph.node)) ->
           let ins = List.map (Hashtbl.find env) nd.Graph.inputs in
           (node_id, Pool.submit pool (fun () -> quant_eval nd ins)))
-        pending
+        !pending
     in
     List.iter
       (fun (node_id, fut) ->
@@ -165,36 +164,35 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
         Hashtbl.replace pre_results node_id r)
       tasks
   in
-  let rec exec (i : Flow.instr) =
-    match i with
-    | Flow.Parallel is ->
-      pre_eval_block is;
-      List.iter exec is
-    | Flow.Switch { target; arrays } ->
+  let exec_cmd pc = function
+    | Isa.Par_begin count ->
+      pre_eval_block ~lo:(pc + 1) ~hi:(min (pc + count) (Array.length cmds - 1))
+    | Isa.Par_end -> ()
+    | Isa.Switch { target; arrays } ->
       List.iter (Machine.switch machine target) arrays
-    | Flow.Write_weights { node_id; arrays; slice; _ } ->
+    | Isa.Write_weights { node_id; arrays; slice; _ } ->
       List.iter
         (fun c ->
           Machine.write_weights machine c ~node_id ~lo:slice.Flow.lo ~hi:slice.Flow.hi)
         arrays
-    | Flow.Load { tensor; dst; _ } -> begin
+    | Isa.Dma_load { tensor; dst; _ } -> begin
       ignore (lookup tensor);
       match dst with
       | Flow.Mem_arrays cs ->
         List.iter (fun c -> Machine.stage_data machine c tensor) cs
       | Flow.Main_memory | Flow.Buffer -> ()
     end
-    | Flow.Store { src; _ } -> begin
+    | Isa.Dma_store { src; _ } -> begin
       match src with
       | Flow.Mem_arrays cs -> List.iter (Machine.check_memory machine) cs
       | Flow.Main_memory | Flow.Buffer -> ()
     end
-    | Flow.Vector_op { node_id; inputs; output; _ } ->
+    | Isa.Vec { node_id; inputs; output; _ } ->
       incr vectors;
       let nd = node_of node_id in
       let ins = List.map lookup inputs in
       Hashtbl.replace env output (Exec.eval_node nd ins)
-    | Flow.Compute { node_id; arrays; mem_arrays; output; slice; _ } ->
+    | Isa.Compute { node_id; arrays; mem_arrays; output; slice; _ } ->
       incr computes;
       List.iter (fun c -> Machine.check_compute machine c ~node_id) arrays;
       List.iter (Machine.check_memory machine) mem_arrays;
@@ -215,11 +213,16 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
           Hashtbl.replace node_results node_id r;
           r
       in
-      (* a Conv sub-operator slices output channels (axis 1 of NCHW);
+      (* a Conv sub-operator slices output channels (axis 1 of NCHW) within
+         each group, viewing that axis as [groups; oc / groups];
          matmul/gemm sub-operators slice the last (feature) axis *)
       let shape = Tensor.shape result in
-      let axis = match nd.Graph.op with Op.Conv -> 1 | _ -> Shape.rank shape - 1 in
-      let width = Shape.dim shape axis in
+      let axis, groups =
+        match nd.Graph.op with
+        | Op.Conv -> (1, Attr.get_int_d nd.Graph.attrs "groups" 1)
+        | _ -> (Shape.rank shape - 1, 1)
+      in
+      let width = Shape.dim shape axis / groups in
       let cov =
         match Hashtbl.find_opt coverages node_id with
         | Some c -> c
@@ -251,7 +254,9 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
         Array.blit rd (base + (lo * !inner)) od (base + (lo * !inner)) ((hi - lo) * !inner)
       done
   in
-  List.iter exec p.Flow.instrs;
+  (* PAR_BEGIN pre-evaluates its block as one wave; the block's commands
+     then issue in order and PAR_END closes it *)
+  Array.iteri exec_cmd cmds;
   Machine.flush_residency machine;
   (* every partitioned operator must have covered its full output width *)
   Hashtbl.iter
@@ -287,8 +292,8 @@ let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
     switch_retries = Machine.switch_retries machine;
   }
 
-let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
-    (p : Flow.program) ~inputs =
+let execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
+    (img : Isa.image) ~inputs =
   (* from inside a pool worker (e.g. a fleet prefetch task) degrade to
      serial instead of multiplying domains *)
   let jobs =
@@ -299,8 +304,16 @@ let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
   Pool.with_pool ~name:"funcsim" ~jobs (fun pool ->
       Kernels.with_pool (Some pool) (fun () ->
           Kernels.with_backend backend (fun () ->
-              run_with_pool pool chip ?faults ?rng ?max_switch_retries g p
+              interpret pool chip ?faults ?rng ?max_switch_retries g img
                 ~inputs)))
+
+let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
+    (p : Flow.program) ~inputs =
+  (match Flow.validate chip p with
+  | Ok () -> ()
+  | Error m -> err "invalid program: %s" m);
+  execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend g (Isa.of_flow p)
+    ~inputs
 
 let digest r =
   let buf = Buffer.create 4096 in

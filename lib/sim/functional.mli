@@ -1,14 +1,21 @@
-(** Functional simulator: executes a meta-operator flow against the source
+(** Functional simulator: executes a compiled program against the source
     graph, modelling the int8 arithmetic the CIM arrays actually perform,
     and diffs the results against the float reference executor — the role
     the CIM-MLC functional simulator + PyTorch comparison plays in §5.1.
 
+    There is one interpreter, and it runs the lowered MMIO command stream
+    ({!Cim_metaop.Isa.image}): a program counter over the command FIFO, the
+    way a device-side sequencer drains it. {!run} lowers a meta-operator
+    flow with {!Cim_metaop.Isa.of_flow} first; {!Isa_sim.run} is the entry
+    point for a stream that arrives as commands (e.g. decoded from bytes).
+
     Checks enforced while executing:
-    - every [CIM.compute] runs on compute-mode arrays programmed with that
+    - every [COMPUTE] runs on compute-mode arrays programmed with that
       operator's weights, and its memory operands sit in memory-mode arrays;
     - mode switches are never redundant;
     - the output slices of an operator's sub-operators cover its full output
-      (nothing silently missing from a partitioned matmul). *)
+      (nothing silently missing from a partitioned matmul or grouped
+      convolution). *)
 
 type report = {
   outputs : (string * Cim_tensor.Tensor.t) list;   (** simulated, int8 path *)
@@ -28,20 +35,33 @@ val run :
   ?max_switch_retries:int -> ?jobs:int -> ?backend:Cim_tensor.Kernels.backend ->
   Cim_nnir.Graph.t -> Cim_metaop.Flow.program ->
   inputs:(string * Cim_tensor.Tensor.t) list -> report
-(** Requires every initializer of the graph to carry values. Raises [Error]
-    (or {!Machine.Fault}) on illegal programs — including programs that use
-    dead arrays, switch stuck arrays, or exhaust the transient-switch retry
-    budget of the fault model (see {!Machine.create}).
+(** Validates the flow ({!Cim_metaop.Flow.validate}), lowers it to the
+    command stream and executes that. Requires every initializer of the
+    graph to carry values. Raises [Error] (or {!Machine.Fault}) on illegal
+    programs — including programs that use dead arrays, switch stuck
+    arrays, or exhaust the transient-switch retry budget of the fault model
+    (see {!Machine.create}).
 
     [jobs] (default {!Cim_util.Pool.default_jobs}, forced to 1 when already
     inside a pool worker) sizes the work pool the simulator runs on; each
-    [Parallel] block's independent CIM nodes are pre-evaluated concurrently
+    [PAR_BEGIN] block's independent CIM nodes are pre-evaluated concurrently
     and the row-parallel {!Cim_tensor.Kernels} split large matmuls across
     the same pool. [backend] (default {!Cim_tensor.Kernels.backend}) picks
     the kernel engine for the run. Under the determinism contract the
     report — outputs, errors, instruction counts, switch stats — is
     byte-identical at any [jobs] and for either backend; {!digest} is the
     cheap way to assert that. *)
+
+val execute :
+  Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
+  ?max_switch_retries:int -> ?jobs:int -> ?backend:Cim_tensor.Kernels.backend ->
+  Cim_nnir.Graph.t -> Cim_metaop.Isa.image ->
+  inputs:(string * Cim_tensor.Tensor.t) list -> report
+(** The interpreter itself, with {!run}'s arguments and report. It trusts
+    its stream: brackets must be balanced and never nested, and the stream
+    must raise to a flow that {!Cim_metaop.Flow.validate} accepts. {!run}
+    and {!Isa_sim.run} check exactly that before calling it; call one of
+    them instead. *)
 
 val digest : report -> string
 (** MD5 hex digest over the simulated output tensors (names + IEEE-754 bit
@@ -52,5 +72,4 @@ val digest : report -> string
 val quant_eval :
   Cim_nnir.Graph.node -> Cim_tensor.Tensor.t list -> Cim_tensor.Tensor.t
 (** The int8 oracle for one CIM node (quantize -> int8 matmul/conv ->
-    dequantize), exactly as the compute arrays perform it. Shared with
-    {!Isa_sim} so both simulators model identical array arithmetic. *)
+    dequantize), exactly as the compute arrays perform it. *)

@@ -1,268 +1,15 @@
-module Chip = Cim_arch.Chip
 module Flow = Cim_metaop.Flow
 module Isa = Cim_metaop.Isa
-module Graph = Cim_nnir.Graph
-module Exec = Cim_nnir.Exec
-module Op = Cim_nnir.Op
-module Tensor = Cim_tensor.Tensor
-module Shape = Cim_tensor.Shape
-module Kernels = Cim_tensor.Kernels
-module Pool = Cim_util.Pool
 
-let err fmt = Printf.ksprintf (fun s -> raise (Functional.Error s)) fmt
-
-(* Interval set per node to check the sub-operator slices cover the whole
-   output width (same contract as the meta-op simulator). *)
-type coverage = { width : int; mutable intervals : (int * int) list }
-
-let covered cov =
-  let merged =
-    List.sort compare cov.intervals
-    |> List.fold_left
-         (fun acc (lo, hi) ->
-           match acc with
-           | (plo, phi) :: rest when lo <= phi -> (plo, max phi hi) :: rest
-           | _ -> (lo, hi) :: acc)
-         []
-  in
-  match merged with [ (0, hi) ] -> hi >= cov.width | _ -> false
-
-let run_with_pool pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
-    (img : Isa.image) ~inputs =
-  (* structural sanity first: the stream must raise back to a flow the
-     static validator accepts (balanced brackets, coords in range, no
-     mode conflicts inside a block) before the sequencer starts *)
-  (match Isa.to_flow img with
-  | p -> (
-    match Flow.validate chip p with
-    | Ok () -> ()
-    | Error m -> err "invalid command stream: %s" m)
-  | exception Invalid_argument m -> err "invalid command stream: %s" m);
-  let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun (n, t) -> Hashtbl.replace env n t) inputs;
-  List.iter
-    (fun (i : Graph.initializer_) ->
-      match i.Graph.value with
-      | Some v -> Hashtbl.replace env i.Graph.init_name v
-      | None -> err "initializer %s has no value" i.Graph.init_name)
-    g.Graph.initializers;
-  let lookup name =
-    match Hashtbl.find_opt env name with
-    | Some t -> t
-    | None -> err "tensor %s used before it is computed" name
-  in
-  let node_of id =
-    try Graph.find_node g id with Graph.Invalid m -> err "%s" m
-  in
-  let machine = Machine.create chip ?faults ?rng ?max_switch_retries () in
-  let node_results : (int, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
-  let coverages : (int, coverage) Hashtbl.t = Hashtbl.create 32 in
-  let computes = ref 0 and vectors = ref 0 in
-  let cmds = img.Isa.cmds in
-  let n = Array.length cmds in
-  (* Wave pre-evaluation over a bracketed block, mirroring the meta-op
-     simulator: one task per distinct pending CIM node whose inputs are
-     all available and not written inside the block; inputs snapshotted
-     on the submitting domain, results merged in submission order. *)
-  let pre_results : (int, (Tensor.t, exn) result) Hashtbl.t = Hashtbl.create 32 in
-  let pre_eval_block ~lo ~hi =
-    let written = Hashtbl.create 16 in
-    for i = lo to hi do
-      match cmds.(i) with
-      | Isa.Vec { output; _ } | Isa.Compute { output; _ } ->
-        Hashtbl.replace written output ()
-      | _ -> ()
-    done;
-    let seen = Hashtbl.create 16 in
-    let pending = ref [] in
-    for i = lo to hi do
-      match cmds.(i) with
-      | Isa.Compute { node_id; _ }
-        when (not (Hashtbl.mem node_results node_id))
-             && (not (Hashtbl.mem pre_results node_id))
-             && not (Hashtbl.mem seen node_id) -> begin
-        Hashtbl.replace seen node_id ();
-        match Graph.find_node g node_id with
-        | exception Graph.Invalid _ -> ()
-        | nd ->
-          if
-            List.for_all
-              (fun nm -> Hashtbl.mem env nm && not (Hashtbl.mem written nm))
-              nd.Graph.inputs
-          then pending := (node_id, nd) :: !pending
-      end
-      | _ -> ()
-    done;
-    let tasks =
-      List.rev_map
-        (fun (node_id, (nd : Graph.node)) ->
-          let ins = List.map (Hashtbl.find env) nd.Graph.inputs in
-          (node_id, Pool.submit pool (fun () -> Functional.quant_eval nd ins)))
-        !pending
-    in
-    List.iter
-      (fun (node_id, fut) ->
-        let r = match Pool.await fut with t -> Ok t | exception e -> Error e in
-        Hashtbl.replace pre_results node_id r)
-      tasks
-  in
-  let exec_cmd = function
-    | Isa.Par_begin _ | Isa.Par_end ->
-      err "sequencer: bracket marker reached the execution unit"
-    | Isa.Switch { target; arrays } ->
-      List.iter (Machine.switch machine target) arrays
-    | Isa.Write_weights { node_id; arrays; slice; _ } ->
-      List.iter
-        (fun c ->
-          Machine.write_weights machine c ~node_id ~lo:slice.Flow.lo
-            ~hi:slice.Flow.hi)
-        arrays
-    | Isa.Dma_load { tensor; dst; _ } -> begin
-      ignore (lookup tensor);
-      match dst with
-      | Flow.Mem_arrays cs ->
-        List.iter (fun c -> Machine.stage_data machine c tensor) cs
-      | Flow.Main_memory | Flow.Buffer -> ()
-    end
-    | Isa.Dma_store { src; _ } -> begin
-      match src with
-      | Flow.Mem_arrays cs -> List.iter (Machine.check_memory machine) cs
-      | Flow.Main_memory | Flow.Buffer -> ()
-    end
-    | Isa.Vec { node_id; inputs; output; _ } ->
-      incr vectors;
-      let nd = node_of node_id in
-      let ins = List.map lookup inputs in
-      Hashtbl.replace env output (Exec.eval_node nd ins)
-    | Isa.Compute { node_id; arrays; mem_arrays; output; slice; _ } ->
-      incr computes;
-      List.iter (fun c -> Machine.check_compute machine c ~node_id) arrays;
-      List.iter (Machine.check_memory machine) mem_arrays;
-      let nd = node_of node_id in
-      (* full-node int8 result, computed once and shared by sub-operators *)
-      let result =
-        match Hashtbl.find_opt node_results node_id with
-        | Some r -> r
-        | None ->
-          let r =
-            match Hashtbl.find_opt pre_results node_id with
-            | Some (Ok r) -> r
-            | Some (Error e) -> raise e
-            | None ->
-              let ins = List.map lookup nd.Graph.inputs in
-              Functional.quant_eval nd ins
-          in
-          Hashtbl.replace node_results node_id r;
-          r
-      in
-      (* a Conv sub-operator slices output channels (axis 1 of NCHW);
-         matmul/gemm sub-operators slice the last (feature) axis *)
-      let shape = Tensor.shape result in
-      let axis =
-        match nd.Graph.op with Op.Conv -> 1 | _ -> Shape.rank shape - 1
-      in
-      let width = Shape.dim shape axis in
-      let cov =
-        match Hashtbl.find_opt coverages node_id with
-        | Some c -> c
-        | None ->
-          let c = { width; intervals = [] } in
-          Hashtbl.replace coverages node_id c;
-          c
-      in
-      cov.intervals <- (slice.Flow.lo, min width slice.Flow.hi) :: cov.intervals;
-      (* publish the slice into the (possibly partial) output tensor *)
-      let out =
-        match Hashtbl.find_opt env output with
-        | Some t when Shape.equal (Tensor.shape t) shape -> t
-        | Some _ | None ->
-          let t = Tensor.zeros shape in
-          Hashtbl.replace env output t;
-          t
-      in
-      let dims = Array.of_list shape in
-      let inner = ref 1 in
-      for a = axis + 1 to Array.length dims - 1 do
-        inner := !inner * dims.(a)
-      done;
-      let outer = Tensor.numel result / (width * !inner) in
-      let rd = Tensor.data result and od = Tensor.data out in
-      let lo = slice.Flow.lo and hi = min width slice.Flow.hi in
-      for o = 0 to outer - 1 do
-        let base = o * width * !inner in
-        Array.blit rd
-          (base + (lo * !inner))
-          od
-          (base + (lo * !inner))
-          ((hi - lo) * !inner)
-      done
-  in
-  (* the sequencer: a program counter over the FIFO; PAR_BEGIN drains its
-     block (pre-evaluated as a wave, then issued in order) and jumps past
-     the PAR_END *)
-  let pc = ref 0 in
-  while !pc < n do
-    (match cmds.(!pc) with
-    | Isa.Par_end -> err "sequencer: PAR_END without PAR_BEGIN at %d" !pc
-    | Isa.Par_begin count ->
-      let lo = !pc + 1 in
-      let hi = lo + count - 1 in
-      if hi + 1 >= n || cmds.(hi + 1) <> Isa.Par_end then
-        err "sequencer: PAR_BEGIN at %d lacks its PAR_END" !pc;
-      pre_eval_block ~lo ~hi;
-      for i = lo to hi do
-        exec_cmd cmds.(i)
-      done;
-      pc := hi + 1 (* lands on PAR_END; bumped past it below *)
-    | c -> exec_cmd c);
-    incr pc
-  done;
-  Machine.flush_residency machine;
-  (* every partitioned operator must have covered its full output width *)
-  Hashtbl.iter
-    (fun node_id cov ->
-      if not (covered cov) then
-        err "node %d: sub-operator slices do not cover its output" node_id)
-    coverages;
-  let outputs =
-    List.map
-      (fun o ->
-        match Hashtbl.find_opt env o with
-        | Some t -> (o, t)
-        | None -> err "graph output %s was never produced" o)
-      g.Graph.graph_outputs
-  in
-  let reference = Exec.run_outputs g inputs in
-  let max_abs = ref 0. and max_rel = ref 0. in
-  List.iter2
-    (fun (_, sim) (_, ref_) ->
-      let d = Tensor.max_abs_diff sim ref_ in
-      let scale = Tensor.fold (fun acc x -> Float.max acc (Float.abs x)) 0. ref_ in
-      max_abs := Float.max !max_abs d;
-      if scale > 0. then max_rel := Float.max !max_rel (d /. scale))
-    outputs reference;
-  {
-    Functional.outputs;
-    reference;
-    max_abs_err = !max_abs;
-    max_rel_err = !max_rel;
-    compute_instrs = !computes;
-    vector_instrs = !vectors;
-    switches = Machine.switch_counts machine;
-    switch_retries = Machine.switch_retries machine;
-  }
-
-let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
-    (img : Isa.image) ~inputs =
-  (* from inside a pool worker degrade to serial instead of multiplying
-     domains (same rule as Functional.run) *)
-  let jobs =
-    if Pool.current_worker () <> None then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
-  let backend = match backend with Some b -> b | None -> Kernels.backend () in
-  Pool.with_pool ~name:"isasim" ~jobs (fun pool ->
-      Kernels.with_pool (Some pool) (fun () ->
-          Kernels.with_backend backend (fun () ->
-              run_with_pool pool chip ?faults ?rng ?max_switch_retries g img
-                ~inputs)))
+let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend g (img : Isa.image)
+    ~inputs =
+  (* the entry check: the stream must raise back to a flow the static
+     validator accepts (balanced brackets, coords in range, no mode
+     conflicts inside a block) before the sequencer starts *)
+  let invalid m = raise (Functional.Error ("invalid command stream: " ^ m)) in
+  (match Flow.validate chip (Isa.to_flow img) with
+  | Ok () -> ()
+  | Error m -> invalid m
+  | exception Invalid_argument m -> invalid m);
+  Functional.execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend g img
+    ~inputs

@@ -1,17 +1,15 @@
-(** Machine-level simulator for the lowered MMIO command stream
-    ({!Cim_metaop.Isa}): a flat interpreter with an explicit program
-    counter over the command FIFO, the way a device-side sequencer would
-    drain it — bracket markers delimit pipelined blocks, DMA descriptors
-    move tensors, switch/compute commands drive the same {!Machine} mode
-    model as the meta-op simulator.
+(** Stream entry point to the one interpreter ({!Functional.execute}): runs
+    a lowered MMIO command stream ({!Cim_metaop.Isa}) that arrives as
+    commands — for instance decoded from its bytes with
+    {!Cim_metaop.Isa.decode} — rather than as a meta-operator flow.
 
-    This is deliberately a second, independent execution path: it shares
-    the int8 oracle ({!Functional.quant_eval}) and the {!Machine} fault
-    model with {!Functional} but walks the linear stream rather than the
-    instruction tree. The differential contract — same graph, same
-    program, one lowered through {!Cim_metaop.Isa.of_flow} — is that both
-    simulators produce identical {!Functional.report}s, so
-    {!Functional.digest} must agree bit for bit. *)
+    Its only logic is the entry check: the stream is raised back to a flow
+    ({!Cim_metaop.Isa.to_flow}, which rejects unbalanced or miscounted
+    [PAR_BEGIN]/[PAR_END] brackets) and that flow must pass
+    {!Cim_metaop.Flow.validate}. Execution is then exactly
+    {!Functional.run}'s, so for a stream lowered with
+    {!Cim_metaop.Isa.of_flow} both produce identical {!Functional.report}s
+    and {!Functional.digest} agrees bit for bit. *)
 
 val run :
   Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
@@ -21,7 +19,4 @@ val run :
 (** Same contract as {!Functional.run}, over the command stream: raises
     {!Functional.Error} on malformed streams (unbalanced brackets, unknown
     tensors, coverage gaps) and {!Machine.Fault} on mode violations; the
-    report is byte-identical at any [jobs] and for either kernel backend.
-    Inside a [PAR_BEGIN]/[PAR_END] block, independent CIM nodes are
-    pre-evaluated concurrently on the pool exactly as {!Functional.run}
-    pre-evaluates a [Parallel] block. *)
+    report is byte-identical at any [jobs] and for either kernel backend. *)

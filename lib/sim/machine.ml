@@ -99,6 +99,19 @@ let check_alive t c i ~attempted =
       attempted
   | _ -> ()
 
+(* Transient-failure draws for one switch: each draw below [p] is a failed
+   attempt, retried until success or until the attempts exceed
+   [max_retries]. A healthy circuit ([p <= 0]) draws nothing. *)
+let retry_draws rng ~p ~max_retries =
+  if p <= 0. then (0, true)
+  else begin
+    let attempts = ref 0 and succeeded = ref false in
+    while (not !succeeded) && !attempts <= max_retries do
+      if Rng.float rng 1.0 < p then incr attempts else succeeded := true
+    done;
+    (!attempts, !succeeded)
+  end
+
 let mode t c = t.modes.(idx t c)
 let content t c = t.contents.(idx t c)
 
@@ -135,26 +148,21 @@ let switch t transition c =
   let p =
     match t.faults with Some fm -> Faultmap.transient_prob fm i | None -> 0.
   in
-  if p > 0. then begin
-    let attempts = ref 0 in
-    let succeeded = ref false in
-    while (not !succeeded) && !attempts <= t.max_switch_retries do
-      if Rng.float t.rng 1.0 < p then begin
-        incr attempts;
-        t.retries <- t.retries + 1;
-        Cim_obs.Metrics.incr m_retries
-      end
-      else succeeded := true
-    done;
-    if not !succeeded then
-      fault
-        "array (%d,%d): switch %s to %s mode failed %d times (transient \
-         failure p=%.2f, currently %s mode)"
-        c.Chip.x c.Chip.y
-        (Mode.transition_to_string transition)
-        (Mode.to_string target) !attempts p
-        (Mode.to_string t.modes.(i))
+  let attempts, succeeded =
+    retry_draws t.rng ~p ~max_retries:t.max_switch_retries
+  in
+  if attempts > 0 then begin
+    t.retries <- t.retries + attempts;
+    Cim_obs.Metrics.incr ~by:(float_of_int attempts) m_retries
   end;
+  if not succeeded then
+    fault
+      "array (%d,%d): switch %s to %s mode failed %d times (transient \
+       failure p=%.2f, currently %s mode)"
+      c.Chip.x c.Chip.y
+      (Mode.transition_to_string transition)
+      (Mode.to_string target) attempts p
+      (Mode.to_string t.modes.(i));
   tick t;
   emit_residency t i;
   Hashtbl.replace t.switched i ();

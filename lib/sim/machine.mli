@@ -20,6 +20,13 @@ val create :
     retry draw comes from [rng], default a fixed seed) before faulting.
     Raises [Invalid_argument] on a negative retry budget. *)
 
+val retry_draws : Cim_util.Rng.t -> p:float -> max_retries:int -> int * bool
+(** The transient-failure draws of one array switch with failure
+    probability [p]: [(failed_attempts, succeeded)]. Draws until one
+    succeeds or the failures exceed [max_retries]; draws nothing when
+    [p <= 0]. {!switch} and {!Timing.run} both call it, so a timing run with
+    the same rng prices exactly the retries the machine performs. *)
+
 val mode : t -> Cim_arch.Chip.coord -> Cim_arch.Mode.t
 val content : t -> Cim_arch.Chip.coord -> content
 

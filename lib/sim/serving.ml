@@ -105,11 +105,8 @@ type config = { deadline : float option }
 
 let default_config = { deadline = None }
 
-let run ?(config = default_config) ?deadline profile requests =
-  (* an explicit ?deadline wins over the config record *)
-  let deadline =
-    match deadline with Some _ -> deadline | None -> config.deadline
-  in
+let run ?(config = default_config) profile requests =
+  let deadline = config.deadline in
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Serving.run: deadline must be positive"
   | _ -> ());

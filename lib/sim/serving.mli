@@ -73,12 +73,11 @@ val interpolate : (int * float) list -> int -> float
     constant-zero profile. *)
 
 val run :
-  ?config:config -> ?deadline:float -> cost_profile -> request list -> stats
+  ?config:config -> cost_profile -> request list -> stats
 (** FCFS, no batching across requests: each request runs prefill then its
     decode steps with a growing KV length. An empty trace returns
-    {!zero_stats}. [config] carries the simulation knobs; the [deadline]
-    argument is the legacy spelling and, when given, overrides
-    [config.deadline]. With a deadline (cycles, must be positive), a request
+    {!zero_stats}. [config] carries the simulation knobs. With
+    [config.deadline] (cycles, must be positive), a request
     whose predicted completion would exceed arrival + deadline is dropped
     on arrival — it does not occupy the chip, counts in [dropped], and is
     excluded from every latency/throughput statistic; this is the degraded-

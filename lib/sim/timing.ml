@@ -48,8 +48,7 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
   let seg_cycles = ref [] in
   let res = { staged = [] } in
   (* each failed transient switch attempt burns one single-array switch
-     latency before the retry; draws mirror Machine.switch so a timing run
-     with the same rng prices exactly the retries the machine performs *)
+     latency before the retry; the draws are Machine.switch's own *)
   let charge_retries target arrays =
     match faults with
     | None -> ()
@@ -61,14 +60,7 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
             | exception Chip.Invalid_config _ -> acc
             | i ->
               let p = Faultmap.transient_prob fm i in
-              if p <= 0. then acc
-              else begin
-                let a = ref 0 and ok = ref false in
-                while (not !ok) && !a <= max_switch_retries do
-                  if Rng.float rng 1.0 < p then incr a else ok := true
-                done;
-                acc + !a
-              end)
+              acc + fst (Machine.retry_draws rng ~p ~max_retries:max_switch_retries))
           0 arrays
       in
       if attempts > 0 then begin

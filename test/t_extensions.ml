@@ -288,13 +288,7 @@ let test_serving_config_record () =
   (* config deadline drops the queued request (latency 30 > 20) *)
   let tight = Serving.run ~config:{ Serving.deadline = Some 20. } profile trace in
   Alcotest.(check int) "config deadline admits first" 1 tight.Serving.completed;
-  Alcotest.(check int) "config deadline drops second" 1 tight.Serving.dropped;
-  (* the legacy ?deadline argument overrides the config record *)
-  let relaxed =
-    Serving.run ~config:{ Serving.deadline = Some 20. } ~deadline:1000. profile
-      trace
-  in
-  Alcotest.(check int) "?deadline wins over config" 2 relaxed.Serving.completed
+  Alcotest.(check int) "config deadline drops second" 1 tight.Serving.dropped
 
 (* The nearest-rank percentile must use exact rank arithmetic: with the
    naive (p /. 100.) *. n form, 0.95 * 20 evaluates to 19.000000000000004,

@@ -2,9 +2,10 @@
    pipeline-as-data equivalence with the driver, per-pass validators naming
    the failing pass (including a functional-sim validator closure), pass-list
    parsing and cache-key fingerprints, ISA encode/decode round trips (QCheck
-   and compiled programs), decoder robustness, and the machine-level ISA
-   simulator differentially tested against the meta-op functional simulator
-   on resnet18 and a bert-large block at jobs 1 and 4. *)
+   and compiled programs), decoder robustness, and the interpreter's stream
+   entry point (Isa_sim.run) differentially tested against its flow entry
+   point (Functional.run) on resnet18 and a bert-large block at jobs 1 and
+   4. *)
 
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
@@ -430,11 +431,11 @@ let test_bracket_validation () =
   | _ -> Alcotest.fail "nested Parallel accepted"
   | exception Invalid_argument _ -> ()
 
-(* ---- machine-level simulator vs the meta-op functional simulator ---------- *)
+(* ---- stream entry point vs flow entry point ------------------------------- *)
 
-(* the differential contract of the second backend: the flat command-stream
-   interpreter produces the same digest (outputs + instruction and switch
-   counters) as the tree-walking meta-op simulator, at jobs 1 and 4 *)
+(* the differential contract of the lowering: running the lowered stream
+   through Isa_sim.run gives the same digest (outputs + instruction and
+   switch counters) as Functional.run on the flow, at jobs 1 and 4 *)
 let test_machine_differential key () =
   let g = graph_of key in
   let r = Cmswitch.compile chip g in

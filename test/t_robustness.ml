@@ -368,6 +368,30 @@ let test_timing_charges_retries () =
   Alcotest.(check bool) "retries cost cycles" true
     (faulty.Timing.cycles.Timing.switch > clean.Timing.cycles.Timing.switch)
 
+(* the timing simulator prices exactly the retries the machine performs:
+   both take their draws from Machine.retry_draws in switch order *)
+let test_timing_retries_match_machine () =
+  let fm =
+    Faultmap.of_list chip
+      (List.init chip.Chip.n_arrays (fun i ->
+           (Chip.coord_of_index chip i, Faultmap.Transient_switch_failure 0.6)))
+  in
+  let rng = Rng.create 35 in
+  let g = Cim_models.Mlp.build ~rng ~batch:1 ~dims:[ 64; 128; 32 ] () in
+  let r = Cmswitch.compile chip g in
+  let x = Tensor.rand rng (Shape.of_list [ 1; 64 ]) ~lo:(-1.) ~hi:1. in
+  let rep =
+    Functional.run chip ~faults:fm ~rng:(Rng.create 7) ~max_switch_retries:100 g
+      r.Cmswitch.program ~inputs:[ ("x", x) ]
+  in
+  let t =
+    Timing.run chip ~faults:fm ~rng:(Rng.create 7) ~max_switch_retries:100
+      r.Cmswitch.program
+  in
+  Alcotest.(check bool) "some switches retried" true (rep.Functional.switch_retries > 0);
+  Alcotest.(check int) "timing retries = machine retries"
+    rep.Functional.switch_retries t.Timing.switch_retries
+
 (* --- static flow validator --- *)
 
 let test_check_catches_missing_weights () =
@@ -465,16 +489,16 @@ let test_serving_deadline_drops () =
       { Serving.arrival = 0.; prompt = 4; output = 5 } ]
   in
   (* each request costs 15 cycles; FCFS queues the second to finish at 30 *)
-  let s = Serving.run ~deadline:20. profile trace in
+  let s = Serving.run ~config:{ Serving.deadline = Some 20. } profile trace in
   Alcotest.(check int) "first completes" 1 s.Serving.completed;
   Alcotest.(check int) "queued one dropped" 1 s.Serving.dropped;
   Alcotest.(check (float 1e-9)) "drop frees the chip" 15. s.Serving.makespan;
   (* with a generous deadline both complete *)
-  let s2 = Serving.run ~deadline:100. profile trace in
+  let s2 = Serving.run ~config:{ Serving.deadline = Some 100. } profile trace in
   Alcotest.(check int) "no drops under slack" 2 s2.Serving.completed;
   Alcotest.(check int) "dropped zero" 0 s2.Serving.dropped;
   (* dropping everything still returns zeroed stats, not an exception *)
-  let s3 = Serving.run ~deadline:1. profile trace in
+  let s3 = Serving.run ~config:{ Serving.deadline = Some 1. } profile trace in
   Alcotest.(check int) "all dropped" 2 s3.Serving.dropped;
   Alcotest.(check int) "none completed" 0 s3.Serving.completed;
   Alcotest.(check (float 0.)) "stats zeroed" 0. s3.Serving.mean_latency
@@ -1054,6 +1078,8 @@ let suite =
       Alcotest.test_case "machine transient retries" `Quick
         test_machine_transient_retries;
       Alcotest.test_case "timing charges retries" `Quick test_timing_charges_retries;
+      Alcotest.test_case "timing retries = machine retries" `Quick
+        test_timing_retries_match_machine;
       Alcotest.test_case "check: missing weights" `Quick
         test_check_catches_missing_weights;
       Alcotest.test_case "check: mode misuse" `Quick test_check_catches_mode_misuse;

@@ -84,6 +84,28 @@ let test_functional_cnn () =
   let x = Tensor.rand rng (Shape.of_list [ 2; 2; 8; 8 ]) ~lo:(-1.) ~hi:1. in
   ignore (functional_check "tiny-cnn" g [ ("image", x) ])
 
+(* grouped and depthwise convolutions: the partitioner slices a grouped
+   conv's output in per-group columns (oc / groups), so the simulator must
+   view the channel axis as [groups; oc / groups] when it publishes slices
+   and checks their coverage *)
+let test_functional_grouped_conv () =
+  let module B = Cim_nnir.Builder in
+  let rng = Rng.create 27 in
+  let b = B.create "grouped" in
+  let x = B.input b "x" (Shape.of_list [ 2; 4; 6; 6 ]) in
+  let conv x ~in_c ~out_c ~groups ~prefix =
+    let wshape = Shape.of_list [ out_c; in_c / groups; 3; 3 ] in
+    let value = Tensor.rand rng wshape ~lo:(-0.3) ~hi:0.3 in
+    B.conv ~name:prefix b x (B.weight ~value b (prefix ^ "_w") wshape) ~stride:1
+      ~pad:1 ~groups ()
+  in
+  let h = B.relu b (conv x ~in_c:4 ~out_c:8 ~groups:2 ~prefix:"grouped") in
+  let y = conv h ~in_c:8 ~out_c:8 ~groups:8 ~prefix:"depthwise" in
+  let g = B.finish b ~outputs:[ y ] in
+  let x = Tensor.rand rng (Shape.of_list [ 2; 4; 6; 6 ]) ~lo:(-1.) ~hi:1. in
+  let rep = functional_check "grouped conv" g [ ("x", x) ] in
+  Alcotest.(check int) "both convs computed" 2 rep.Functional.compute_instrs
+
 (* hand-built attention block with weights, exercising dynamic matmuls,
    softmax interleaving and the per-head batched layout *)
 let attention_graph rng ~seq ~d ~heads =
@@ -246,6 +268,7 @@ let suite =
       Alcotest.test_case "functional: tiny cnn" `Quick test_functional_cnn;
       Alcotest.test_case "functional: attention" `Quick test_functional_attention;
       Alcotest.test_case "functional: sliced gemm" `Quick test_functional_sliced_gemm;
+      Alcotest.test_case "functional: grouped conv" `Quick test_functional_grouped_conv;
       Alcotest.test_case "functional: faults on broken program" `Quick
         test_functional_rejects_broken_program;
       Alcotest.test_case "functional: missing slice detected" `Quick
