@@ -17,8 +17,6 @@ let graph_of key =
   | Zoo.Encoder_only -> (Option.get e.Zoo.layer) (Workload.prefill ~batch:1 64)
   | Zoo.Decoder_only -> (Option.get e.Zoo.layer) (Workload.decode ~batch:1 64)
 
-let md5 r = Digest.to_hex (Digest.string (Flow.to_string r.Cmswitch.program))
-
 let run () =
   section "E13 | compilation cache: cold vs warm compile";
   let chip = Config.dynaplasia in
@@ -42,7 +40,9 @@ let run () =
       let warm_store = Store.open_dir dir in
       let warm, t_warm = compile warm_store in
       let hits = (Store.tier_counters warm_store Ccache.prog_tier).Store.hits in
-      let identical = md5 cold = md5 warm in
+      let identical =
+        Flow.digest cold.Cmswitch.program = Flow.digest warm.Cmswitch.program
+      in
       Table.add_row tbl
         [ key; Table.cell_f ~digits:3 t_cold; Table.cell_f ~digits:3 t_warm;
           Table.cell_speedup (t_cold /. Float.max 1e-6 t_warm);

@@ -493,9 +493,7 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
       (Cim_util.Table.cell_pct (Cmswitch.memory_mode_ratio r))
       r.Cmswitch.dp_stats.Cim_compiler.Segment.mip_solves
       r.Cmswitch.dp_stats.Cim_compiler.Segment.mip_cache_hits;
-    Printf.printf "program_md5=%s\n"
-      (Digest.to_hex
-         (Digest.string (Cim_metaop.Flow.to_string r.Cmswitch.program)));
+    Printf.printf "program_md5=%s\n" (Cim_metaop.Flow.digest r.Cmswitch.program);
     (* --trace implies a timing pass: the simulator populates the per-array
        mode-residency tracks and the cycles-by-mode counters *)
     if sim || common.trace <> None then begin

@@ -61,7 +61,7 @@ let coord_of_index t i =
 
 let index_of_coord t { x; y } =
   let i = (y * t.grid_cols) + x in
-  if x < 0 || x >= t.grid_cols || i >= t.n_arrays then
+  if x < 0 || x >= t.grid_cols || y < 0 || i >= t.n_arrays then
     fail "coordinate (%d,%d) out of range" x y;
   i
 

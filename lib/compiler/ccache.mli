@@ -89,9 +89,9 @@ val prog_key :
 
 type prog_payload = {
   segments : Plan.seg_plan list;  (** the chosen segmentation, in order *)
-  program_md5 : string;           (** MD5 hex of {!Cim_metaop.Flow.to_string} of the
-                                      emitted program — replay regenerates the text
-                                      and must reproduce this digest exactly *)
+  program_md5 : string;           (** {!Cim_metaop.Flow.digest} of the emitted
+                                      program — replay regenerates the program and
+                                      must reproduce this digest exactly *)
   mip_solves : int;
   mip_cache_hits : int;
   candidates : int;

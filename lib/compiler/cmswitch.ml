@@ -341,9 +341,7 @@ let replay_pipeline (p : Ccache.prog_payload) =
           let program = Passes.program_exn st in
           if
             Trace.with_span "cache.compare" ~cat:"cache" (fun () ->
-                Digest.to_hex
-                  (Digest.string (Cim_metaop.Flow.to_string program))
-                <> p.Ccache.program_md5)
+                Cim_metaop.Flow.digest program <> p.Ccache.program_md5)
           then failwith "regenerated program differs from cached program digest";
           st);
       validate = None;
@@ -432,8 +430,7 @@ let prog_cache_store ?shape ~cfg ~passes chip graph (r : result) =
       let payload =
         {
           Ccache.segments = List.map (fun sp -> sp.Placement.plan) r.places;
-          program_md5 =
-            Digest.to_hex (Digest.string (Cim_metaop.Flow.to_string r.program));
+          program_md5 = Cim_metaop.Flow.digest r.program;
           mip_solves = r.dp_stats.Segment.mip_solves;
           mip_cache_hits = r.dp_stats.Segment.mip_cache_hits;
           candidates = r.dp_stats.Segment.candidates;

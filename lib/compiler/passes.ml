@@ -512,10 +512,9 @@ let describe_state st =
   (match st.program with
   | None -> line "program: <none>"
   | Some p ->
-    let text = Flow.to_string p in
     line "program: %d instrs, %d bytes, md5=%s" (List.length p.Flow.instrs)
-      (String.length text)
-      (Digest.to_hex (Digest.string text)));
+      (String.length (Flow.to_string p))
+      (Flow.digest p));
   (match st.isa with
   | None -> line "isa: <none>"
   | Some img ->

@@ -176,12 +176,30 @@ let pp ppf p =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_instr)
     p.instrs
 
-(* [to_string] is on the compiler's hot path — the cache compares a
-   regenerated program against a stored one, and a whole-program payload
-   embeds the text — so it bypasses [Format] (box/break machinery is ~10x
-   slower on large programs) for a direct [Buffer] printer. The output is
-   byte-identical to [pp]: same line breaks, same two-space parallel-block
-   indentation (checked by the metaop tests). *)
+(* [to_string] is the program's identity: the cache compares the digest of
+   a regenerated program against a stored one on every warm hit, so it is
+   on the replay path and prints a whole layer (hundreds of KB) each time.
+   It is a direct [Buffer] printer that builds no intermediate strings:
+   ints go in digit by digit, [%S] strings go through the escaper only when
+   they need it, and only the two [%.17g] floats of a compute go through
+   [Printf]. The output is byte-identical to [pp] — same escapes, line
+   breaks and two-space parallel-block indentation — and the metaop tests
+   check that on random and compiled programs. The one exception is an
+   empty program or parallel block, for which [pp] prints an indented
+   blank line; codegen emits neither. *)
+
+let rec buf_nat b n =
+  if n >= 10 then buf_nat b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let buf_int b n = if n >= 0 then buf_nat b n else Buffer.add_string b (string_of_int n)
+
+(* [%S] is [String.escaped] in quotes; [String.escaped] returns its
+   argument itself, unallocated, when nothing needs escaping *)
+let buf_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
 
 let buf_coords b cs =
   Buffer.add_char b '[';
@@ -189,9 +207,9 @@ let buf_coords b cs =
     (fun i (c : coord) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '(';
-      Buffer.add_string b (string_of_int c.Chip.x);
+      buf_int b c.Chip.x;
       Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int c.Chip.y);
+      buf_int b c.Chip.y;
       Buffer.add_char b ')')
     cs;
   Buffer.add_char b ']'
@@ -203,11 +221,46 @@ let buf_loc b = function
     Buffer.add_string b "arrays";
     buf_coords b cs
 
-let buf_newline b indent =
-  Buffer.add_char b '\n';
-  for _ = 1 to indent do
-    Buffer.add_char b ' '
-  done
+let buf_names b ns =
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i n ->
+      if i > 0 then Buffer.add_string b ", ";
+      Buffer.add_string b n)
+    ns;
+  Buffer.add_char b ')'
+
+let spaces = String.make 64 ' '
+
+(* valid programs indent by at most 2; deeper nesting takes more chunks *)
+let rec buf_spaces b n =
+  let k = min n (String.length spaces) in
+  Buffer.add_substring b spaces 0 k;
+  if n > k then buf_spaces b (n - k)
+
+let buf_slice b (s : slice) =
+  Buffer.add_string b ", slice=[";
+  buf_int b s.lo;
+  Buffer.add_char b ',';
+  buf_int b s.hi;
+  Buffer.add_char b ')'
+
+let buf_head b op label node_id =
+  Buffer.add_string b op;
+  buf_quoted b label;
+  Buffer.add_string b ", node=";
+  buf_int b node_id
+
+let buf_move b op tensor src dst bytes =
+  Buffer.add_string b op;
+  Buffer.add_string b tensor;
+  Buffer.add_string b ", ";
+  buf_loc b src;
+  Buffer.add_string b " -> ";
+  buf_loc b dst;
+  Buffer.add_string b ", ";
+  buf_int b bytes;
+  Buffer.add_char b ')'
 
 let rec buf_instr b ~indent = function
   | Switch { target; arrays } ->
@@ -217,56 +270,51 @@ let rec buf_instr b ~indent = function
     buf_coords b arrays;
     Buffer.add_char b ')'
   | Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
-    Buffer.add_string b (Printf.sprintf "CIM.write(%S, node=%d, arrays=" label node_id);
+    buf_head b "CIM.write(" label node_id;
+    Buffer.add_string b ", arrays=";
     buf_coords b arrays;
-    Buffer.add_string b
-      (Printf.sprintf ", slice=[%d,%d), bytes=%d, inplace=%d)" slice.lo slice.hi
-         bytes
-         (if in_place then 1 else 0))
-  | Load { tensor; src; dst; bytes } ->
-    Buffer.add_string b "MEM.load(";
-    Buffer.add_string b tensor;
-    Buffer.add_string b ", ";
-    buf_loc b src;
-    Buffer.add_string b " -> ";
-    buf_loc b dst;
-    Buffer.add_string b (Printf.sprintf ", %d)" bytes)
-  | Store { tensor; src; dst; bytes } ->
-    Buffer.add_string b "MEM.store(";
-    Buffer.add_string b tensor;
-    Buffer.add_string b ", ";
-    buf_loc b src;
-    Buffer.add_string b " -> ";
-    buf_loc b dst;
-    Buffer.add_string b (Printf.sprintf ", %d)" bytes)
+    buf_slice b slice;
+    Buffer.add_string b ", bytes=";
+    buf_int b bytes;
+    Buffer.add_string b (if in_place then ", inplace=1)" else ", inplace=0)")
+  | Load { tensor; src; dst; bytes } -> buf_move b "MEM.load(" tensor src dst bytes
+  | Store { tensor; src; dst; bytes } -> buf_move b "MEM.store(" tensor src dst bytes
   | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai } ->
-    Buffer.add_string b (Printf.sprintf "CIM.compute(%S, node=%d, arrays=" label node_id);
+    buf_head b "CIM.compute(" label node_id;
+    Buffer.add_string b ", arrays=";
     buf_coords b arrays;
     Buffer.add_string b ", mem=";
     buf_coords b mem_arrays;
-    Buffer.add_string b ", in=(";
-    Buffer.add_string b (String.concat ", " inputs);
-    Buffer.add_string b
-      (Printf.sprintf "), out=(%s), slice=[%d,%d), macs=%.17g, ai=%.17g)" output
-         slice.lo slice.hi macs ai)
+    Buffer.add_string b ", in=";
+    buf_names b inputs;
+    Buffer.add_string b ", out=(";
+    Buffer.add_string b output;
+    Buffer.add_char b ')';
+    buf_slice b slice;
+    Printf.bprintf b ", macs=%.17g, ai=%.17g)" macs ai
   | Vector_op { label; node_id; inputs; output } ->
-    Buffer.add_string b
-      (Printf.sprintf "VEC.op(%S, node=%d, in=(%s), out=(%s))" label node_id
-         (String.concat ", " inputs)
-         output)
+    buf_head b "VEC.op(" label node_id;
+    Buffer.add_string b ", in=";
+    buf_names b inputs;
+    Buffer.add_string b ", out=(";
+    Buffer.add_string b output;
+    Buffer.add_string b "))"
   | Parallel is ->
     Buffer.add_string b "parallel {";
     List.iter
       (fun i ->
-        buf_newline b (indent + 2);
+        Buffer.add_char b '\n';
+        buf_spaces b (indent + 2);
         buf_instr b ~indent:(indent + 2) i)
       is;
-    buf_newline b indent;
+    Buffer.add_char b '\n';
+    buf_spaces b indent;
     Buffer.add_char b '}'
 
 let to_string p =
   let b = Buffer.create 65536 in
-  Buffer.add_string b (Printf.sprintf "flow %S" p.source);
+  Buffer.add_string b "flow ";
+  buf_quoted b p.source;
   List.iter
     (fun i ->
       Buffer.add_char b '\n';
@@ -274,3 +322,5 @@ let to_string p =
     p.instrs;
   Buffer.add_char b '\n';
   Buffer.contents b
+
+let digest p = Digest.to_hex (Digest.string (to_string p))

@@ -62,6 +62,15 @@ val validate : Cim_arch.Chip.t -> program -> (unit, string) result
     inside one [Parallel] block, slices well-formed, no nested [Parallel]. *)
 
 val pp : Format.formatter -> program -> unit
-(** Concrete syntax (grammar of Fig. 13); parseable by {!Parse}. *)
+(** Concrete syntax (grammar of Fig. 13); parseable by {!Parse}. A
+    [Format] printer, kept as the reference that {!to_string} is tested
+    against. *)
 
 val to_string : program -> string
+(** The same bytes as {!pp}, printed directly into a buffer, except that
+    an empty program or parallel block gets no blank line. This text is
+    the program's identity. *)
+
+val digest : program -> string
+(** MD5 hex of {!to_string}: the [program_md5] the compilation cache
+    stores and compares, and the CLI prints. *)

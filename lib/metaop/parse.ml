@@ -36,20 +36,18 @@ let lex src =
     else if c = '=' then (emit Teq; incr i)
     else if c = '-' && !i + 1 < n && src.[!i + 1] = '>' then (emit Tarrow; i := !i + 2)
     else if c = '"' then begin
+      (* find the closing quote, stepping over escaped characters, then
+         undo the OCaml escapes [%S] wrote *)
       let j = ref (!i + 1) in
-      let b = Buffer.create 16 in
       while !j < n && src.[!j] <> '"' do
-        if src.[!j] = '\\' && !j + 1 < n then begin
-          Buffer.add_char b src.[!j + 1];
-          j := !j + 2
-        end
-        else begin
-          Buffer.add_char b src.[!j];
-          incr j
-        end
+        j := !j + if src.[!j] = '\\' then 2 else 1
       done;
       if !j >= n then perr "unterminated string";
-      emit (Tstr (Buffer.contents b));
+      let raw = String.sub src (!i + 1) (!j - !i - 1) in
+      (match Scanf.unescaped raw with
+      | s -> emit (Tstr s)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+        perr "bad escape in string \"%s\"" raw);
       i := !j + 1
     end
     else if is_digit c || (c = '-' && !i + 1 < n && is_digit src.[!i + 1]) then begin

@@ -144,7 +144,7 @@ let test_prog_payload_round_trip () =
   let p =
     {
       Ccache.segments = List.map (fun sp -> sp.Cim_compiler.Placement.plan) r.Cmswitch.places;
-      program_md5 = Digest.to_hex (Digest.string (Flow.to_string r.Cmswitch.program));
+      program_md5 = Flow.digest r.Cmswitch.program;
       mip_solves = r.Cmswitch.dp_stats.Segment.mip_solves;
       mip_cache_hits = r.Cmswitch.dp_stats.Segment.mip_cache_hits;
       candidates = r.Cmswitch.dp_stats.Segment.candidates;
