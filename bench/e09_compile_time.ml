@@ -18,14 +18,7 @@ let reps = 3
 
 (* wall clock, not Sys.time: parallel solves burn CPU seconds on every
    worker domain, which is exactly what this experiment must not count *)
-let time f =
-  let samples =
-    List.init reps (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (f ());
-        Unix.gettimeofday () -. t0)
-  in
-  Stats.mean samples
+let mean_time f = Stats.mean (List.init reps (fun _ -> snd (time f)))
 
 let graph_of key =
   let e = Option.get (Zoo.find key) in
@@ -57,12 +50,15 @@ let run () =
   List.iter
     (fun key ->
       let g = graph_of key in
-      let t_mlc = time (fun () -> Baseline.compile Baseline.Cim_mlc chip g) in
+      let t_mlc =
+        mean_time (fun () -> Baseline.compile Baseline.Cim_mlc chip g)
+      in
       let t_cms =
-        time (fun () -> Cmswitch.compile ~config:(config_with_jobs 1) chip g)
+        mean_time (fun () ->
+            Cmswitch.compile ~config:(config_with_jobs 1) chip g)
       in
       let t_par =
-        time (fun () ->
+        mean_time (fun () ->
             Cmswitch.compile ~config:(config_with_jobs par_jobs) chip g)
       in
       let e = Option.get (Zoo.find key) in

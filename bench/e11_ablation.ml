@@ -16,9 +16,7 @@ let chip = Config.dynaplasia
 let compile_with config key (w : Workload.t) =
   let e = Option.get (Zoo.find key) in
   let g = match e.Zoo.layer with Some f -> f w | None -> e.Zoo.build w in
-  let t0 = Sys.time () in
-  let r = Cmswitch.compile ~config chip g in
-  (r, Sys.time () -. t0)
+  time (fun () -> Cmswitch.compile ~config chip g)
 
 let sweep_partition () =
   let tbl =

@@ -32,9 +32,7 @@ let run () =
       let dir = Filename.temp_dir "cmswitch-bench-cache" "" in
       let compile store =
         let cfg = Cmswitch.Config.(default |> with_jobs 1 |> with_cache (Some store)) in
-        let t0 = Unix.gettimeofday () in
-        let r = Cmswitch.compile ~config:cfg chip g in
-        (r, Unix.gettimeofday () -. t0)
+        time (fun () -> Cmswitch.compile ~config:cfg chip g)
       in
       let cold, t_cold = compile (Store.open_dir dir) in
       let warm_store = Store.open_dir dir in

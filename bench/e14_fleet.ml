@@ -10,7 +10,7 @@
 open Common
 module Fleet = Cim_sim.Fleet
 module Serving = Cim_sim.Serving
-module Faultmap = Cim_arch.Faultmap
+module Scenario = Cim_serve.Scenario
 module Store = Cim_cache.Store
 
 let model = "resnet18"
@@ -19,17 +19,13 @@ let requests = 64
 let output_tokens = 16
 let rhos = [ 0.25; 0.5; 0.75; 0.9; 1.1; 1.5 ]
 
-let graph_of key =
-  let e = Option.get (Zoo.find key) in
-  match e.Zoo.family with
-  | Zoo.Cnn -> e.Zoo.build (Workload.prefill ~batch:1 1)
-  | Zoo.Encoder_only -> (Option.get e.Zoo.layer) (Workload.prefill ~batch:1 64)
-  | Zoo.Decoder_only -> (Option.get e.Zoo.layer) (Workload.decode ~batch:1 64)
-
 let run () =
   section "E14 | fleet serving: load sweep with runtime faults";
   let chip = Config.dynaplasia in
-  let graph = graph_of model in
+  (* a CNN: the whole network on one image *)
+  let block =
+    Scenario.block (Option.get (Zoo.find model)) (Workload.prefill ~batch:1 1)
+  in
   (* one cache directory for the whole sweep: every recompile against a
      previously-seen fault map replays from the program tier *)
   let dir = Filename.temp_dir "cmswitch-bench-fleet" "" in
@@ -38,24 +34,10 @@ let run () =
     Cmswitch.Config.(default |> with_jobs 1 |> with_cache (Some store))
   in
   let pass =
-    (Cmswitch.compile ~config:base_cfg chip graph).Cmswitch.schedule
-      .Plan.total_cycles
+    Scenario.pass_cycles block
+      (Cmswitch.compile ~config:base_cfg chip block.Scenario.graph)
   in
-  let flat pass =
-    { Serving.prefill_cycles = (fun _ -> pass); decode_cycles = (fun _ -> pass) }
-  in
-  let planner ~chip:_ ~faults:fm =
-    let cfg =
-      if Faultmap.fault_count fm = 0 then base_cfg
-      else Cmswitch.Config.with_faults (Some fm) base_cfg
-    in
-    match Cmswitch.recompile ~config:cfg chip graph with
-    | Ok o ->
-      Some
-        { Fleet.level = o.Cmswitch.rc_level;
-          profile = flat o.Cmswitch.rc_result.Cmswitch.schedule.Plan.total_cycles }
-    | Error _ -> None
-  in
+  let planner = Scenario.planner ~config:base_cfg chip block in
   let tbl =
     Table.create
       ~title:
@@ -93,15 +75,12 @@ let run () =
                 ~horizon
           in
           let config =
-            { Fleet.default_config with
+            { (Scenario.fleet_config ~pass) with
               Fleet.chips;
               (* generous target: p95 gets to grow ~8x under overload
                  before admission control caps it, so the knee is visible;
                  shedding (17 passes -> 5) engages well before drops *)
               slo = Some (8. *. unit_cost);
-              backoff_base = 0.25 *. pass;
-              backoff_cap = 4. *. pass;
-              recompile_cycles = pass;
               jobs = 1 }
           in
           let s = Fleet.run ~config ~chip planner schedule reqs in

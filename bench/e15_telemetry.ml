@@ -57,33 +57,20 @@ let run () =
       recompile_cycles = 1e4;
       jobs = 1 }
   in
-  let time f =
-    (* best of [rounds]: the quantity of interest is the cheapest
-       achievable loop, not scheduler noise *)
-    let best = ref Float.infinity and result = ref None in
-    for _ = 1 to rounds do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
   let baseline, t_off =
-    time (fun () -> Fleet.run ~config ~chip planner schedule reqs)
+    best rounds (fun () -> Fleet.run ~config ~chip planner schedule reqs)
   in
   let interval = Float.max 1. (horizon /. 50.) in
   let last_tele = ref None in
   let collector, t_coll =
-    time (fun () ->
+    best rounds (fun () ->
         let tele = Telemetry.create ~snapshot_interval:interval ~slo_budget:0.05 () in
         last_tele := Some tele;
         Fleet.run ~config ~telemetry:tele ~chip planner schedule reqs)
   in
   let tele = Option.get !last_tele in
   let full, t_full =
-    time (fun () ->
+    best rounds (fun () ->
         Metrics.set_enabled true;
         Metrics.reset ();
         Trace.set_enabled true;

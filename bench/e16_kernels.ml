@@ -17,17 +17,6 @@ module Graph = Cim_nnir.Graph
 module Functional = Cim_sim.Functional
 module Rng = Cim_util.Rng
 
-(* min over [n] trials: the harness shares the machine with other tenants,
-   and the minimum is the least-disturbed sample *)
-let best n f =
-  let t = ref infinity and r = ref None in
-  for _ = 1 to n do
-    let v, d = time f in
-    r := Some v;
-    if d < !t then t := d
-  done;
-  (Option.get !r, !t)
-
 let run () =
   section "E16 | kernel engine: boxed vs Bigarray + parallel functional sim";
   (* --- micro: BERT-large projection and FFN matmul shapes --- *)

@@ -29,6 +29,7 @@ module Degrade = Cim_compiler.Degrade
 module Faultmap = Cim_arch.Faultmap
 module Serving = Cim_sim.Serving
 module Fleet = Cim_sim.Fleet
+module Scenario = Cim_serve.Scenario
 module Baseline = Cim_baselines.Baseline
 
 let chip_arg =
@@ -95,8 +96,26 @@ let fault_seed_arg =
        & info [ "fault-seed" ] ~docv:"SEED"
            ~doc:"Seed for deterministic fault injection.")
 
+(* strictly positive, finite values: zero, negatives, nan and infinities
+   are usage errors (exit 124) before anything compiles *)
+let positive_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f > 0. -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive, finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let deadline_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float_conv) None
        & info [ "deadline" ] ~docv:"CYCLES"
            ~doc:"Serve a small synthetic request trace against the compiled \
                  schedule, dropping requests whose completion would exceed \
@@ -542,24 +561,29 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
   (match deadline with
   | None -> ()
   | Some d ->
-    (* a schedule-derived cost profile: every prefill or decode step is one
-       full pass of the compiled schedule *)
+    (* every prefill or decode step is one full pass of the compiled
+       schedule, served FCFS on one chip: the deadline is the SLO, and
+       with the shed tier off it only admits or drops *)
     let pass = mc.Cmswitch.total_cycles in
-    let profile =
-      { Serving.prefill_cycles = (fun _ -> pass);
-        decode_cycles = (fun _ -> pass) }
-    in
-    let rng = Cim_util.Rng.create fault_seed in
+    let profile = Scenario.flat_profile pass in
     let reqs =
-      Serving.poisson_trace rng ~n:16 ~mean_gap:(2. *. pass)
-        ~prompt:(max 1 seq) ~output:4
+      Serving.poisson_trace (Cim_util.Rng.create fault_seed) ~n:16
+        ~mean_gap:(2. *. pass) ~prompt:(max 1 seq) ~output:4
     in
-    let s = Serving.run ~config:{ Serving.deadline = Some d } profile reqs in
+    let config =
+      { Fleet.default_config with
+        Fleet.chips = 1; slo = Some d; shed_output = max_int; jobs = 1 }
+    in
+    let s =
+      Fleet.run ~config ~chip
+        (fun ~chip:_ ~faults:_ -> Some { Fleet.level = 0; profile })
+        [] reqs
+    in
     Printf.printf
       "serving (deadline %.3e cycles): %d completed, %d dropped, p95 \
        latency %.3e, %.2f tokens/Mcycle\n"
-      d s.Serving.completed s.Serving.dropped s.Serving.p95_latency
-      s.Serving.tokens_per_megacycle);
+      d s.Fleet.completed s.Fleet.dropped s.Fleet.p95_latency
+      s.Fleet.tokens_per_megacycle);
   finish_common common ~store
 
 let do_compare chip key batch seq kv common =
@@ -583,28 +607,28 @@ let do_compare chip key batch seq kv common =
 (* ---- serve subcommand ---------------------------------------------------- *)
 
 let chips_arg =
-  Arg.(value & opt int 2
+  Arg.(value & opt positive_int_conv 2
        & info [ "chips" ] ~docv:"N" ~doc:"Fleet size (identical chips).")
 
 let requests_arg =
-  Arg.(value & opt int 32
+  Arg.(value & opt positive_int_conv 32
        & info [ "requests" ] ~docv:"N" ~doc:"Requests in the synthetic trace.")
 
 let mean_gap_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float_conv) None
        & info [ "mean-gap" ] ~docv:"CYCLES"
            ~doc:"Mean inter-arrival gap. Default: twice the per-request \
                  service cost divided by the fleet size (about half the \
                  fleet's saturation load).")
 
 let burst_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int_conv 1
        & info [ "burst" ] ~docv:"N"
            ~doc:"Group arrivals into bursts of N back-to-back requests \
                  (1 = open-loop Poisson).")
 
 let slo_arg =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some positive_float_conv) None
        & info [ "slo" ] ~docv:"CYCLES"
            ~doc:"Per-request latency target: requests that cannot meet it \
                  in full are degraded to a truncated shed tier before any \
@@ -703,49 +727,31 @@ let do_serve chip key batch seq kv chips requests mean_gap burst slo
   let e = find_model key in
   let w = workload_of e ~batch ~seq ~kv in
   (* buckets stay out of the base config on purpose: only the bucketed
-     healthy-path session below compiles under the policy *)
+     healthy-path profile below compiles under the policy *)
   let base_cfg =
     config_for ?tensor_backend:common.tensor_backend ~jobs:common.jobs ~store ()
   in
-  (* the representative graph: one block for transformers (a pass costs
-     n_layers block passes — the LM head is dropped from this estimate),
-     the whole network for CNNs *)
-  let graph, layers =
-    match e.Zoo.layer with
-    | Some build_layer -> (build_layer w, float_of_int e.Zoo.n_layers)
-    | None -> (e.Zoo.build w, 1.)
-  in
-  let pass_of (r : Cmswitch.result) =
-    r.Cmswitch.schedule.Plan.total_cycles *. layers
-  in
+  let block = Scenario.block e w in
   Printf.printf "compiling %s for %s on %d x %s ...\n%!" e.Zoo.display
     (Workload.to_string w) chips chip.Chip.name;
   let r0 =
-    try Cmswitch.compile ~config:base_cfg chip graph
+    try Cmswitch.compile ~config:base_cfg chip block.Scenario.graph
     with Failure msg | Invalid_argument msg ->
       Printf.eprintf "compilation failed: %s\n" msg;
       exit 1
   in
-  let pass = pass_of r0 in
-  let flat_profile pass =
-    { Serving.prefill_cycles = (fun _ -> pass);
-      decode_cycles = (fun _ -> pass) }
-  in
-  let rng = Cim_util.Rng.create seed in
-  (* a request costs prefill + 4 decode steps = 5 schedule passes; the
-     default gap offers about half the fleet's service rate *)
+  let pass = Scenario.pass_cycles block r0 in
+  (* a request costs prefill + 4 decode steps = 5 passes; the default gap
+     offers about half the fleet's service rate *)
   let mean_gap =
     match mean_gap with
     | Some g -> g
     | None -> 2. *. (5. *. pass) /. float_of_int chips
   in
   let reqs =
-    if burst > 1 then
-      Serving.bursty_trace rng ~n:requests ~burst ~mean_gap:(mean_gap *. float_of_int burst)
-        ~intra_gap:0. ~prompt:(max 1 seq) ~output:4
-    else
-      Serving.poisson_trace rng ~n:requests ~mean_gap ~prompt:(max 1 seq)
-        ~output:4
+    Serving.bursty_trace (Cim_util.Rng.create seed) ~n:requests ~burst
+      ~mean_gap:(mean_gap *. float_of_int burst) ~intra_gap:0.
+      ~prompt:(max 1 seq) ~output:4
   in
   let horizon =
     List.fold_left (fun acc (r : Serving.request) ->
@@ -776,27 +782,12 @@ let do_serve chip key batch seq kv chips requests mean_gap burst slo
   if schedule <> [] then
     Printf.printf "fault schedule: %d events over %.3e cycles\n"
       (List.length schedule) horizon;
-  (* Eq. 10 drift attribution: the compiled schedule's predicted cycles
-     against one timing-simulator pass of the same flow, per component /
-     mode / segment — published as costmodel.drift.* and embedded in the
-     telemetry document *)
+  (* Eq. 10 drift attribution, published as costmodel.drift.* and embedded
+     in the telemetry document *)
   let drift =
     if not (tele_on || common.metrics) then None
     else begin
-      let measured = Cim_sim.Timing.run chip r0.Cmswitch.program in
-      let sched = r0.Cmswitch.schedule in
-      let prediction =
-        { Cim_sim.Drift.source = sched.Plan.compiler;
-          seg_intra =
-            List.map (fun s -> s.Plan.intra_cycles) sched.Plan.segments;
-          intra = sched.Plan.intra;
-          switch = sched.Plan.switch;
-          rewrite = sched.Plan.rewrite;
-          writeback = sched.Plan.writeback;
-          total = sched.Plan.total_cycles;
-        }
-      in
-      let d = Cim_sim.Drift.attribute prediction measured in
+      let d = Scenario.drift chip r0 in
       Cim_sim.Drift.record_metrics d;
       Some d
     end
@@ -829,67 +820,23 @@ let do_serve chip key batch seq kv chips requests mean_gap burst slo
       Some t
     end
   in
-  (* Bucketed healthy-path pricing: a compilation session pins (config,
-     chip, model) and prices each length at its bucket ceiling, reusing the
-     in-session memo and DP frontier across steps; the serving profile then
-     memoises one cost per distinct ceiling. Every bucket-crossing
-     recompile lands in the telemetry as a span on the "compile" lane.
-     Faulted plans keep the flat per-level recompile profiles — fault
-     recovery is about surviving, not about dynamic shapes. *)
-  let healthy_profile =
+  (* faulted plans keep flat per-level recompile profiles: fault recovery
+     is about surviving, not about dynamic shapes *)
+  let healthy =
     match buckets with
     | Some b when e.Zoo.family <> Zoo.Cnn ->
       Printf.printf "bucketed serving: policy %s\n" (Bucket.to_string b);
-      let sess =
-        Cmswitch.session
-          ~config:(Cmswitch.Config.with_buckets (Some b) base_cfg)
-          chip e
-      in
-      let compile_clock = ref 0. in
-      let step_cost w =
-        let st = Cmswitch.session_step sess w in
-        if st.Cmswitch.step_recompiled then begin
-          let dur = st.Cmswitch.step_seconds *. chip.Chip.freq_mhz *. 1e6 in
-          (match tele with
-          | Some t ->
-            Telemetry.span t ~lane:"compile" ~ts:!compile_clock ~dur
-              ~attrs:
-                [ ("ceiling", Json.Int st.Cmswitch.step_ceiling);
-                  ("prefix_reused", Json.Int st.Cmswitch.step_prefix_reused);
-                  ("workload", Json.String (Workload.to_string w)) ]
-              "bucket_compile"
-          | None -> ());
-          compile_clock := !compile_clock +. dur
-        end;
-        st.Cmswitch.step_cost.Cmswitch.total_cycles
-      in
       Some
-        (Serving.bucketed_profile ~ceiling:(Bucket.ceiling b)
-           ~prefill_cycles:(fun s -> step_cost (Workload.prefill ~batch s))
-           ~decode_cycles:(fun kvl -> step_cost (Workload.decode ~batch kvl)))
+        (Scenario.bucketed_profile ?telemetry:tele ~config:base_cfg chip e
+           ~batch b)
     | Some _ ->
       Printf.printf "bucketed serving: policy is a no-op for CNN models\n";
       None
     | None -> None
   in
-  let planner ~chip:_ ~faults:fm =
-    let healthy = Faultmap.fault_count fm = 0 in
-    let cfg =
-      if healthy then base_cfg
-      else Cmswitch.Config.with_faults (Some fm) base_cfg
-    in
-    match
-      Cmswitch.recompile ~config:cfg ?budget_seconds:recompile_budget chip
-        graph
-    with
-    | Ok o ->
-      let profile =
-        match healthy_profile with
-        | Some p when healthy -> p
-        | _ -> flat_profile (pass_of o.Cmswitch.rc_result)
-      in
-      Some { Fleet.level = o.Cmswitch.rc_level; profile }
-    | Error _ -> None
+  let planner =
+    Scenario.planner ?healthy ?budget_seconds:recompile_budget
+      ~config:base_cfg chip block
   in
   let snapshot_extra () =
     match store with
@@ -905,16 +852,17 @@ let do_serve chip key batch seq kv chips requests mean_gap burst slo
       [ ("cache_hit_rate",
          if total = 0 then 0. else float_of_int hits /. float_of_int total) ]
   in
+  let config = Scenario.fleet_config ~pass in
   let config =
-    { Fleet.chips;
+    { config with
+      Fleet.chips;
       slo;
       shed_output;
       max_retries;
-      backoff_base = 0.25 *. pass;
-      backoff_cap = 4. *. pass;
       breaker_threshold = breaker;
-      recompile_cycles = Option.value recompile_cycles ~default:pass;
-      jobs = Option.value common.jobs ~default:(Cim_util.Pool.default_jobs ());
+      recompile_cycles =
+        Option.value recompile_cycles ~default:config.Fleet.recompile_cycles;
+      jobs = Option.value common.jobs ~default:config.Fleet.jobs;
     }
   in
   let s =
@@ -989,11 +937,8 @@ let report_out_arg =
 
 let do_report file out =
   let doc =
-    try Telemetry.load file with
-    | Sys_error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-    | Json.Parse_error msg ->
+    try Telemetry.load file
+    with Json.Parse_error msg ->
       Printf.eprintf "%s: %s\n" file msg;
       exit 1
   in
@@ -1203,8 +1148,22 @@ let () =
     Cmd.info "cmswitch" ~version:"1.0.0"
       ~doc:"Dual-mode-aware DNN compiler for CIM accelerators"
   in
+  let main =
+    Cmd.group info
+      [ list_cmd; compile_cmd; compare_cmd; serve_cmd; disasm_cmd; report_cmd;
+        cache_cmd ]
+  in
+  (* a named file that cannot be read or written (a missing fault
+     schedule, an output path in a missing directory) is a user error:
+     exit 1 with the system's message. Anything else is a bug and keeps
+     cmdliner's internal-error exit. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ list_cmd; compile_cmd; compare_cmd; serve_cmd; disasm_cmd;
-            report_cmd; cache_cmd ]))
+    (match Cmd.eval ~catch:false main with
+    | code -> code
+    | exception Sys_error msg ->
+      Printf.eprintf "cmswitch: %s\n" msg;
+      1
+    | exception exn ->
+      Printf.eprintf "cmswitch: internal error, uncaught exception:\n%s\n"
+        (Printexc.to_string exn);
+      Cmd.Exit.internal_error)

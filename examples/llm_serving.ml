@@ -72,8 +72,9 @@ let () =
     (Chip.cycles_to_us chip b /. 1000.)
     (b /. c);
 
-  (* trace-driven serving: 20 requests, Poisson arrivals *)
+  (* trace-driven serving: 20 requests, Poisson arrivals, FCFS on one chip *)
   let module Serving = Cim_sim.Serving in
+  let module Fleet = Cim_sim.Fleet in
   let profile_of f =
     let sample_pre = List.map (fun s -> (s, f (Workload.prefill ~batch:1 s))) [ 32; 128; 512 ] in
     let sample_dec = List.map (fun kv -> (kv, f (Workload.decode ~batch:1 kv))) [ 32; 256; 1024 ] in
@@ -82,17 +83,24 @@ let () =
   in
   let rng = Cim_util.Rng.create 99 in
   let trace = Serving.poisson_trace rng ~n:20 ~mean_gap:2e6 ~prompt:128 ~output:64 in
-  let s_cms = Serving.run (profile_of cms) trace in
-  let s_mlc = Serving.run (profile_of mlc) trace in
+  let serve f =
+    let profile = profile_of f in
+    Fleet.run
+      ~config:{ Fleet.default_config with Fleet.chips = 1; jobs = 1 }
+      ~chip (fun ~chip:_ ~faults:_ -> Some { Fleet.level = 0; profile })
+      [] trace
+  in
+  let s_cms = serve cms in
+  let s_mlc = serve mlc in
   Printf.printf
     "\nserving trace (20 requests, Poisson arrivals):\n\
     \  CMSwitch: mean latency %.1f ms, p95 %.1f ms, TTFT %.1f ms, %.1f tok/Mcycle\n\
     \  CIM-MLC : mean latency %.1f ms, p95 %.1f ms, TTFT %.1f ms, %.1f tok/Mcycle\n"
-    (Chip.cycles_to_us chip s_cms.Serving.mean_latency /. 1000.)
-    (Chip.cycles_to_us chip s_cms.Serving.p95_latency /. 1000.)
-    (Chip.cycles_to_us chip s_cms.Serving.mean_ttft /. 1000.)
-    s_cms.Serving.tokens_per_megacycle
-    (Chip.cycles_to_us chip s_mlc.Serving.mean_latency /. 1000.)
-    (Chip.cycles_to_us chip s_mlc.Serving.p95_latency /. 1000.)
-    (Chip.cycles_to_us chip s_mlc.Serving.mean_ttft /. 1000.)
-    s_mlc.Serving.tokens_per_megacycle
+    (Chip.cycles_to_us chip s_cms.Fleet.mean_latency /. 1000.)
+    (Chip.cycles_to_us chip s_cms.Fleet.p95_latency /. 1000.)
+    (Chip.cycles_to_us chip s_cms.Fleet.mean_ttft /. 1000.)
+    s_cms.Fleet.tokens_per_megacycle
+    (Chip.cycles_to_us chip s_mlc.Fleet.mean_latency /. 1000.)
+    (Chip.cycles_to_us chip s_mlc.Fleet.p95_latency /. 1000.)
+    (Chip.cycles_to_us chip s_mlc.Fleet.mean_ttft /. 1000.)
+    s_mlc.Fleet.tokens_per_megacycle

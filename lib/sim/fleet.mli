@@ -1,9 +1,8 @@
-(** Event-driven multi-chip fleet serving with a runtime failure model.
-
-    {!Serving} replays a trace through one healthy chip; this module grows
-    that into a fleet: [chips] identical chips behind a shared router, a
-    seeded fault {e schedule} delivered mid-run (arrays die, get stuck in
-    one mode, or start failing switches at given cycles), and the runtime
+(** Event-driven multi-chip fleet serving with a runtime failure model:
+    the one request-level event loop. It replays a {!Serving} trace
+    through [chips] identical chips behind a shared router, with a seeded
+    fault {e schedule} delivered mid-run (arrays die, get stuck in one
+    mode, or start failing switches at given cycles), and the runtime
     policies a production deployment needs to survive it —
 
     - {b recompile-around-faults}: when a fault lands on a chip, its
@@ -16,6 +15,13 @@
       served in full within its latency target is degraded to a cheaper
       {e shed} tier (output truncated to [shed_output] tokens) {e before}
       any request is dropped outright.
+
+    One chip with an empty schedule, [slo = Some d] and a [shed_output]
+    at or above every request's output (e.g. [max_int]) is plain FCFS
+    with deadline admission: the shed tier is off, a request whose
+    predicted completion exceeds [arrival + d] is dropped on arrival, and
+    every other request is served in full in arrival order. With
+    [slo = None] nothing is dropped.
 
     Every offered request reaches exactly one terminal state — completed
     (full service), dropped (rejected at arrival), or shed (truncated
@@ -71,7 +77,9 @@ type config = {
   slo : float option;
       (** per-request latency target in cycles; [None] disables both
           admission drops and shedding-by-SLO *)
-  shed_output : int;         (** output tokens a shed request still gets *)
+  shed_output : int;
+      (** output tokens a shed request still gets; at or above every
+          request's output, the shed tier is off *)
   max_retries : int;         (** fault-abort retries before starving *)
   backoff_base : float;      (** first retry delay, cycles *)
   backoff_cap : float;       (** retry delay ceiling, cycles *)
@@ -101,7 +109,8 @@ type stats = {
   mean_latency : float;      (** over served (completed + shed) requests *)
   p50_latency : float;
   p95_latency : float;
-  p99_latency : float;       (** nearest-rank, like {!Serving.stats} *)
+  p99_latency : float;       (** nearest-rank: the worst observed latency
+                                 on traces under 100 served requests *)
   p999_latency : float;
   mean_ttft : float;
   p50_tpt : float;           (** median time-per-token: nearest-rank over

@@ -1,42 +1,9 @@
-module Metrics = Cim_obs.Metrics
-
 type request = { arrival : float; prompt : int; output : int }
 
 type cost_profile = {
   prefill_cycles : int -> float;
   decode_cycles : int -> float;
 }
-
-type stats = {
-  completed : int;
-  dropped : int;
-  makespan : float;
-  mean_latency : float;
-  p95_latency : float;
-  p99_latency : float;
-  mean_ttft : float;
-  p50_tpt : float;
-  p95_tpt : float;
-  p99_tpt : float;
-  tokens : int;
-  tokens_per_megacycle : float;
-}
-
-let zero_stats =
-  {
-    completed = 0;
-    dropped = 0;
-    makespan = 0.;
-    mean_latency = 0.;
-    p95_latency = 0.;
-    p99_latency = 0.;
-    mean_ttft = 0.;
-    p50_tpt = 0.;
-    p95_tpt = 0.;
-    p99_tpt = 0.;
-    tokens = 0;
-    tokens_per_megacycle = 0.;
-  }
 
 let interpolate samples =
   (* dedupe by x KEY, keeping the last sample given for each x: sort_uniq
@@ -101,101 +68,6 @@ let bucketed_profile ~ceiling ~prefill_cycles ~decode_cycles =
         look dmemo (fun ctx -> decode_cycles (ctx - 1)) (max 1 (kv_len + 1)));
   }
 
-type config = { deadline : float option }
-
-let default_config = { deadline = None }
-
-let run ?(config = default_config) profile requests =
-  let deadline = config.deadline in
-  (match deadline with
-  | Some d when d <= 0. -> invalid_arg "Serving.run: deadline must be positive"
-  | _ -> ());
-  let requests = List.sort (fun a b -> compare a.arrival b.arrival) requests in
-  let now = ref 0. in
-  let latencies = ref [] and ttfts = ref [] and tpts = ref [] in
-  let tokens = ref 0 in
-  let completed = ref 0 and dropped = ref 0 in
-  List.iter
-    (fun r ->
-      if r.prompt <= 0 || r.output < 0 then
-        invalid_arg "Serving.run: malformed request";
-      let start = Float.max !now r.arrival in
-      let after_prefill = start +. profile.prefill_cycles r.prompt in
-      let finish = ref after_prefill in
-      for t = 0 to r.output - 1 do
-        finish := !finish +. profile.decode_cycles (r.prompt + t)
-      done;
-      (* admission control: a request that cannot finish within its
-         deadline is dropped on arrival and does not occupy the chip *)
-      match deadline with
-      | Some d when !finish -. r.arrival > d -> incr dropped
-      | _ ->
-        incr completed;
-        ttfts := (after_prefill -. r.arrival) :: !ttfts;
-        (* per-decode-step latency (time per token), admitted requests only *)
-        for t = 0 to r.output - 1 do
-          tpts := profile.decode_cycles (r.prompt + t) :: !tpts
-        done;
-        now := !finish;
-        tokens := !tokens + r.output + 1;
-        latencies := (!finish -. r.arrival) :: !latencies)
-    requests;
-  if Metrics.enabled () then begin
-    Metrics.incr ~by:(float_of_int !completed) (Metrics.counter "serving.completed");
-    Metrics.incr ~by:(float_of_int !dropped) (Metrics.counter "serving.dropped");
-    Metrics.incr ~by:(float_of_int !tokens) (Metrics.counter "serving.tokens");
-    let h_lat = Metrics.histogram "serving.latency_cycles" in
-    let h_ttft = Metrics.histogram "serving.ttft_cycles" in
-    let h_tpt = Metrics.histogram "serving.tpt_cycles" in
-    List.iter (Metrics.observe h_lat) !latencies;
-    List.iter (Metrics.observe h_ttft) !ttfts;
-    List.iter (Metrics.observe h_tpt) !tpts
-  end;
-  if !completed = 0 then { zero_stats with dropped = !dropped }
-  else
-    let latencies = !latencies in
-    {
-      completed = !completed;
-      dropped = !dropped;
-      makespan = !now;
-      mean_latency = Cim_util.Stats.mean latencies;
-      (* nearest rank, not interpolation: on short traces (< 20 requests)
-         the 95th percentile is the worst observed latency, not a blend of
-         the two slowest requests *)
-      p95_latency = Cim_util.Stats.percentile_nearest_rank 95. latencies;
-      p99_latency = Cim_util.Stats.percentile_nearest_rank 99. latencies;
-      mean_ttft = Cim_util.Stats.mean !ttfts;
-      p50_tpt =
-        (match !tpts with
-        | [] -> 0.
-        | l -> Cim_util.Stats.percentile_nearest_rank 50. l);
-      p95_tpt =
-        (match !tpts with
-        | [] -> 0.
-        | l -> Cim_util.Stats.percentile_nearest_rank 95. l);
-      p99_tpt =
-        (match !tpts with
-        | [] -> 0.
-        | l -> Cim_util.Stats.percentile_nearest_rank 99. l);
-      tokens = !tokens;
-      tokens_per_megacycle =
-        (if !now > 0. then float_of_int !tokens /. (!now /. 1e6) else 0.);
-    }
-
-let poisson_trace rng ~n ~mean_gap ~prompt ~output =
-  if n <= 0 then invalid_arg "Serving.poisson_trace: n must be positive";
-  let t = ref 0. in
-  List.init n (fun _ ->
-      let u =
-        let rec draw () =
-          let u = Cim_util.Rng.float rng 1. in
-          if u = 0. then draw () else u
-        in
-        draw ()
-      in
-      t := !t +. (-.mean_gap *. log u);
-      { arrival = !t; prompt; output })
-
 let bursty_trace rng ~n ~burst ~mean_gap ~intra_gap ~prompt ~output =
   if n <= 0 then invalid_arg "Serving.bursty_trace: n must be positive";
   if burst <= 0 then invalid_arg "Serving.bursty_trace: burst must be positive";
@@ -216,3 +88,6 @@ let bursty_trace rng ~n ~burst ~mean_gap ~intra_gap ~prompt ~output =
       end
       else t := !t +. intra_gap;
       { arrival = !t; prompt; output })
+
+let poisson_trace rng ~n ~mean_gap ~prompt ~output =
+  bursty_trace rng ~n ~burst:1 ~mean_gap ~intra_gap:0. ~prompt ~output

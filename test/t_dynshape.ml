@@ -21,6 +21,7 @@ module Workload = Cim_models.Workload
 module Zoo = Cim_models.Zoo
 module Transformer = Cim_models.Transformer
 module Serving = Cim_sim.Serving
+module Fleet = Cim_sim.Fleet
 module Metrics = Cim_obs.Metrics
 module Flow = Cim_metaop.Flow
 
@@ -272,16 +273,16 @@ let test_serving_tpt_percentiles () =
     [ { Serving.arrival = 0.; prompt = 8; output = 10 };
       { Serving.arrival = 1.; prompt = 16; output = 20 } ]
   in
-  let s = Serving.run profile reqs in
-  Alcotest.(check bool) "tpt percentiles are positive" true (s.Serving.p50_tpt > 0.);
-  Alcotest.(check bool) "p50 <= p95" true (s.Serving.p50_tpt <= s.Serving.p95_tpt);
-  Alcotest.(check bool) "p95 <= p99" true (s.Serving.p95_tpt <= s.Serving.p99_tpt);
+  let s = One_chip.serve profile reqs in
+  Alcotest.(check bool) "tpt percentiles are positive" true (s.Fleet.p50_tpt > 0.);
+  Alcotest.(check bool) "p50 <= p95" true (s.Fleet.p50_tpt <= s.Fleet.p95_tpt);
+  Alcotest.(check bool) "p95 <= p99" true (s.Fleet.p95_tpt <= s.Fleet.p99_tpt);
   (* the worst decode step is the last token of the longer request *)
   Alcotest.(check (float 1e-9)) "p99 is the worst decode step"
     (5. +. float_of_int (16 + 19))
-    s.Serving.p99_tpt;
-  let empty = Serving.run profile [] in
-  Alcotest.(check (float 0.)) "empty trace has zero tpt" 0. empty.Serving.p50_tpt
+    s.Fleet.p99_tpt;
+  let empty = One_chip.serve profile [] in
+  Alcotest.(check (float 0.)) "empty trace has zero tpt" 0. empty.Fleet.p50_tpt
 
 let test_bucketed_profile () =
   let calls = ref [] in

@@ -233,6 +233,7 @@ let test_gpt2_decodes () =
 (* --- serving simulator --- *)
 
 module Serving = Cim_sim.Serving
+module Fleet = Cim_sim.Fleet
 
 let test_interpolate () =
   let f = Serving.interpolate [ (0, 0.); (10, 100.) ] in
@@ -252,13 +253,13 @@ let test_serving_fcfs () =
     [ { Serving.arrival = 0.; prompt = 4; output = 5 };
       { Serving.arrival = 0.; prompt = 4; output = 5 } ]
   in
-  let s = Serving.run profile trace in
-  Alcotest.(check int) "completed" 2 s.Serving.completed;
+  let s = One_chip.serve profile trace in
+  Alcotest.(check int) "completed" 2 s.Fleet.completed;
   (* each request takes 15 cycles; FCFS back to back *)
-  Alcotest.(check (float 1e-9)) "makespan" 30. s.Serving.makespan;
-  Alcotest.(check (float 1e-9)) "mean latency" ((15. +. 30.) /. 2.) s.Serving.mean_latency;
-  Alcotest.(check (float 1e-9)) "mean ttft" ((10. +. 25.) /. 2.) s.Serving.mean_ttft;
-  Alcotest.(check int) "tokens" 12 s.Serving.tokens
+  Alcotest.(check (float 1e-9)) "makespan" 30. s.Fleet.makespan;
+  Alcotest.(check (float 1e-9)) "mean latency" ((15. +. 30.) /. 2.) s.Fleet.mean_latency;
+  Alcotest.(check (float 1e-9)) "mean ttft" ((10. +. 25.) /. 2.) s.Fleet.mean_ttft;
+  Alcotest.(check int) "tokens" 12 s.Fleet.tokens
 
 let test_serving_idle_gap () =
   let profile =
@@ -268,27 +269,10 @@ let test_serving_idle_gap () =
     [ { Serving.arrival = 0.; prompt = 1; output = 0 };
       { Serving.arrival = 100.; prompt = 1; output = 0 } ]
   in
-  let s = Serving.run profile trace in
+  let s = One_chip.serve profile trace in
   (* second request starts at its arrival, not at the first one's finish *)
-  Alcotest.(check (float 1e-9)) "idle respected" 110. s.Serving.makespan;
-  Alcotest.(check (float 1e-9)) "latencies unqueued" 10. s.Serving.mean_latency
-
-let test_serving_config_record () =
-  let profile =
-    { Serving.prefill_cycles = (fun _ -> 10.); decode_cycles = (fun _ -> 1.) }
-  in
-  let trace =
-    [ { Serving.arrival = 0.; prompt = 4; output = 5 };
-      { Serving.arrival = 0.; prompt = 4; output = 5 } ]
-  in
-  (* default_config = no deadline: identical to the bare run *)
-  let bare = Serving.run profile trace in
-  let dflt = Serving.run ~config:Serving.default_config profile trace in
-  Alcotest.(check bool) "default config = no config" true (bare = dflt);
-  (* config deadline drops the queued request (latency 30 > 20) *)
-  let tight = Serving.run ~config:{ Serving.deadline = Some 20. } profile trace in
-  Alcotest.(check int) "config deadline admits first" 1 tight.Serving.completed;
-  Alcotest.(check int) "config deadline drops second" 1 tight.Serving.dropped
+  Alcotest.(check (float 1e-9)) "idle respected" 110. s.Fleet.makespan;
+  Alcotest.(check (float 1e-9)) "latencies unqueued" 10. s.Fleet.mean_latency
 
 (* The nearest-rank percentile must use exact rank arithmetic: with the
    naive (p /. 100.) *. n form, 0.95 * 20 evaluates to 19.000000000000004,
@@ -335,7 +319,6 @@ let suite =
       Alcotest.test_case "serving FCFS accounting" `Quick test_serving_fcfs;
       Alcotest.test_case "serving idle gaps" `Quick test_serving_idle_gap;
       Alcotest.test_case "poisson trace" `Quick test_poisson_trace;
-      Alcotest.test_case "serving config record" `Quick test_serving_config_record;
       Alcotest.test_case "p95 nearest-rank boundary" `Quick
         test_p95_nearest_rank_boundary;
       prop_p95_nearest_rank;

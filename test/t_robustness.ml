@@ -18,6 +18,8 @@ module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
 module Timing = Cim_sim.Timing
 module Serving = Cim_sim.Serving
+module Fleet = Cim_sim.Fleet
+module Scenario = Cim_serve.Scenario
 module Tensor = Cim_tensor.Tensor
 module Shape = Cim_tensor.Shape
 module Rng = Cim_util.Rng
@@ -471,17 +473,17 @@ let test_check_faults () =
   Alcotest.(check bool) "stuck array switch rejected" false
     (Check.is_valid (Check.run chip ~faults:fm switch_stuck))
 
-(* --- serving under deadlines --- *)
+(* --- serving under deadlines: one-chip Fleet.run --- *)
 
 let profile =
   { Serving.prefill_cycles = (fun _ -> 10.); decode_cycles = (fun _ -> 1.) }
 
 let test_serving_empty_trace () =
-  let s = Serving.run profile [] in
-  Alcotest.(check int) "nothing completed" 0 s.Serving.completed;
-  Alcotest.(check int) "nothing dropped" 0 s.Serving.dropped;
-  Alcotest.(check (float 0.)) "zero makespan" 0. s.Serving.makespan;
-  Alcotest.(check (float 0.)) "zero p95" 0. s.Serving.p95_latency
+  let s = One_chip.serve profile [] in
+  Alcotest.(check int) "nothing completed" 0 s.Fleet.completed;
+  Alcotest.(check int) "nothing dropped" 0 s.Fleet.dropped;
+  Alcotest.(check (float 0.)) "zero makespan" 0. s.Fleet.makespan;
+  Alcotest.(check (float 0.)) "zero p95" 0. s.Fleet.p95_latency
 
 let test_serving_deadline_drops () =
   let trace =
@@ -489,19 +491,20 @@ let test_serving_deadline_drops () =
       { Serving.arrival = 0.; prompt = 4; output = 5 } ]
   in
   (* each request costs 15 cycles; FCFS queues the second to finish at 30 *)
-  let s = Serving.run ~config:{ Serving.deadline = Some 20. } profile trace in
-  Alcotest.(check int) "first completes" 1 s.Serving.completed;
-  Alcotest.(check int) "queued one dropped" 1 s.Serving.dropped;
-  Alcotest.(check (float 1e-9)) "drop frees the chip" 15. s.Serving.makespan;
+  let s = One_chip.serve ~slo:20. profile trace in
+  Alcotest.(check int) "first completes" 1 s.Fleet.completed;
+  Alcotest.(check int) "queued one dropped" 1 s.Fleet.dropped;
+  Alcotest.(check (float 1e-9)) "drop frees the chip" 15.
+    s.Fleet.makespan;
   (* with a generous deadline both complete *)
-  let s2 = Serving.run ~config:{ Serving.deadline = Some 100. } profile trace in
-  Alcotest.(check int) "no drops under slack" 2 s2.Serving.completed;
-  Alcotest.(check int) "dropped zero" 0 s2.Serving.dropped;
+  let s2 = One_chip.serve ~slo:100. profile trace in
+  Alcotest.(check int) "no drops under slack" 2 s2.Fleet.completed;
+  Alcotest.(check int) "dropped zero" 0 s2.Fleet.dropped;
   (* dropping everything still returns zeroed stats, not an exception *)
-  let s3 = Serving.run ~config:{ Serving.deadline = Some 1. } profile trace in
-  Alcotest.(check int) "all dropped" 2 s3.Serving.dropped;
-  Alcotest.(check int) "none completed" 0 s3.Serving.completed;
-  Alcotest.(check (float 0.)) "stats zeroed" 0. s3.Serving.mean_latency
+  let s3 = One_chip.serve ~slo:1. profile trace in
+  Alcotest.(check int) "all dropped" 2 s3.Fleet.dropped;
+  Alcotest.(check int) "none completed" 0 s3.Fleet.completed;
+  Alcotest.(check (float 0.)) "stats zeroed" 0. s3.Fleet.mean_latency
 
 let test_serving_small_trace_p95 () =
   (* latencies 11, 12, 13: nearest-rank p95 on 3 samples is the maximum,
@@ -511,10 +514,94 @@ let test_serving_small_trace_p95 () =
       { Serving.arrival = 100.; prompt = 4; output = 2 };
       { Serving.arrival = 200.; prompt = 4; output = 3 } ]
   in
-  let s = Serving.run profile trace in
+  let s = One_chip.serve profile trace in
   Alcotest.(check (float 1e-9)) "p95 is the worst observation" 13.
-    s.Serving.p95_latency;
-  Alcotest.(check int) "all completed" 3 s.Serving.completed
+    s.Fleet.p95_latency;
+  Alcotest.(check int) "all completed" 3 s.Fleet.completed
+
+(* The reference oracle for one-chip serving: FCFS in arrival order, no
+   batching, and deadline admission — a request whose completion would
+   pass [arrival + d] is dropped on arrival and never occupies the chip. *)
+type fcfs = {
+  f_completed : int;
+  f_dropped : int;
+  f_tokens : int;
+  f_makespan : float;
+  f_latencies : float list;
+  f_ttfts : float list;
+}
+
+let fcfs_oracle ?slo (profile : Serving.cost_profile) trace =
+  let trace =
+    List.stable_sort
+      (fun (a : Serving.request) b -> Float.compare a.Serving.arrival b.Serving.arrival)
+      trace
+  in
+  List.fold_left
+    (fun acc (r : Serving.request) ->
+      let start = Float.max acc.f_makespan r.Serving.arrival in
+      let prefill = profile.Serving.prefill_cycles r.Serving.prompt in
+      let cost = ref prefill in
+      for t = 0 to r.Serving.output - 1 do
+        cost := !cost +. profile.Serving.decode_cycles (r.Serving.prompt + t)
+      done;
+      let finish = start +. !cost in
+      match slo with
+      | Some d when finish -. r.Serving.arrival > d ->
+        { acc with f_dropped = acc.f_dropped + 1 }
+      | _ ->
+        { acc with
+          f_completed = acc.f_completed + 1;
+          f_tokens = acc.f_tokens + r.Serving.output + 1;
+          f_makespan = finish;
+          f_latencies = (finish -. r.Serving.arrival) :: acc.f_latencies;
+          f_ttfts = (start +. prefill -. r.Serving.arrival) :: acc.f_ttfts })
+    { f_completed = 0; f_dropped = 0; f_tokens = 0; f_makespan = 0.;
+      f_latencies = []; f_ttfts = [] }
+    trace
+
+let prop_one_chip_is_fcfs =
+  QCheck.Test.make
+    ~name:"one-chip fleet = FCFS with deadline admission" ~count:300
+    (QCheck.make
+       ~print:(fun (trace, (a, b, c, e), slo) ->
+         Printf.sprintf "prefill %g+%g*p decode %g+%g*kv slo %s\n%s" a b c e
+           (match slo with None -> "none" | Some d -> Printf.sprintf "%g" d)
+           (String.concat "\n"
+              (List.map
+                 (fun (r : Serving.request) ->
+                   Printf.sprintf "at=%g prompt=%d output=%d" r.Serving.arrival
+                     r.Serving.prompt r.Serving.output)
+                 trace)))
+       QCheck.Gen.(
+         let request =
+           map3
+             (fun arrival prompt output -> { Serving.arrival; prompt; output })
+             (float_bound_inclusive 500.) (int_range 1 16) (int_range 0 8)
+         in
+         let cost = float_bound_inclusive 20. in
+         triple (list_size (int_range 0 24) request)
+           (quad cost cost cost cost)
+           (opt (map (fun d -> 1. +. d) (float_bound_inclusive 3000.)))))
+    (fun (trace, (a, b, c, e), slo) ->
+      let profile =
+        { Serving.prefill_cycles = (fun p -> a +. (b *. float_of_int p));
+          decode_cycles = (fun kv -> c +. (e *. float_of_int kv)) }
+      in
+      let s = One_chip.serve ?slo profile trace in
+      let o = fcfs_oracle ?slo profile trace in
+      let close x y =
+        Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs y)
+      in
+      let mean = function [] -> 0. | l -> Cim_util.Stats.mean l in
+      s.Fleet.completed = o.f_completed
+      && s.Fleet.dropped = o.f_dropped
+      && s.Fleet.tokens = o.f_tokens
+      && s.Fleet.shed = 0
+      && s.Fleet.slo_violations = 0
+      && close s.Fleet.makespan o.f_makespan
+      && close s.Fleet.mean_latency (mean o.f_latencies)
+      && close s.Fleet.mean_ttft (mean o.f_ttfts))
 
 (* --- satellite regressions: interpolate, transient band, apply/diff --- *)
 
@@ -649,8 +736,6 @@ let test_recompile_all_dead () =
       (report.Degrade.diagnostics <> [])
 
 (* --- fleet serving --- *)
-
-module Fleet = Cim_sim.Fleet
 
 let test_fleet_schedule_codec () =
   let evs =
@@ -798,27 +883,13 @@ let golden_path key =
   Filename.concat (Option.value (golden_dir ()) ~default:"golden") (key ^ ".txt")
 
 let run_fleet_fixture ~jobs =
-  let graph = small_mlp () in
+  let block = { Scenario.graph = small_mlp (); layers = 1. } in
   let base_cfg = Cmswitch.Config.(default |> with_jobs 1) in
   let pass =
-    (Cmswitch.compile ~config:base_cfg chip graph).Cmswitch.schedule
-      .Plan.total_cycles
+    Scenario.pass_cycles block
+      (Cmswitch.compile ~config:base_cfg chip block.Scenario.graph)
   in
-  let planner ~chip:_ ~faults:fm =
-    let cfg =
-      if Faultmap.fault_count fm = 0 then base_cfg
-      else Cmswitch.Config.with_faults (Some fm) base_cfg
-    in
-    match Cmswitch.recompile ~config:cfg chip graph with
-    | Ok o ->
-      let p = o.Cmswitch.rc_result.Cmswitch.schedule.Plan.total_cycles in
-      Some
-        { Fleet.level = o.Cmswitch.rc_level;
-          profile =
-            { Serving.prefill_cycles = (fun _ -> p);
-              decode_cycles = (fun _ -> p) } }
-    | Error _ -> None
-  in
+  let planner = Scenario.planner ~config:base_cfg chip block in
   let reqs =
     Serving.poisson_trace (Rng.create 42) ~n:12 ~mean_gap:(2.5 *. pass)
       ~prompt:8 ~output:2
@@ -909,16 +980,7 @@ let test_drift_attribution () =
   let r = Cmswitch.compile chip (small_mlp ()) in
   let m = Timing.run chip r.Cmswitch.program in
   let sched = r.Cmswitch.schedule in
-  let p =
-    { Drift.source = sched.Plan.compiler;
-      seg_intra = List.map (fun s -> s.Plan.intra_cycles) sched.Plan.segments;
-      intra = sched.Plan.intra;
-      switch = sched.Plan.switch;
-      rewrite = sched.Plan.rewrite;
-      writeback = sched.Plan.writeback;
-      total = sched.Plan.total_cycles }
-  in
-  let d = Drift.attribute p m in
+  let d = Scenario.drift chip r in
   Alcotest.(check int) "six summary rows" 6 (List.length d.Drift.summary);
   Alcotest.(check int) "one attribution row per segment"
     (List.length sched.Plan.segments)
@@ -1090,6 +1152,7 @@ let suite =
       Alcotest.test_case "serving: deadline drops" `Quick test_serving_deadline_drops;
       Alcotest.test_case "serving: small-trace p95" `Quick
         test_serving_small_trace_p95;
+      QCheck_alcotest.to_alcotest prop_one_chip_is_fcfs;
       Alcotest.test_case "interpolate: duplicate x keeps last" `Quick
         test_interpolate_dup_x;
       Alcotest.test_case "inject: transient band" `Quick
