@@ -9,7 +9,7 @@
 open Common
 module Opinfo = Cim_compiler.Opinfo
 module Greedy = Cim_compiler.Greedy
-module Pipeline = Cim_compiler.Pipeline
+module Tile_sim = Cim_compiler.Tile_sim
 
 let chip = Config.dynaplasia
 
@@ -128,7 +128,7 @@ let pipeline_vs_eq9 () =
       let eq9, des =
         List.fold_left
           (fun (a, b) (s : Plan.seg_plan) ->
-            let makespan, _ = Pipeline.simulate chip ops s () in
+            let makespan, _ = Tile_sim.simulate chip ops s () in
             (a +. s.Plan.intra_cycles, b +. makespan))
           (0., 0.) segments
       in
@@ -145,8 +145,8 @@ let pipeline_vs_eq9 () =
   let segments, _ = Segment.run chip ops in
   (match List.find_opt (fun (s : Plan.seg_plan) -> s.Plan.hi > s.Plan.lo) segments with
   | Some s ->
-    let _, events = Pipeline.simulate chip ops s ~tiles:6 () in
-    print_string (Pipeline.gantt events)
+    let _, events = Tile_sim.simulate chip ops s ~tiles:6 () in
+    print_string (Tile_sim.gantt events)
   | None -> ())
 
 let run () =

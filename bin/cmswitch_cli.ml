@@ -223,15 +223,8 @@ let config_for ?tensor_backend ?buckets ~jobs ~store () =
     | None -> cfg
     | Some b -> Cmswitch.Config.with_buckets (Some b) cfg
   in
-  let cfg =
-    match tensor_backend with
-    | None -> cfg
-    | Some b ->
-      (* the knob steers every kernel in this process, not just calls that
-         thread the config through *)
-      Cim_tensor.Kernels.set_backend b;
-      Cmswitch.Config.with_tensor_backend b cfg
-  in
+  (* the kernel engine is process-wide: no config threads it through *)
+  Option.iter Cim_tensor.Kernels.set_backend tensor_backend;
   Cmswitch.Config.with_cache store cfg
 
 let hit_rate_pct (c : Store.counters) =
@@ -478,8 +471,9 @@ let do_compile chip key batch seq kv emit sim sim_check report fault_rate
   let mc =
     try
       Cmswitch.compile_model
-        ~config:(config_of_common common ~store)
-        ?faults ~passes ~validate_each ?on_pass chip e w
+        ~config:
+          (Cmswitch.Config.with_faults faults (config_of_common common ~store))
+        ~passes ~validate_each ?on_pass chip e w
     with
     | Failure msg | Invalid_argument msg ->
       Printf.eprintf "compilation failed: %s\n" msg;

@@ -21,6 +21,11 @@ type options = {
           for benchmarking the speedup in the same run *)
 }
 
+val default_options : options
+(** The compiler's MILP defaults: node budget 600, refinement on,
+    dual-mode search, [Revised] LP backend. {!Segment.default_options}
+    and [Cmswitch.Config.default] are built from it. *)
+
 (** Solver outcome distinguishing a genuinely infeasible segment from a
     node-limited search, so the {!Degrade} chain can fall back instead of
     silently dropping the window. *)

@@ -74,22 +74,12 @@ let plan_to_json (p : Plan.seg_plan) =
           (List.map (fun (i, j, r) -> J.List [ J.Int i; J.Int j; J.Int r ])
              p.Plan.reuse) ) ]
 
+(* stored windows are anchored at [lo = 0], so one entry serves every
+   position of an identical window *)
 let seg_payload_to_string = function
   | None -> J.to_string (J.Obj [ ("infeasible", J.Bool true) ])
-  | Some p -> J.to_string (J.Obj [ ("plan", plan_to_json p) ])
-
-let normalize_plan (p : Plan.seg_plan) =
-  let shift = -p.Plan.lo in
-  if shift = 0 then p
-  else
-    { p with
-      Plan.lo = 0;
-      hi = p.Plan.hi + shift;
-      allocs =
-        List.map
-          (fun (a : Plan.op_alloc) -> { a with Plan.uid = a.Plan.uid + shift })
-          p.Plan.allocs;
-      reuse = List.map (fun (i, j, r) -> (i + shift, j + shift, r)) p.Plan.reuse }
+  | Some p ->
+    J.to_string (J.Obj [ ("plan", plan_to_json (Plan.shift ~lo:0 p)) ])
 
 let ( let* ) = Result.bind
 
@@ -182,16 +172,6 @@ let revalidate_plan ~chip ~(ops : Opinfo.t array) (p : Plan.seg_plan) =
     end
   end
 
-let shift_to ~lo ~hi (p : Plan.seg_plan) =
-  { p with
-    Plan.lo;
-    hi;
-    allocs =
-      List.map
-        (fun (a : Plan.op_alloc) -> { a with Plan.uid = a.Plan.uid + lo })
-        p.Plan.allocs;
-    reuse = List.map (fun (i, j, r) -> (i + lo, j + lo, r)) p.Plan.reuse }
-
 let seg_payload_of_string ~chip ~ops ~lo ~hi s =
   if lo < 0 || hi >= Array.length ops || lo > hi then Error "bad window"
   else
@@ -205,7 +185,7 @@ let seg_payload_of_string ~chip ~ops ~lo ~hi s =
         if p.Plan.lo <> 0 || p.Plan.hi <> hi - lo then
           Error "plan window does not match the requested window"
         else
-          let* p = revalidate_plan ~chip ~ops (shift_to ~lo ~hi p) in
+          let* p = revalidate_plan ~chip ~ops (Plan.shift ~lo p) in
           Ok (Some p)
       | _ -> Error "neither a plan nor an infeasibility verdict")
 

@@ -44,8 +44,8 @@ val seg_key :
 
 val seg_payload_to_string : Plan.seg_plan option -> string
 (** [None] records a genuinely infeasible window — caching infeasibility
-    avoids re-proving it. The plan must already be normalised to [lo = 0]
-    (see {!normalize_plan}). *)
+    avoids re-proving it. The plan is stored re-anchored at [lo = 0]
+    ({!Plan.shift}), so one entry serves the window wherever it recurs. *)
 
 val seg_payload_of_string :
   chip:Cim_arch.Chip.t -> ops:Opinfo.t array -> lo:int -> hi:int -> string ->
@@ -56,9 +56,6 @@ val seg_payload_of_string :
     {!Alloc.plan_feasible} on the re-anchored plan. The result is shifted
     to [lo..hi] with [intra_cycles] recomputed from the cost model.
     [Ok None] replays a cached infeasibility verdict. *)
-
-val normalize_plan : Plan.seg_plan -> Plan.seg_plan
-(** Re-anchor a plan at [lo = 0] for storage. *)
 
 val revalidate_plan :
   chip:Cim_arch.Chip.t -> ops:Opinfo.t array -> Plan.seg_plan ->

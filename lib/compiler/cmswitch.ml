@@ -4,7 +4,6 @@ module Workload = Cim_models.Workload
 module Zoo = Cim_models.Zoo
 module B = Cim_nnir.Builder
 module Shape = Cim_tensor.Shape
-module Kernels = Cim_tensor.Kernels
 module Trace = Cim_obs.Trace
 module Metrics = Cim_obs.Metrics
 module J = Cim_obs.Json
@@ -24,27 +23,21 @@ module Config = struct
     refine : bool;
     force_all_compute : bool;
     lp_backend : Cim_solver.Milp.backend;
-    tensor_backend : Kernels.backend;
     buckets : Bucket.t option;
     faults : Faultmap.t option;
     cache : Store.t option;
   }
 
   let default =
-    {
-      partition_fraction = 0.5;
-      max_segment_ops = 10;
-      memoize = true;
-      jobs = Cim_util.Pool.default_jobs ();
-      milp_max_nodes = 600;
-      refine = true;
-      force_all_compute = false;
-      lp_backend = Cim_solver.Milp.Revised;
-      tensor_backend = Kernels.default_backend ();
-      buckets = None;
-      faults = None;
-      cache = None;
-    }
+    let { Segment.alloc; max_segment_ops; memoize; jobs; cache } =
+      Segment.default_options
+    in
+    let { Alloc.milp_max_nodes; refine; force_all_compute; lp_backend } =
+      alloc
+    in
+    { partition_fraction = 0.5; max_segment_ops; memoize; jobs; milp_max_nodes;
+      refine; force_all_compute; lp_backend; buckets = None; faults = None;
+      cache }
 
   let with_partition_fraction v t = { t with partition_fraction = v }
   let with_max_segment_ops v t = { t with max_segment_ops = v }
@@ -54,11 +47,9 @@ module Config = struct
   let with_refine v t = { t with refine = v }
   let with_force_all_compute v t = { t with force_all_compute = v }
   let with_lp_backend v t = { t with lp_backend = v }
-  let with_tensor_backend v t = { t with tensor_backend = v }
   let with_buckets v t = { t with buckets = v }
   let with_faults v t = { t with faults = v }
   let with_cache v t = { t with cache = v }
-  let with_cache_dir dir t = { t with cache = Some (Store.open_dir dir) }
 
   let to_alloc_options t =
     {
@@ -78,9 +69,8 @@ module Config = struct
     }
 
   (* The cache-key serialisation: every semantic field in fixed order,
-     floats as exact binary64 hex. Excluded by design: [jobs] and
-     [tensor_backend] (pure execution strategy under the byte-identical
-     determinism contract — both backends produce bit-equal tensors),
+     floats as exact binary64 hex. Excluded by design: [jobs] (pure
+     execution strategy under the byte-identical determinism contract),
      [faults] (a separate key component, see Ccache.prog_key) and [cache]
      (plumbing, not semantics). *)
   let canonical t =
@@ -167,18 +157,9 @@ module Config = struct
             force_all_compute;
             lp_backend;
             buckets;
-            faults = None;
-            cache = None;
           }
     end
 end
-
-(* an explicit [faults] argument always wins over [config.faults] *)
-let resolve_config ?config ?faults () =
-  let cfg = Option.value config ~default:Config.default in
-  match faults with
-  | None -> cfg
-  | Some fm -> { cfg with Config.faults = Some fm }
 
 type result = {
   chip : Chip.t;
@@ -213,50 +194,26 @@ let record_compile_metrics (dp : Segment.stats) places (schedule : Plan.schedule
     schedule.Plan.total_cycles;
   Cim_obs.Metrics.observe (Metrics.histogram "compile.seconds") seconds
 
-let env_of_cfg ?frontiers ?frontier_tag ?on_stage cfg chip =
-  Passes.make_env ?faults:cfg.Config.faults ?frontiers ?frontier_tag ?on_stage
-    ~partition_fraction:cfg.Config.partition_fraction
-    ~seg_options:(Config.to_segment_options cfg) chip
-
-let healthy_of ?faults (chip : Chip.t) =
-  match faults with
-  | None -> chip.Chip.n_arrays
-  | Some fm -> Faultmap.flexible_count fm
-
-(* Project the final pipeline state onto the historical result record; a
-   pipeline that never ran codegen fails here with the producing pass
-   named (via the _exn accessors). *)
-let result_of_state ~events ~compile_seconds (st : Passes.state) =
-  let chip = st.Passes.env.Passes.chip in
-  let faults = st.Passes.env.Passes.faults in
-  let diagnostics = Option.value st.Passes.diagnostics ~default:[] in
-  let degradation =
-    { (Degrade.empty_report ~total:chip.Chip.n_arrays
-         ~healthy:(healthy_of ?faults chip))
-      with
-      Degrade.events = List.rev events;
-      diagnostics }
+(* the report of a compile under [cfg]: the solver's pool is the fault
+   map's flexible arrays, or the whole chip *)
+let report cfg (chip : Chip.t) ~events ~diagnostics =
+  let healthy =
+    match cfg.Config.faults with
+    | None -> chip.Chip.n_arrays
+    | Some fm -> Faultmap.flexible_count fm
   in
-  let dp_stats = Passes.dp_stats_exn st in
-  let places = Passes.places_exn st in
-  let schedule = Passes.schedule_exn st in
-  record_compile_metrics dp_stats places schedule ~seconds:compile_seconds;
-  {
-    chip;
-    graph = st.Passes.graph;
-    ops = Passes.ops_exn st;
-    schedule;
-    places;
-    program = Passes.program_exn st;
-    dp_stats;
-    degradation;
-    compile_seconds;
-  }
+  { (Degrade.empty_report ~total:chip.Chip.n_arrays ~healthy) with
+    Degrade.events; diagnostics }
 
-let compile_uncached ~cfg ?frontiers ?frontier_tag
-    ?(passes = Passes.default_pipeline) ?(validate_each = false) ?on_pass chip
-    graph =
-  let t0 = Unix.gettimeofday () in
+(* The one pass-list runner: cold compiles, cache replays and the serial
+   fallback all run their pass list through here, which builds the result,
+   its degradation report and the compile.* metrics. [events] holds the
+   degradation events so far, newest first; the passes push theirs on top,
+   so a caller that catches a failure still sees what fired before it.
+   [compile_seconds] counts from [t0]. A pipeline that never ran codegen
+   fails here with the producing pass named (via the _exn accessors). *)
+let run_passes ?frontiers ?frontier_tag ?validate_each ?on_pass ~cfg ~events
+    ~t0 passes chip graph =
   Log.debug (fun m ->
       m "compiling %s on %s" graph.Cim_nnir.Graph.graph_name chip.Chip.name);
   (* the solver plans against the flexible pool only; placement runs on the
@@ -269,30 +226,58 @@ let compile_uncached ~cfg ?frontiers ?frontier_tag
           (Faultmap.flexible_count fm)
           chip.Chip.n_arrays)
   | _ -> ());
-  let events = ref [] in
   let on_stage (e : Degrade.event) =
     Log.warn (fun m ->
         m "ops [%d..%d] degraded to %s: %s" e.Degrade.lo e.Degrade.hi
           (Degrade.stage_to_string e.Degrade.stage) e.Degrade.detail);
     events := e :: !events
   in
-  let env = env_of_cfg ?frontiers ?frontier_tag ~on_stage cfg chip in
-  let st =
-    Passes.run_pipeline ~validate_each ?on_pass passes (Passes.init env graph)
+  let env =
+    Passes.make_env ?faults:cfg.Config.faults ?frontiers ?frontier_tag
+      ~on_stage ~partition_fraction:cfg.Config.partition_fraction
+      ~seg_options:(Config.to_segment_options cfg) chip
   in
-  result_of_state ~events:!events
-    ~compile_seconds:(Unix.gettimeofday () -. t0)
-    st
+  let st =
+    Passes.run_pipeline ?validate_each ?on_pass passes (Passes.init env graph)
+  in
+  let r =
+    {
+      chip;
+      graph;
+      ops = Passes.ops_exn st;
+      schedule = Passes.schedule_exn st;
+      places = Passes.places_exn st;
+      program = Passes.program_exn st;
+      dp_stats = Passes.dp_stats_exn st;
+      degradation =
+        report cfg chip ~events:(List.rev !events)
+          ~diagnostics:(Option.value st.Passes.diagnostics ~default:[]);
+      compile_seconds = Unix.gettimeofday () -. t0;
+    }
+  in
+  record_compile_metrics r.dp_stats r.places r.schedule
+    ~seconds:r.compile_seconds;
+  r
 
-(* Rebuild a full result from a cached segmentation by running the live
-   deterministic passes (extraction, placement, schedule roll-up, codegen)
-   — the cached entry only decides WHICH feasible segmentation is used, so
-   a warm compile is byte-identical to the cold one that stored it. The
-   replay is itself a pass pipeline: the cached segmentation slots into
-   the [segment] position as a revalidation pass, and a digest-compare
-   pass guards codegen's output. Raises [Failure] (-> cache miss, caught
-   by [prog_cache_find]) whenever anything about the entry fails to
-   reproduce a clean compile. *)
+(* The failures a compile reports rather than raises: the same set for the
+   cache replay, every ladder level and the serial step. *)
+let attempt f =
+  match f () with
+  | r -> Ok r
+  | exception
+      ( Failure e | Invalid_argument e | Opinfo.Unsupported e
+      | Cim_nnir.Shape_infer.Error e ) ->
+    Error e
+
+(* The cache replay as a pass list: the live deterministic passes
+   (extraction, placement, schedule roll-up, codegen) rebuild the result
+   from a cached segmentation — the cached entry only decides WHICH
+   feasible segmentation is used, so a warm compile is byte-identical to
+   the cold one that stored it. The cached segmentation slots into the
+   [segment] position as a revalidation pass, and a digest-compare pass
+   guards codegen's output. Raises [Failure] (-> cache miss, caught by
+   [prog_cache_find]) whenever anything about the entry fails to reproduce
+   a clean compile. *)
 let replay_pipeline (p : Ccache.prog_payload) =
   let p_revalidate =
     {
@@ -301,15 +286,8 @@ let replay_pipeline (p : Ccache.prog_payload) =
       run =
         (fun st ->
           let ops = Passes.ops_exn st in
-          let m = Array.length ops in
-          let rec tile expect = function
-            | [] -> expect = m
-            | (s : Plan.seg_plan) :: rest ->
-              s.Plan.lo = expect && s.Plan.hi >= s.Plan.lo
-              && tile (s.Plan.hi + 1) rest
-          in
-          if not (tile 0 p.Ccache.segments) then
-            failwith "cached segments do not tile the operator list";
+          if not (Passes.segs_tile ~m:(Array.length ops) p.Ccache.segments)
+          then failwith "cached segments do not tile the operator list";
           let segments =
             Trace.with_span "cache.revalidate" ~cat:"cache" (fun () ->
                 List.map
@@ -363,31 +341,6 @@ let replay_pipeline (p : Ccache.prog_payload) =
   [ Passes.p_extract; p_revalidate; Passes.p_place; Passes.p_schedule;
     Passes.p_codegen; p_compare; p_check_strict ]
 
-let replay_program ~cfg chip graph (p : Ccache.prog_payload) =
-  let env = env_of_cfg cfg chip in
-  let st =
-    Passes.run_pipeline (replay_pipeline p) (Passes.init env graph)
-  in
-  let faults = cfg.Config.faults in
-  let degradation =
-    { (Degrade.empty_report ~total:chip.Chip.n_arrays
-         ~healthy:(healthy_of ?faults chip))
-      with
-      Degrade.events = p.Ccache.events;
-      diagnostics = [] }
-  in
-  {
-    chip;
-    graph;
-    ops = Passes.ops_exn st;
-    schedule = Passes.schedule_exn st;
-    places = Passes.places_exn st;
-    program = Passes.program_exn st;
-    dp_stats = Passes.dp_stats_exn st;
-    degradation;
-    compile_seconds = 0.;
-  }
-
 let prog_cache_key ?shape ~cfg ~passes chip graph =
   Trace.with_span "cache.key" ~cat:"cache" (fun () ->
       Ccache.prog_key ?shape
@@ -396,7 +349,9 @@ let prog_cache_key ?shape ~cfg ~passes chip graph =
         ~config:(Config.canonical cfg)
         ~passes:(Passes.fingerprint passes) ())
 
-let prog_cache_find ?shape ~cfg ~passes chip graph =
+(* a hit replays the payload's segmentation, seeded with its events, and
+   counts [compile_seconds] from [t0], the start of the lookup *)
+let prog_cache_find ?shape ~cfg ~passes ~t0 chip graph =
   match cfg.Config.cache with
   | None -> None
   | Some store -> (
@@ -404,21 +359,21 @@ let prog_cache_find ?shape ~cfg ~passes chip graph =
     match Store.find store ~tier:Ccache.prog_tier ~key with
     | None -> None
     | Some payload -> (
-      let invalid e =
-        Log.warn (fun m -> m "program cache entry rejected: %s" e);
-        Store.note_invalid store ~tier:Ccache.prog_tier;
-        None
-      in
-      match
+      let decoded =
         Trace.with_span "cache.decode" ~cat:"cache" (fun () ->
             Ccache.prog_payload_of_string payload)
+      in
+      match
+        Result.bind decoded (fun p ->
+            attempt (fun () ->
+                run_passes ~cfg ~events:(ref (List.rev p.Ccache.events)) ~t0
+                  (replay_pipeline p) chip graph))
       with
-      | Error e -> invalid e
-      | Ok p -> (
-        match replay_program ~cfg chip graph p with
-        | r -> Some r
-        | exception (Failure e | Invalid_argument e) -> invalid e
-        | exception Opinfo.Unsupported e -> invalid ("unsupported graph: " ^ e))))
+      | Ok r -> Some r
+      | Error e ->
+        Log.warn (fun m -> m "program cache entry rejected: %s" e);
+        Store.note_invalid store ~tier:Ccache.prog_tier;
+        None))
 
 (* cache only clean results: no flow-validator findings means the program
    can be trusted wholesale after the (cheap) replay validation *)
@@ -442,68 +397,23 @@ let prog_cache_store ?shape ~cfg ~passes chip graph (r : result) =
         ~key:(prog_cache_key ?shape ~cfg ~passes chip graph)
         ~payload:(Ccache.prog_payload_to_string payload)
 
-let compile ?config ?faults ?shape ?frontiers ?frontier_tag
+let compile ?config:(cfg = Config.default) ?shape ?frontiers ?frontier_tag
     ?(passes = Passes.default_pipeline) ?validate_each ?on_pass chip graph =
-  let cfg = resolve_config ?config ?faults () in
   let t0 = Unix.gettimeofday () in
   Trace.with_span "compile" ~cat:"compiler"
     ~args:
       [ ("graph", J.String graph.Cim_nnir.Graph.graph_name);
         ("chip", J.String chip.Chip.name) ]
   @@ fun () ->
-  match prog_cache_find ?shape ~cfg ~passes chip graph with
-  | Some r ->
-    let compile_seconds = Unix.gettimeofday () -. t0 in
-    record_compile_metrics r.dp_stats r.places r.schedule
-      ~seconds:compile_seconds;
-    { r with compile_seconds }
+  match prog_cache_find ?shape ~cfg ~passes ~t0 chip graph with
+  | Some r -> r
   | None ->
     let r =
-      compile_uncached ~cfg ?frontiers ?frontier_tag ~passes ?validate_each
-        ?on_pass chip graph
+      run_passes ?frontiers ?frontier_tag ?validate_each ?on_pass ~cfg
+        ~events:(ref []) ~t0:(Unix.gettimeofday ()) passes chip graph
     in
     prog_cache_store ?shape ~cfg ~passes chip graph r;
     r
-
-(* Last-resort serial schedule: the serial pipeline — one operator per
-   segment, greedy allocation, no DP and no MIP. Used when the normal
-   pipeline cannot produce a plan at all. Never consulted from / stored
-   into the cache. *)
-let compile_serial ~cfg chip graph events =
-  let t0 = Unix.gettimeofday () in
-  Trace.with_span "compile.serial" ~cat:"compiler"
-    ~args:[ ("graph", J.String graph.Cim_nnir.Graph.graph_name) ]
-  @@ fun () ->
-  let on_stage (e : Degrade.event) = events := e :: !events in
-  let env = env_of_cfg ~on_stage cfg chip in
-  let st = Passes.run_pipeline Passes.serial_pipeline (Passes.init env graph) in
-  result_of_state ~events:!events
-    ~compile_seconds:(Unix.gettimeofday () -. t0)
-    st
-
-let compile_robust ?config ?faults chip graph =
-  let cfg = resolve_config ?config ?faults () in
-  match compile ~config:cfg chip graph with
-  | r -> Ok r
-  | exception (Failure first_error | Invalid_argument first_error) -> begin
-    Log.warn (fun m ->
-        m "pipeline failed (%s); retrying with serial single-op segments"
-          first_error);
-    let events =
-      ref
-        [ { Degrade.lo = 0; hi = 0; stage = Degrade.Serial_fallback;
-            detail = "pipeline failed: " ^ first_error } ]
-    in
-    match compile_serial ~cfg chip graph events with
-    | r -> Ok r
-    | exception (Failure second_error | Invalid_argument second_error) ->
-      let healthy = healthy_of ?faults:cfg.Config.faults chip in
-      Error
-        { (Degrade.empty_report ~total:chip.Chip.n_arrays ~healthy) with
-          Degrade.events = List.rev !events;
-          diagnostics =
-            [ "pipeline: " ^ first_error; "serial fallback: " ^ second_error ] }
-  end
 
 type recompile_outcome = {
   rc_result : result;
@@ -534,21 +444,17 @@ let recompile_ladder cfg =
 
 let serial_level = 3
 
-let recompile ?config ?budget_seconds ?(start_level = 0) chip graph =
-  (match budget_seconds with
-  | Some b when (not (Float.is_finite b)) || b < 0. ->
-    invalid_arg "Cmswitch.recompile: budget_seconds must be non-negative"
-  | _ -> ());
-  if start_level < 0 || start_level > serial_level then
-    invalid_arg
-      (Printf.sprintf "Cmswitch.recompile: start_level %d outside [0, %d]"
-         start_level serial_level);
-  let cfg = resolve_config ?config () in
+(* Try each [(level, config)] with an ordinary {!compile}, then the serial
+   pass list — one operator per segment, greedy allocation, no DP, never
+   cached. Every failed level becomes a [Serial_fallback] event on the
+   serial plan and a diagnostic of the [Error] report. A spent
+   [budget_seconds] jumps straight to the serial step: the caller needs
+   {e a} plan, not the best one. *)
+let descend ?budget_seconds ~cfg levels chip graph =
   let t0 = Unix.gettimeofday () in
   let attempts = ref 0 in
-  let failures = ref [] (* newest first, like compile_serial's events *) in
-  let finish level r =
-    Degrade.count_recompile ~level;
+  let failures = ref [] (* newest first, like run_passes' events *) in
+  let planned level r =
     Ok
       {
         rc_result = r;
@@ -566,34 +472,58 @@ let recompile ?config ?budget_seconds ?(start_level = 0) chip graph =
              { Degrade.lo = 0; hi = 0; stage = Degrade.Serial_fallback; detail })
            !failures)
     in
-    match compile_serial ~cfg chip graph events with
-    | r -> finish serial_level r
-    | exception (Failure e | Invalid_argument e | Opinfo.Unsupported e) ->
-      let healthy = healthy_of ?faults:cfg.Config.faults chip in
+    match
+      attempt (fun () ->
+          Trace.with_span "compile.serial" ~cat:"compiler"
+            ~args:[ ("graph", J.String graph.Cim_nnir.Graph.graph_name) ]
+            (fun () ->
+              run_passes ~cfg ~events ~t0:(Unix.gettimeofday ())
+                Passes.serial_pipeline chip graph))
+    with
+    | Ok r -> planned serial_level r
+    | Error e ->
       Error
-        { (Degrade.empty_report ~total:chip.Chip.n_arrays ~healthy) with
-          Degrade.events = List.rev !events;
-          diagnostics = List.rev (("serial fallback: " ^ e) :: !failures) }
+        (report cfg chip ~events:(List.rev !events)
+           ~diagnostics:(List.rev (("serial fallback: " ^ e) :: !failures)))
   in
-  let rec descend = function
+  let rec go = function
     | [] -> serial ()
     | (level, c) :: rest ->
-      (* a spent budget jumps straight to the cheapest level — degrade,
-         don't give up: the fleet needs *a* plan, not the best one *)
       if Degrade.budget_spent ~started:t0 ~budget:budget_seconds then serial ()
       else begin
         incr attempts;
-        match compile ~config:c chip graph with
-        | r -> finish level r
-        | exception (Failure e | Invalid_argument e | Opinfo.Unsupported e) ->
+        match attempt (fun () -> compile ~config:c chip graph) with
+        | Ok r -> planned level r
+        | Error e ->
           Log.warn (fun m ->
               m "recompile ladder level %d failed (%s); descending" level e);
           failures := Printf.sprintf "ladder level %d: %s" level e :: !failures;
-          descend rest
+          go rest
       end
   in
-  descend
-    (List.filter (fun (lvl, _) -> lvl >= start_level) (recompile_ladder cfg))
+  go levels
+
+let compile_robust ?(config = Config.default) chip graph =
+  Result.map
+    (fun o -> o.rc_result)
+    (descend ~cfg:config [ (0, config) ] chip graph)
+
+let recompile ?(config = Config.default) ?budget_seconds ?(start_level = 0)
+    chip graph =
+  (match budget_seconds with
+  | Some b when (not (Float.is_finite b)) || b < 0. ->
+    invalid_arg "Cmswitch.recompile: budget_seconds must be non-negative"
+  | _ -> ());
+  if start_level < 0 || start_level > serial_level then
+    invalid_arg
+      (Printf.sprintf "Cmswitch.recompile: start_level %d outside [0, %d]"
+         start_level serial_level);
+  let levels =
+    List.filter (fun (lvl, _) -> lvl >= start_level) (recompile_ladder config)
+  in
+  let outcome = descend ?budget_seconds ~cfg:config levels chip graph in
+  Result.iter (fun o -> Degrade.count_recompile ~level:o.rc_level) outcome;
+  outcome
 
 let memory_mode_ratio r =
   match r.schedule.Plan.segments with
@@ -678,9 +608,8 @@ let assert_padding_dominates ~model g_pad g_act =
           shapes: %s"
          model e)
 
-let compile_model ?config ?faults ?frontiers ?passes ?validate_each ?on_pass
-    chip (e : Zoo.entry) w =
-  let cfg = resolve_config ?config ?faults () in
+let compile_model ?config:(cfg = Config.default) ?frontiers ?passes
+    ?validate_each ?on_pass chip (e : Zoo.entry) w =
   let w', bucket_ceiling = padded_workload cfg e w in
   let padded = Workload.context_len w' <> Workload.context_len w in
   let shape =

@@ -2,19 +2,22 @@
     (graph -> operator extraction -> DP segmentation with per-segment MIP
     allocation -> placement -> meta-operator code generation).
 
-    Since the nanopass redesign the driver is thin: the phases live in
-    {!Passes} as first-class pass values and every entry point here folds
-    {!Passes.run_pipeline} over a pass list ({!Passes.default_pipeline}
-    unless overridden), projecting the final {!Passes.state} onto
-    {!result}. Custom pipelines, per-pass validation and post-pass
-    observation plug in through [?passes] / [?validate_each] / [?on_pass];
-    the default pipeline is byte-identical to the historical hardwired
-    driver.
+    The phases live in {!Passes} as first-class pass values, and one
+    internal runner runs every pass list: a cold compile
+    ({!Passes.default_pipeline} unless [?passes] overrides it), a
+    program-tier cache replay, and the serial fallback
+    ({!Passes.serial_pipeline}). That runner folds
+    {!Passes.run_pipeline} over the list and projects the final
+    {!Passes.state} onto {!result}, so the result, its {!Degrade.report}
+    and the [compile.*] metrics are built in one place. {!compile_robust}
+    and {!recompile} share one fallback ladder: the same serial step, the
+    same failure-to-event mapping and the same set of caught exceptions.
 
     Compilation is configured through {!Config} — one flat record;
     [Config.canonical] is the basis of the compilation-cache keys, which
     is why the flattening matters: a cache key must cover {e every}
-    semantic knob exactly once. *)
+    semantic knob exactly once. A fault map travels only in
+    [Config.faults]. *)
 
 val log_src : Logs.src
 (** The compiler's log source ("cmswitch"): enable [Debug] to trace the
@@ -39,10 +42,6 @@ module Config : sig
     refine : bool;                (** lexicographic array-count refinement *)
     force_all_compute : bool;     (** CIM-MLC restriction *)
     lp_backend : Cim_solver.Milp.backend;
-    tensor_backend : Cim_tensor.Kernels.backend;
-        (** kernel engine for simulation/verification downstream of this
-            compile; both backends are bitwise identical, so like [jobs]
-            it is {e excluded} from {!canonical} *)
     buckets : Bucket.t option;
         (** length-bucketing policy for {!compile_model} /
             {!session_step}: sequence workloads compile at their
@@ -55,10 +54,11 @@ module Config : sig
   }
 
   val default : t
-  (** partition_fraction 0.5, window 10, memoisation on, MILP node budget
-      600 with refinement, dual-mode search, [Revised] LP backend, no
-      buckets, no faults, no cache. [jobs] defaults to
-      {!Cim_util.Pool.default_jobs}. *)
+  (** partition_fraction 0.5, no buckets, no faults; every other field
+      from {!Segment.default_options} (window 10, memoisation on, no cache,
+      [jobs] = {!Cim_util.Pool.default_jobs}) and its
+      {!Alloc.default_options} (MILP node budget 600 with refinement,
+      dual-mode search, [Revised] LP backend). *)
 
   val with_partition_fraction : float -> t -> t
   val with_max_segment_ops : int -> t -> t
@@ -68,12 +68,9 @@ module Config : sig
   val with_refine : bool -> t -> t
   val with_force_all_compute : bool -> t -> t
   val with_lp_backend : Cim_solver.Milp.backend -> t -> t
-  val with_tensor_backend : Cim_tensor.Kernels.backend -> t -> t
   val with_buckets : Bucket.t option -> t -> t
   val with_faults : Cim_arch.Faultmap.t option -> t -> t
   val with_cache : Cim_cache.Store.t option -> t -> t
-  val with_cache_dir : string -> t -> t
-  (** [with_cache (Some (Cim_cache.Store.open_dir dir))]. *)
 
   val to_segment_options : t -> Segment.options
   (** Slot the flat record into the engine's internal options shape. *)
@@ -85,8 +82,8 @@ module Config : sig
       — the compilation-cache key component. Floats are rendered as exact
       binary64 hex ([%h]), booleans and enums as fixed tokens, fields in
       fixed order, so the string is byte-stable across runs, processes and
-      platforms. [jobs] and [tensor_backend] (execution strategy under the
-      byte-identical determinism contract), [faults] (keyed separately, see
+      platforms. [jobs] (execution strategy under the byte-identical
+      determinism contract), [faults] (keyed separately, see
       {!Ccache.prog_key}) and [cache] (plumbing) are excluded. *)
 
   val of_canonical : string -> (t, string) result
@@ -112,18 +109,16 @@ type result = {
 }
 
 val compile :
-  ?config:Config.t -> ?faults:Cim_arch.Faultmap.t ->
-  ?shape:string -> ?frontiers:Segment.frontier_state ->
+  ?config:Config.t -> ?shape:string -> ?frontiers:Segment.frontier_state ->
   ?frontier_tag:string -> ?passes:Passes.pass list -> ?validate_each:bool ->
   ?on_pass:(Passes.pass -> Passes.state -> unit) ->
   Cim_arch.Chip.t -> Cim_nnir.Graph.t -> result
-(** Run the pass pipeline over the graph. An explicit [faults] always
-    overrides [config.faults]. With faults, the solver plans against
-    {!Cim_arch.Faultmap.effective_chip} (only freely-assignable arrays
-    count as capacity) while placement runs on the real chip with dead
-    arrays masked and stuck arrays pinned to their mode; the emitted
-    program is re-checked by the {!Cim_metaop.Check} flow validator and
-    any findings land in [degradation.diagnostics].
+(** Run the pass pipeline over the graph. With [config.faults], the solver
+    plans against {!Cim_arch.Faultmap.effective_chip} (only
+    freely-assignable arrays count as capacity) while placement runs on
+    the real chip with dead arrays masked and stuck arrays pinned to their
+    mode; the emitted program is re-checked by the {!Cim_metaop.Check}
+    flow validator and any findings land in [degradation.diagnostics].
 
     [passes] (default {!Passes.default_pipeline}) selects the pipeline; it
     must produce the artifacts {!result} projects (a pipeline without
@@ -135,15 +130,18 @@ val compile :
     With [config.cache], the whole compilation is first looked up in the
     program tier (key: canonical graph text, chip, fault map,
     [Config.canonical], and the {!Passes.fingerprint} of [passes]); a hit
-    replays the cached segmentation through the live placement/codegen
-    passes and re-validates the program with {!Cim_metaop.Check}, so a
-    stale or corrupted entry degrades to a miss — never a wrong program.
-    On a miss the per-segment tier still memoises window MIP solutions
-    across runs, and a clean result is stored back. Cache hits preserve
-    the byte-identical determinism contract at any job count.
+    runs the replay pass list — the cached segmentation slotted into the
+    live extraction/placement/codegen passes, the program's digest
+    compared and {!Cim_metaop.Check} run strictly — through the same
+    runner, seeded with the cached degradation events, so a stale or
+    corrupted entry degrades to a miss, never a wrong program. On a miss
+    the per-segment tier still memoises window MIP solutions across runs,
+    and a clean result is stored back. Cache hits preserve the
+    byte-identical determinism contract at any job count.
 
-    Raises [Failure]/[Opinfo.Unsupported] on graphs the (remaining) chip
-    cannot run — use {!compile_robust} for a non-raising pipeline.
+    Raises [Failure], [Invalid_argument], [Opinfo.Unsupported] or
+    [Cim_nnir.Shape_infer.Error] on graphs the (remaining) chip cannot run
+    — use {!compile_robust} for a non-raising pipeline.
 
     [shape] is an opaque versioned fragment mixed into the program-tier key
     (see {!Ccache.prog_key}); {!compile_model} derives it from the bucket
@@ -153,14 +151,18 @@ val compile :
     the emitted program — only compile time. *)
 
 val compile_robust :
-  ?config:Config.t -> ?faults:Cim_arch.Faultmap.t ->
-  Cim_arch.Chip.t -> Cim_nnir.Graph.t -> (result, Degrade.report) Stdlib.result
-(** Never raises: on pipeline failure it retries with
+  ?config:Config.t -> Cim_arch.Chip.t -> Cim_nnir.Graph.t ->
+  (result, Degrade.report) Stdlib.result
+(** Never raises: {!recompile}'s ladder with level 0 only. A {!compile}
+    that fails with any of the exceptions listed there is retried with
     {!Passes.serial_pipeline} — serial single-operator segments under
-    greedy allocation (every segment recorded as a [Serial_fallback]
-    event); when even that cannot fit an operator, returns [Error report]
-    whose diagnostics say what failed at each stage. The serial fallback
-    is never cached. *)
+    greedy allocation, never cached — whose report opens with a
+    [Serial_fallback] event reading [ladder level 0: <why>] and records
+    every serial segment as a further [Serial_fallback] event. When the
+    serial step fails too (an operator that does not fit even alone, a
+    graph whose shapes disagree), returns [Error report] whose diagnostics
+    say what failed at each step. Unlike {!recompile} it bumps no
+    [compile.recompile.*] counter. *)
 
 (** What an online recompile produced, and how hard it had to degrade. *)
 type recompile_outcome = {
@@ -182,16 +184,23 @@ val recompile :
     descending a fixed degradation ladder until some level yields a plan.
     Each level is an ordinary {!compile}, so a warm compilation cache makes
     repeated recompiles of previously-seen fault maps near-free; duplicate
-    ladder configs are skipped. With [budget_seconds], a spent wall-clock
-    budget jumps straight to the cheapest (serial) level rather than giving
-    up — the caller needs {e a} plan now, not the best one. Note that a
-    wall-clock budget can make the {e chosen level} timing-dependent; leave
-    it [None] (the default) where the byte-identical determinism contract
-    matters, e.g. under {!Cim_sim.Fleet}'s plan prefetch. [start_level]
-    (default 0) skips the expensive levels up front. [Error report] only
-    when even serial compilation cannot fit the graph on the remaining
-    arrays. Emits [compile.recompile.total] / [compile.recompile.level<N>]
-    counters on success. *)
+    ladder configs are skipped. The last level is the serial step
+    {!compile_robust} falls back to; when it plans, every failed level
+    before it is a [Serial_fallback] event ([ladder level N: <why>]) on
+    its report. With
+    [budget_seconds], a spent wall-clock budget jumps straight to the
+    cheapest (serial) level rather than giving up — the caller needs
+    {e a} plan now, not the best one. Note that a wall-clock budget can
+    make the {e chosen level} timing-dependent; leave it [None] (the
+    default) where the byte-identical determinism contract matters, e.g.
+    under {!Cim_sim.Fleet}'s plan prefetch. [start_level] (default 0)
+    skips the expensive levels up front. Never raises on a graph the
+    compiler rejects: [Error report] when even serial compilation cannot
+    fit the graph on the remaining arrays, with one diagnostic per failed
+    level. Raises [Invalid_argument] only for a negative or non-finite
+    [budget_seconds] or a [start_level] outside [0, 3]. Emits
+    [compile.recompile.total] / [compile.recompile.level<N>] counters on
+    success. *)
 
 val memory_mode_ratio : result -> float
 (** Average over segments of (memory-mode arrays / chip arrays) — the
@@ -220,8 +229,8 @@ type model_cost = {
 }
 
 val compile_model :
-  ?config:Config.t -> ?faults:Cim_arch.Faultmap.t ->
-  ?frontiers:Segment.frontier_state -> ?passes:Passes.pass list ->
+  ?config:Config.t -> ?frontiers:Segment.frontier_state ->
+  ?passes:Passes.pass list ->
   ?validate_each:bool -> ?on_pass:(Passes.pass -> Passes.state -> unit) ->
   Cim_arch.Chip.t -> Cim_models.Zoo.entry -> Cim_models.Workload.t -> model_cost
 (** [passes] / [validate_each] / [on_pass] are forwarded to every

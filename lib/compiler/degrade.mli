@@ -34,8 +34,8 @@ val stage_to_string : stage -> string
 val count_stage : stage -> unit
 (** Bump the [compile.alloc.*] ladder counter for a stage (no-op when
     {!Cim_obs.Metrics} is disabled). {!solve} does this itself; the serial
-    path in [Cmswitch.compile_serial] builds its events by hand and calls
-    this directly. *)
+    segmentation pass ([Passes.p_segment_serial]) builds its events by
+    hand and calls this directly. *)
 
 val budget_spent : started:float -> budget:float option -> bool
 (** Wall-clock compile-budget check for online recompilation: [true] once

@@ -5,10 +5,11 @@
     Every pass is a record of a [name], a [run] step over {!state}, and an
     optional per-pass validator (the racket nanopass discipline: each pass
     is paired with a checker so a broken pass is caught at its own
-    boundary, with the failing pass named). [Cmswitch.compile] /
-    [compile_robust] / [compile_model] / [session_step] are thin drivers
-    over {!default_pipeline}; the CLI surfaces custom pipelines with
-    [--passes], [--dump-after] and [--validate-each].
+    boundary, with the failing pass named). Every [Cmswitch] entry point
+    runs its pass list through one runner: {!default_pipeline} (or the
+    caller's list) for a cold compile, a replay list for a cache hit and
+    {!serial_pipeline} for the fallback. The CLI surfaces custom
+    pipelines with [--passes], [--dump-after] and [--validate-each].
 
     The default pipeline is byte-identical to the historical hardwired
     driver — same trace spans, same stats arithmetic, same emitted
@@ -91,6 +92,12 @@ val program_exn : state -> Cim_metaop.Flow.program
 val isa_exn : state -> Cim_metaop.Isa.image
 val diagnostics_exn : state -> string list
 
+val segs_tile : m:int -> Plan.seg_plan list -> bool
+(** The segments cover operators [0..m-1] in order, each window non-empty
+    and starting where the previous one ended. The tiling validator of the
+    segmentation passes; the cache replay checks a cached segmentation
+    with it too. *)
+
 (** {2 The registry} *)
 
 val p_extract : pass
@@ -146,7 +153,8 @@ val default_pipeline : pass list
 
 val serial_pipeline : pass list
 (** [extract; segment_serial; place; schedule; codegen; check] — the
-    robust fallback (no DP, no probe). *)
+    serial step of [Cmswitch.compile_robust] and of the recompile ladder
+    (no DP, no probe). *)
 
 val parse_list : string -> (pass list, string) result
 (** Parse a [--passes] spec: comma-separated pass names; the token

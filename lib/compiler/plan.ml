@@ -13,6 +13,16 @@ type seg_plan = {
   intra_cycles : float;
 }
 
+let shift ~lo p =
+  let d = lo - p.lo in
+  if d = 0 then p
+  else
+    { p with
+      lo;
+      hi = p.hi + d;
+      allocs = List.map (fun a -> { a with uid = a.uid + d }) p.allocs;
+      reuse = List.map (fun (i, j, r) -> (i + d, j + d, r)) p.reuse }
+
 let com_total s = List.fold_left (fun acc a -> acc + a.com) 0 s.allocs
 let mem_total s = List.fold_left (fun acc a -> acc + mem_of a) 0 s.allocs
 

@@ -22,6 +22,12 @@ type seg_plan = {
   intra_cycles : float;      (** pipelined segment latency (Eq. 9/10) *)
 }
 
+val shift : lo:int -> seg_plan -> seg_plan
+(** The same plan re-anchored to start at operator [lo]: window, allocation
+    uids and reuse triples all move by [lo - plan.lo]. The DP memo reuses a
+    plan solved for an identical window this way, and the seg-tier cache
+    stores windows at [lo = 0] and loads them back at their position. *)
+
 val com_total : seg_plan -> int
 val mem_total : seg_plan -> int
 val arrays_used : seg_plan -> int

@@ -12,10 +12,7 @@ type options = {
 }
 
 let default_options =
-  { alloc =
-      { Alloc.milp_max_nodes = 600; refine = true; force_all_compute = false;
-        lp_backend = Cim_solver.Milp.Revised };
-    max_segment_ops = 10; memoize = true;
+  { alloc = Alloc.default_options; max_segment_ops = 10; memoize = true;
     jobs = Pool.default_jobs (); cache = None }
 
 type stats = {
@@ -104,22 +101,6 @@ let frontier_key ~tag ~chip ~(options : options) =
     [ tag; Ccache.chip_canonical chip; Ccache.alloc_canonical options.alloc;
       string_of_int options.max_segment_ops; string_of_bool options.memoize ]
 
-(* re-anchor a plan solved for an identical window at this window's uids *)
-let shift_plan ~lo ~hi (p : Plan.seg_plan) =
-  let shift = lo - p.Plan.lo in
-  if shift = 0 then { p with Plan.lo; hi }
-  else
-    {
-      p with
-      Plan.lo;
-      hi;
-      allocs =
-        List.map
-          (fun (a : Plan.op_alloc) -> { a with Plan.uid = a.Plan.uid + shift })
-          p.Plan.allocs;
-      reuse = List.map (fun (i, j, r) -> (i + shift, j + shift, r)) p.Plan.reuse;
-    }
-
 (* One solved window, as produced on a (possibly worker) domain: the plan,
    the degradation events the solve fired, and its buffered trace spans.
    Events and spans are replayed by the coordinator in task-submission
@@ -187,8 +168,7 @@ let run ?(options = default_options) ?frontiers ?(frontier_tag = "") ?on_stage
     | None -> ()
     | Some store ->
       Cim_cache.Store.put store ~tier:Ccache.seg_tier ~key:(store_key key)
-        ~payload:
-          (Ccache.seg_payload_to_string (Option.map Ccache.normalize_plan plan))
+        ~payload:(Ccache.seg_payload_to_string plan)
   in
   let solves = Atomic.make 0 and hits = Atomic.make 0 in
   let cands = Atomic.make 0 and pruned = Atomic.make 0 in
@@ -357,7 +337,8 @@ let run ?(options = default_options) ?frontiers ?(frontier_tag = "") ?on_stage
           match Option.join (cache_find key) with
           | None -> ()
           | Some plan ->
-            let plan = shift_plan ~lo ~hi:j plan in
+            (* re-anchor a plan solved for an identical window here *)
+            let plan = Plan.shift ~lo plan in
             if best.(lo) < infinity then begin
               let prev = if lo = 0 then None else Option.map snd choice.(lo) in
               let ic = Plan.inter_segment_cost chip ctx ~prev ~cur:plan in

@@ -33,6 +33,11 @@ type options = {
           [on_stage] events. [None] (the default) disables the tier. *)
 }
 
+val default_options : options
+(** {!Alloc.default_options}, window 10, memoisation on,
+    [jobs] = {!Cim_util.Pool.default_jobs}, no persistent cache — the
+    source of [Cmswitch.Config.default]. *)
+
 type stats = {
   mip_solves : int;        (** MIP invocations actually performed *)
   mip_cache_hits : int;

@@ -11,7 +11,7 @@ type event = {
 
 let simulate chip (ops : Opinfo.t array) (plan : Plan.seg_plan)
     ?(tiles = 8) ?(include_setup = false) () =
-  if tiles <= 0 then invalid_arg "Pipeline.simulate: tiles must be positive";
+  if tiles <= 0 then invalid_arg "Tile_sim.simulate: tiles must be positive";
   let allocs = Array.of_list plan.Plan.allocs in
   let n = Array.length allocs in
   let index_of_uid = Hashtbl.create 16 in

@@ -12,8 +12,6 @@ let diagnostic_to_string d =
   Printf.sprintf "%s at instr %d: %s" (severity_to_string d.severity) d.instr
     d.message
 
-let pp_diagnostic ppf d = Format.pp_print_string ppf (diagnostic_to_string d)
-
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let is_valid ds = errors ds = []
 

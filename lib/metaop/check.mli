@@ -44,5 +44,3 @@ val is_valid : diagnostic list -> bool
 val severity_to_string : severity -> string
 
 val diagnostic_to_string : diagnostic -> string
-
-val pp_diagnostic : Format.formatter -> diagnostic -> unit

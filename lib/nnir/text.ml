@@ -53,6 +53,24 @@ type token =
   | Comma | Arrow | Equals
   | Eof
 
+(* End of the [%h] float starting at [i] ([-]0x<hex>[.<hex>]p<sign><dec>,
+   the form [to_string] prints float attributes in), if one does. *)
+let hex_float_end src i =
+  let n = String.length src in
+  let rec skip ok j = if j < n && ok src.[j] then skip ok (j + 1) else j in
+  let is_dec c = c >= '0' && c <= '9' in
+  let is_hex c = is_dec c || (c >= 'a' && c <= 'f') in
+  let j = if src.[i] = '-' then i + 1 else i in
+  if j + 1 < n && src.[j] = '0' && src.[j + 1] = 'x' then
+    let k = skip is_hex (j + 2) in
+    let k = if k < n && src.[k] = '.' then skip is_hex (k + 1) else k in
+    if k + 1 < n && src.[k] = 'p' && (src.[k + 1] = '+' || src.[k + 1] = '-')
+    then
+      let e = skip is_dec (k + 2) in
+      if e > k + 2 then Some e else None
+    else None
+  else None
+
 let lex src =
   let n = String.length src in
   let toks = ref [] in
@@ -75,37 +93,47 @@ let lex src =
     else if c = '=' then (emit Equals; incr i)
     else if c = '-' && !i + 1 < n && src.[!i + 1] = '>' then (emit Arrow; i := !i + 2)
     else if c = '"' then begin
+      (* find the closing quote, stepping over escaped characters, then
+         undo the OCaml escapes [%S] wrote *)
       let j = ref (!i + 1) in
-      let b = Buffer.create 16 in
       while !j < n && src.[!j] <> '"' do
-        if src.[!j] = '\\' && !j + 1 < n then begin
-          Buffer.add_char b src.[!j + 1];
-          j := !j + 2
-        end
-        else begin
-          Buffer.add_char b src.[!j];
-          incr j
-        end
+        j := !j + if src.[!j] = '\\' then 2 else 1
       done;
       if !j >= n then perr "unterminated string";
-      emit (QString (Buffer.contents b));
+      let raw = String.sub src (!i + 1) (!j - !i - 1) in
+      (match Scanf.unescaped raw with
+      | s -> emit (QString s)
+      | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+        perr "bad escape in string \"%s\"" raw);
       i := !j + 1
     end
     else if (c >= '0' && c <= '9') || (c = '-' && !i + 1 < n && src.[!i + 1] >= '0' && src.[!i + 1] <= '9')
     then begin
-      let j = ref !i in
-      if src.[!j] = '-' then incr j;
-      while !j < n && ((src.[!j] >= '0' && src.[!j] <= '9') || src.[!j] = 'x') do
-        incr j
-      done;
-      let word = String.sub src !i (!j - !i) in
-      i := !j;
-      (* "1x3x224x224" is a shape literal — keep it as an Ident. *)
+      let j =
+        match hex_float_end src !i with
+        | Some j -> j
+        | None ->
+          let j = ref (if c = '-' then !i + 1 else !i) in
+          while !j < n && ((src.[!j] >= '0' && src.[!j] <= '9') || src.[!j] = 'x') do
+            incr j
+          done;
+          !j
+      in
+      let word = String.sub src !i (j - !i) in
+      i := j;
+      (* "1x3x224x224" is a shape literal and "0x1.8p+2" a float — keep both
+         as Idents (parse_attr_value reads the float back) *)
       if String.contains word 'x' then emit (Ident word)
-      else emit (Num (int_of_string word))
+      else
+        match int_of_string_opt word with
+        | Some v -> emit (Num v)
+        | None -> perr "bad integer literal %S" word
     end
-    else if is_ident_char c then begin
-      let j = ref !i in
+    else if
+      is_ident_char c || (c = '-' && !i + 1 < n && is_ident_char src.[!i + 1])
+    then begin
+      (* a '-' that starts neither an arrow nor a number: -infinity, -nan *)
+      let j = ref (!i + 1) in
       while !j < n && is_ident_char src.[!j] do incr j done;
       emit (Ident (String.sub src !i (!j - !i)));
       i := !j

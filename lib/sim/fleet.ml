@@ -83,33 +83,6 @@ type stats = {
   per_chip_served : int list;
 }
 
-let zero_stats =
-  {
-    offered = 0;
-    completed = 0;
-    dropped = 0;
-    shed = 0;
-    starved = 0;
-    retries = 0;
-    recompiles = 0;
-    breaker_opens = 0;
-    chips_out = 0;
-    slo_violations = 0;
-    makespan = 0.;
-    mean_latency = 0.;
-    p50_latency = 0.;
-    p95_latency = 0.;
-    p99_latency = 0.;
-    p999_latency = 0.;
-    mean_ttft = 0.;
-    p50_tpt = 0.;
-    p95_tpt = 0.;
-    p99_tpt = 0.;
-    tokens = 0;
-    tokens_per_megacycle = 0.;
-    per_chip_served = [];
-  }
-
 (* ---- fault schedules ----------------------------------------------------- *)
 
 let fault_state_to_string = function

@@ -122,8 +122,6 @@ type stats = {
   per_chip_served : int list;  (** requests served, by chip id *)
 }
 
-val zero_stats : stats
-
 val run :
   ?config:config -> ?telemetry:Cim_obs.Telemetry.t ->
   ?snapshot_extra:(unit -> (string * float) list) ->

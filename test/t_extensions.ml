@@ -13,7 +13,7 @@ module Alloc = Cim_compiler.Alloc
 module Plan = Cim_compiler.Plan
 module Segment = Cim_compiler.Segment
 module Greedy = Cim_compiler.Greedy
-module Pipeline = Cim_compiler.Pipeline
+module Tile_sim = Cim_compiler.Tile_sim
 module Cmswitch = Cim_compiler.Cmswitch
 module Energy_sim = Cim_sim.Energy_sim
 
@@ -89,12 +89,12 @@ let segment_of g =
 
 let test_pipeline_lower_bound () =
   let ops, seg = segment_of (Cim_models.Mlp.build ~batch:1 ~dims:[ 512; 512; 512 ] ()) in
-  let makespan, events = Pipeline.simulate chip ops seg ~tiles:8 () in
+  let makespan, events = Tile_sim.simulate chip ops seg ~tiles:8 () in
   Alcotest.(check bool) "DES >= Eq. 9 approximation" true
     (makespan >= seg.Plan.intra_cycles -. 1e-9);
   (* with a single tile, a pure chain's makespan is the critical path: the
      sum of per-op latencies *)
-  let makespan1, _ = Pipeline.simulate chip ops seg ~tiles:1 () in
+  let makespan1, _ = Tile_sim.simulate chip ops seg ~tiles:1 () in
   let sum =
     List.fold_left
       (fun acc (a : Plan.op_alloc) -> acc +. Alloc.op_latency chip ops.(a.Plan.uid) a)
@@ -106,8 +106,9 @@ let test_pipeline_lower_bound () =
     (makespan1 <= sum +. 1e-6);
   (* events well-formed *)
   List.iter
-    (fun (e : Pipeline.event) ->
-      Alcotest.(check bool) "event ordered" true (e.Pipeline.t_finish >= e.Pipeline.t_start))
+    (fun (e : Tile_sim.event) ->
+      Alcotest.(check bool) "event ordered" true
+        (e.Tile_sim.t_finish >= e.Tile_sim.t_start))
     events;
   Alcotest.(check int) "one event per (op, tile)"
     (8 * List.length seg.Plan.allocs)
@@ -115,25 +116,25 @@ let test_pipeline_lower_bound () =
 
 let test_pipeline_more_tiles_less_makespan () =
   let ops, seg = segment_of (Cim_models.Mlp.build ~batch:1 ~dims:[ 512; 512; 512 ] ()) in
-  let m1, _ = Pipeline.simulate chip ops seg ~tiles:1 () in
-  let m8, _ = Pipeline.simulate chip ops seg ~tiles:8 () in
-  let m64, _ = Pipeline.simulate chip ops seg ~tiles:64 () in
+  let m1, _ = Tile_sim.simulate chip ops seg ~tiles:1 () in
+  let m8, _ = Tile_sim.simulate chip ops seg ~tiles:8 () in
+  let m64, _ = Tile_sim.simulate chip ops seg ~tiles:64 () in
   Alcotest.(check bool) "finer tiling pipelines better" true (m8 <= m1 +. 1e-9);
   Alcotest.(check bool) "and converges" true (m64 <= m8 +. 1e-9)
 
 let test_pipeline_gantt () =
   let ops, seg = segment_of (Cim_models.Mlp.build ~batch:1 ~dims:[ 512; 512; 512 ] ()) in
-  let _, events = Pipeline.simulate chip ops seg ~tiles:4 () in
-  let s = Pipeline.gantt events in
+  let _, events = Tile_sim.simulate chip ops seg ~tiles:4 () in
+  let s = Tile_sim.gantt events in
   Alcotest.(check bool) "gantt renders rows" true
     (String.length s > 0 && String.contains s '#');
-  Alcotest.(check string) "empty gantt" "(empty)\n" (Pipeline.gantt [])
+  Alcotest.(check string) "empty gantt" "(empty)\n" (Tile_sim.gantt [])
 
 let test_pipeline_validation () =
   let ops, seg = segment_of (Cim_models.Mlp.build ~batch:1 ~dims:[ 64; 64 ] ()) in
   Alcotest.check_raises "bad tiles"
-    (Invalid_argument "Pipeline.simulate: tiles must be positive") (fun () ->
-      ignore (Pipeline.simulate chip ops seg ~tiles:0 ()))
+    (Invalid_argument "Tile_sim.simulate: tiles must be positive") (fun () ->
+      ignore (Tile_sim.simulate chip ops seg ~tiles:0 ()))
 
 (* --- greedy allocator --- *)
 

@@ -174,18 +174,41 @@ let strip_values (g : Graph.t) =
     ~initializers:
       (List.map (fun i -> { i with Graph.value = None }) g.Graph.initializers)
 
+(* every zoo CNN (MobileNetV2's Clip prints max=0x1.8p+2), quoted names
+   carrying escapes and non-ASCII bytes, and negative float attributes *)
 let test_text_roundtrip_models () =
+  let zoo_cnns =
+    List.filter_map
+      (fun (e : Cim_models.Zoo.entry) ->
+        if e.Cim_models.Zoo.family = Cim_models.Zoo.Cnn then
+          Some (e.Cim_models.Zoo.build (Cim_models.Workload.prefill ~batch:1 1))
+        else None)
+      Cim_models.Zoo.all
+  in
+  let names =
+    Graph.create ~name:"出力"
+      ~nodes:
+        [ node 0 "a\tb" Op.Relu [ "x" ] [ "y" ] [ ("note", Attr.Str "q\"\\") ];
+          node 1 "出力" Op.Clip [ "y" ] [ "z" ]
+            [ ("min", Attr.Float neg_infinity); ("max", Attr.Float (-2.5)) ] ]
+      ~inputs:[ ("x", [ 1; 4 ]) ] ~outputs:[ "z" ] ~initializers:[]
+  in
   List.iter
     (fun g ->
       let s = Text.to_string g in
       let g2 = Text.of_string s in
       Alcotest.(check string) "same rendering" s (Text.to_string g2))
-    [
-      strip_values (Cim_models.Cnn.tiny_cnn ~batch:1 ());
-      Cim_models.Cnn.resnet18 ~batch:1;
-      Cim_models.Transformer.build_layer (Cim_models.Transformer.tiny ())
-        (Cim_models.Workload.prefill ~batch:1 4) ~layer_index:0;
-    ]
+    ([
+       strip_values (Cim_models.Cnn.tiny_cnn ~batch:1 ());
+       Cim_models.Transformer.build_layer (Cim_models.Transformer.tiny ())
+         (Cim_models.Workload.prefill ~batch:1 4) ~layer_index:0;
+       names;
+     ]
+    @ zoo_cnns);
+  let g2 = Text.of_string (Text.to_string names) in
+  Alcotest.(check string) "graph name" "出力" g2.Graph.graph_name;
+  Alcotest.(check (list string)) "node names" [ "a\tb"; "出力" ]
+    (List.map (fun (n : Graph.node) -> n.Graph.name) g2.Graph.nodes)
 
 let test_text_parse_errors () =
   let bad s =
@@ -197,7 +220,8 @@ let test_text_parse_errors () =
   bad "nonsense";
   bad "graph \"g\" { input x 0x3 }";
   bad "graph \"g\" { node 0 \"n\" Bogus (x) -> (y) { } }";
-  bad "graph \"g\" { output y }"
+  bad "graph \"g\" { output y }";
+  bad "graph \"g\" { node 99999999999999999999 \"n\" Relu (x) -> (y) { } }"
 
 (* random small graphs: chains of unary ops over a 2-d input *)
 let gen_chain =

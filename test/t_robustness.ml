@@ -26,6 +26,7 @@ module Rng = Cim_util.Rng
 
 let chip = Config.dynaplasia
 let c x y = { Chip.x; y }
+let with_faults fm = Cmswitch.Config.(with_faults (Some fm) default)
 
 (* substring test for fault-message assertions (Str is not linked here) *)
 let contains s sub =
@@ -109,7 +110,7 @@ let assert_no_dead_placement name fm (r : Cmswitch.result) =
    plan's int8 execution against the float reference *)
 let degraded_functional_check ?(tol = 0.05) name graph inputs =
   let fm = Faultmap.inject chip ~seed:42 ~dead_rate:0.1 () in
-  let r = Cmswitch.compile ~faults:fm chip graph in
+  let r = Cmswitch.compile ~config:(with_faults fm) chip graph in
   Alcotest.(check bool) (name ^ " structurally valid") true
     (Flow.validate chip r.Cmswitch.program = Ok ());
   Alcotest.(check bool) (name ^ " passes the flow validator") true
@@ -174,7 +175,7 @@ let test_degraded_stuck_arrays () =
   in
   let rng = Rng.create 34 in
   let g = Cim_models.Mlp.build ~rng ~batch:1 ~dims:[ 64; 128; 32 ] () in
-  let r = Cmswitch.compile ~faults:fm chip g in
+  let r = Cmswitch.compile ~config:(with_faults fm) chip g in
   Alcotest.(check bool) "validator accepts stuck placement" true
     (Check.is_valid (Check.run chip ~faults:fm r.Cmswitch.program));
   let x = Tensor.rand rng (Shape.of_list [ 1; 64 ]) ~lo:(-1.) ~hi:1. in
@@ -283,12 +284,35 @@ let test_compile_robust_total_failure () =
       (List.init chip.Chip.n_arrays (fun i ->
            (Chip.coord_of_index chip i, Faultmap.Dead)))
   in
-  match Cmswitch.compile_robust ~faults:all_dead chip (small_mlp ()) with
+  match
+    Cmswitch.compile_robust ~config:(with_faults all_dead) chip (small_mlp ())
+  with
   | Ok _ -> Alcotest.fail "an all-dead chip cannot compile"
   | Error report ->
     Alcotest.(check int) "no healthy arrays" 0 report.Degrade.healthy_arrays;
     Alcotest.(check bool) "diagnostics explain the failure" true
       (report.Degrade.diagnostics <> [])
+
+(* [4;8] x [16;4]: shape inference rejects the graph inside extraction, at
+   every ladder level and in the serial step alike *)
+let mismatched_matmul () =
+  Cim_nnir.Graph.create ~name:"mismatched_matmul"
+    ~inputs:[ ("a", Shape.of_list [ 4; 8 ]); ("b", Shape.of_list [ 16; 4 ]) ]
+    ~nodes:
+      [ { Cim_nnir.Graph.id = 0; name = "mm"; op = Cim_nnir.Op.Mat_mul;
+          inputs = [ "a"; "b" ]; outputs = [ "y" ]; attrs = [] } ]
+    ~outputs:[ "y" ] ~initializers:[]
+
+let test_rejected_graph_is_error () =
+  let expect_error what = function
+    | Ok _ -> Alcotest.failf "%s accepted a mismatched MatMul" what
+    | Error report ->
+      Alcotest.(check bool) (what ^ " explains the failure") true
+        (report.Degrade.diagnostics <> [])
+  in
+  let g = mismatched_matmul () in
+  expect_error "compile_robust" (Cmswitch.compile_robust chip g);
+  expect_error "recompile" (Cmswitch.recompile chip g)
 
 (* --- machine under faults --- *)
 
@@ -1135,6 +1159,8 @@ let suite =
       Alcotest.test_case "compile_robust: healthy" `Quick test_compile_robust_ok;
       Alcotest.test_case "compile_robust: total failure" `Quick
         test_compile_robust_total_failure;
+      Alcotest.test_case "compile_robust/recompile: rejected graph" `Quick
+        test_rejected_graph_is_error;
       Alcotest.test_case "machine fault messages" `Quick
         test_machine_dead_and_stuck_messages;
       Alcotest.test_case "machine transient retries" `Quick
