@@ -318,7 +318,36 @@ let sim_cases () =
   let mlp_x = Tensor.rand rng (Shape.of_list [ 2; 64 ]) ~lo:(-1.) ~hi:1. in
   let cnn = Cim_models.Cnn.tiny_cnn ~rng ~batch:2 () in
   let cnn_x = Tensor.rand rng (Shape.of_list [ 2; 2; 8; 8 ]) ~lo:(-1.) ~hi:1. in
-  [ ("mlp", mlp, [ ("x", mlp_x) ]); ("tiny-cnn", cnn, [ ("image", cnn_x) ]) ]
+  (* tiny-transformer blocks: Transpose, Softmax, LayerNorm, GELU and the
+     residual Adds on both; the decode block also Concats its KV cache *)
+  let block w =
+    let module Transformer = Cim_models.Transformer in
+    let g =
+      Cim_nnir.Graph.with_random_values rng
+        (Transformer.build_layer (Transformer.tiny ()) w ~layer_index:0)
+    in
+    let inputs =
+      List.map
+        (fun (n, sh) -> (n, Tensor.rand rng sh ~lo:(-1.) ~hi:1.))
+        g.Cim_nnir.Graph.graph_inputs
+    in
+    (g, inputs)
+  in
+  let decode, decode_in = block (Cim_models.Workload.decode 5) in
+  let prefill, prefill_in = block (Cim_models.Workload.prefill 4) in
+  (* biased Gemms: each adds an [n] bias to an [m; n] product, the
+     broadcasting Add *)
+  let biased =
+    let module B = Cim_nnir.Builder in
+    let b = B.create "mlp-bias" in
+    let x = B.input b "x" (Shape.of_list [ 3; 16 ]) in
+    let h = B.relu b (B.linear ~value_rng:rng b x ~in_dim:16 ~out_dim:24 ~prefix:"fc1") in
+    B.finish b ~outputs:[ B.linear ~value_rng:rng b h ~in_dim:24 ~out_dim:8 ~prefix:"fc2" ]
+  in
+  let biased_x = Tensor.rand rng (Shape.of_list [ 3; 16 ]) ~lo:(-1.) ~hi:1. in
+  [ ("mlp", mlp, [ ("x", mlp_x) ]); ("tiny-cnn", cnn, [ ("image", cnn_x) ]);
+    ("tiny-decode", decode, decode_in); ("tiny-prefill", prefill, prefill_in);
+    ("mlp-bias", biased, [ ("x", biased_x) ]) ]
 
 let sim_digests () =
   List.map
