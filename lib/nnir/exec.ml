@@ -59,13 +59,15 @@ let eval_node (nd : Graph.node) ins =
     match Tensor.shape w with
     | [ vocab; d ] ->
       let out_shape = Shape.of_list (Tensor.shape ids @ [ d ]) in
-      Tensor.init out_shape (fun idx ->
-          let rev = List.rev idx in
-          let di = List.hd rev in
-          let id_idx = List.rev (List.tl rev) in
-          let row = int_of_float (Tensor.get ids id_idx) in
+      let wd = Tensor.data w in
+      let out = Array.create_float (Shape.numel out_shape) in
+      Array.iteri
+        (fun p id ->
+          let row = int_of_float id in
           if row < 0 || row >= vocab then err "node %s: id out of vocab" nd.name;
-          Tensor.get w [ row; di ])
+          Array.blit wd (row * d) out (p * d) d)
+        (Tensor.data ids);
+      Tensor.create out_shape out
     | _ -> err "node %s: Embedding weight not [vocab;d]" nd.name
   end
   | op, ins ->

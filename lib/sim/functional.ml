@@ -57,18 +57,22 @@ let qmatmul a b =
   | sa, sb ->
     err "qmatmul: incompatible shapes %s x %s" (Shape.to_string sa) (Shape.to_string sb)
 
-(* Evaluate a CIM node with int8 array arithmetic. *)
+(* Evaluate a CIM node with int8 array arithmetic. A rejected operand (a
+   NaN makes the quantisation scale NaN, which requantisation refuses)
+   becomes an [Error] naming the node. *)
 let quant_eval (nd : Graph.node) ins =
-  match (nd.Graph.op, ins) with
-  | Op.Mat_mul, [ a; b ] | Op.Gemm, [ a; b ] -> qmatmul a b
-  | Op.Gemm, [ a; b; bias ] -> Ops.add (qmatmul a b) bias
-  | Op.Conv, ([ x; w ] | [ x; w; _ ]) ->
-    let stride = Attr.get_int_d nd.attrs "stride" 1 in
-    let pad = Attr.get_int_d nd.attrs "pad" 0 in
-    let groups = Attr.get_int_d nd.attrs "groups" 1 in
-    let bias = match ins with [ _; _; b ] -> Some b | _ -> None in
-    Ops.conv2d_with ~matmul:qmatmul x ~weight:w ?bias ~stride ~pad ~groups ()
-  | op, _ -> err "quant_eval: %s is not a CIM operator" (Op.to_string op)
+  try
+    match (nd.Graph.op, ins) with
+    | Op.Mat_mul, [ a; b ] | Op.Gemm, [ a; b ] -> qmatmul a b
+    | Op.Gemm, [ a; b; bias ] -> Ops.add (qmatmul a b) bias
+    | Op.Conv, ([ x; w ] | [ x; w; _ ]) ->
+      let stride = Attr.get_int_d nd.attrs "stride" 1 in
+      let pad = Attr.get_int_d nd.attrs "pad" 0 in
+      let groups = Attr.get_int_d nd.attrs "groups" 1 in
+      let bias = match ins with [ _; _; b ] -> Some b | _ -> None in
+      Ops.conv2d_with ~matmul:qmatmul x ~weight:w ?bias ~stride ~pad ~groups ()
+    | op, _ -> err "quant_eval: %s is not a CIM operator" (Op.to_string op)
+  with Invalid_argument m -> err "node %s: %s" nd.Graph.name m
 
 (* Interval set per node to check the sub-operator slices cover the whole
    output width. *)

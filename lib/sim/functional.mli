@@ -37,7 +37,8 @@ val run :
   inputs:(string * Cim_tensor.Tensor.t) list -> report
 (** Validates the flow ({!Cim_metaop.Flow.validate}), lowers it to the
     command stream and executes that. Requires every initializer of the
-    graph to carry values. Raises [Error] (or {!Machine.Fault}) on illegal
+    graph to carry values. Raises [Error] (or {!Machine.Fault}) on
+    operands the int8 path rejects (see {!quant_eval}) and on illegal
     programs — including programs that use dead arrays, switch stuck
     arrays, or exhaust the transient-switch retry budget of the fault model
     (see {!Machine.create}).
@@ -72,4 +73,7 @@ val digest : report -> string
 val quant_eval :
   Cim_nnir.Graph.node -> Cim_tensor.Tensor.t list -> Cim_tensor.Tensor.t
 (** The int8 oracle for one CIM node (quantize -> int8 matmul/conv ->
-    dequantize), exactly as the compute arrays perform it. *)
+    dequantize), exactly as the compute arrays perform it. Raises [Error]
+    naming the node when the int8 path rejects an operand: a NaN makes the
+    quantisation scale NaN, which {!Cim_tensor.Quant.requantize} refuses,
+    on either kernel backend. *)

@@ -361,13 +361,15 @@ let im2col src soff ~c ~h ~w ~kh ~kw ~stride ~pad ~oh ~ow ~dst ~dst_row0 =
     done
   done
 
+(* A NaN wins and stays, and a later NaN replaces it: the result of the
+   oracle's [Float.max] fold, payload included. *)
 let max_abs v =
   let len = Array.length v in
   let seg lo hi =
     let m = ref 0. in
     for i = lo to hi - 1 do
       let x = Float.abs (Array.unsafe_get v i) in
-      if x > !m then m := x
+      if x > !m || Float.is_nan x then m := x
     done;
     !m
   in

@@ -101,7 +101,8 @@ val im2col :
 
 val max_abs : float array -> float
 (** Max absolute value, 0 on the empty array (chunk-parallel; max is
-    order-independent, so exact). *)
+    order-independent, so exact). A NaN anywhere makes the result NaN, as
+    the boxed oracle's [Float.max] fold does. *)
 
 val quantize_values : float array -> scale:float -> int array
 (** Element-wise [clamp_i8 (int_of_float (Float.round (x /. scale)))] —

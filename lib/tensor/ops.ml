@@ -44,22 +44,47 @@ let matmul a b =
       (Printf.sprintf "Ops.matmul: incompatible shapes %s x %s"
          (Shape.to_string sa) (Shape.to_string sb))
 
+(* Visit every element of a row-major output of [dims] in ascending offset
+   order as [f o ia ib]: [ia] and [ib] are offsets into two sources that
+   step by [sa.(ax)] and [sb.(ax)] along output axis [ax] (0 repeats a
+   broadcast axis). Broadcast and permute share it. *)
+let walk dims sa sb f =
+  let r = Array.length dims and o = ref 0 in
+  let rec go ax ia ib =
+    if ax = r then begin
+      f !o ia ib;
+      incr o
+    end
+    else
+      for i = 0 to dims.(ax) - 1 do
+        go (ax + 1) (ia + (i * sa.(ax))) (ib + (i * sb.(ax)))
+      done
+  in
+  go 0 0 0
+
 let broadcast_op name f a b =
-  match Shape.broadcast (Tensor.shape a) (Tensor.shape b) with
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Ops.%s: shapes %s and %s do not broadcast" name
-         (Shape.to_string (Tensor.shape a))
-         (Shape.to_string (Tensor.shape b)))
-  | Some shape ->
-    let rank = Shape.rank shape in
-    let pad s = List.init (rank - Shape.rank s) (fun _ -> 1) @ s in
-    let sa = pad (Tensor.shape a) and sb = pad (Tensor.shape b) in
-    let a = Tensor.reshape a (Shape.of_list sa)
-    and b = Tensor.reshape b (Shape.of_list sb) in
-    Tensor.init shape (fun idx ->
-        let clip s = List.map2 (fun i d -> if d = 1 then 0 else i) idx s in
-        f (Tensor.get a (clip sa)) (Tensor.get b (clip sb)))
+  let sa = Tensor.shape a and sb = Tensor.shape b in
+  if Shape.equal sa sb then Tensor.map2 f a b
+  else
+    match Shape.broadcast sa sb with
+    | None ->
+      invalid_arg
+        (Printf.sprintf "Ops.%s: shapes %s and %s do not broadcast" name
+           (Shape.to_string sa) (Shape.to_string sb))
+    | Some shape ->
+      let r = Shape.rank shape in
+      (* per-output-axis source strides: rank-padded axes and size-1 axes
+         stay put *)
+      let strides s =
+        let pad = r - Shape.rank s and st = Shape.strides s in
+        Array.init r (fun ax ->
+            if ax < pad || List.nth s (ax - pad) = 1 then 0 else st.(ax - pad))
+      in
+      let da = Tensor.data a and db = Tensor.data b in
+      let out = Array.create_float (Shape.numel shape) in
+      walk (Array.of_list shape) (strides sa) (strides sb) (fun o ia ib ->
+          out.(o) <- f da.(ia) db.(ib));
+      Tensor.create shape out
 
 let add a b = broadcast_op "add" ( +. ) a b
 let mul a b = broadcast_op "mul" ( *. ) a b
@@ -116,25 +141,23 @@ let rmsnorm ?(eps = 1e-5) t ~gamma =
       let denom = sqrt (ms +. eps) in
       Array.mapi (fun i x -> x /. denom *. g.(i)) row)
 
-let transpose2d t =
-  match Tensor.shape t with
-  | [ m; n ] ->
-    Tensor.init (Shape.of_list [ n; m ]) (fun idx ->
-        match idx with
-        | [ j; i ] -> Tensor.get t [ i; j ]
-        | _ -> assert false)
-  | s -> invalid_arg ("Ops.transpose2d: expected rank 2, got " ^ Shape.to_string s)
-
 let permute t perm =
   let shape = Tensor.shape t in
   let r = Shape.rank shape in
   if List.sort compare perm <> List.init r Fun.id then
     invalid_arg "Ops.permute: not a permutation of axes";
   let out_shape = Shape.of_list (List.map (fun i -> Shape.dim shape i) perm) in
-  Tensor.init out_shape (fun idx ->
-      let src = Array.make r 0 in
-      List.iteri (fun out_axis in_axis -> src.(in_axis) <- List.nth idx out_axis) perm;
-      Tensor.get t (Array.to_list src))
+  let st = Shape.strides shape in
+  let src_st = Array.of_list (List.map (fun i -> st.(i)) perm) in
+  let src = Tensor.data t in
+  let out = Array.create_float (Shape.numel out_shape) in
+  walk (Array.of_list out_shape) src_st src_st (fun o i _ -> out.(o) <- src.(i));
+  Tensor.create out_shape out
+
+let transpose2d t =
+  match Tensor.shape t with
+  | [ _; _ ] -> permute t [ 1; 0 ]
+  | s -> invalid_arg ("Ops.transpose2d: expected rank 2, got " ^ Shape.to_string s)
 
 let out_dim h k stride pad = ((h + (2 * pad) - k) / stride) + 1
 
@@ -180,8 +203,7 @@ let im2col t ~kh ~kw ~stride ~pad =
   | s -> invalid_arg ("Ops.im2col: expected NCHW, got " ^ Shape.to_string s)
 
 (* The group slicing / weight gather / scatter around the matmul is pure
-   data movement, so both backends share these blit-based loops (the old
-   Tensor.init list-index walks dominated small convolutions). *)
+   data movement, so both backends share these blit-based loops. *)
 let conv2d_with ~matmul:mm t ~weight ?bias ~stride ~pad ?(groups = 1) () =
   match (Tensor.shape t, Tensor.shape weight) with
   | [ n; c; h; w ], [ oc; cg; kh; kw ] when c = cg * groups && oc mod groups = 0 ->
@@ -252,85 +274,66 @@ let clip t ~lo ~hi =
   if hi < lo then invalid_arg "Ops.clip: hi < lo";
   Tensor.map (fun x -> Float.min hi (Float.max lo x)) t
 
-let maxpool2d t ~k ~stride ?(pad = 0) () =
+(* Fold the in-bounds taps of every k x k window of an NCHW tensor, ky
+   outer and kx inner, with [tap], starting from [init]. *)
+let pool2d name t ~k ~stride ~pad ~init ~tap ~finish =
   match Tensor.shape t with
   | [ n; c; h; w ] ->
     let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
-    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
-        match idx with
-        | [ ni; ci; oy; ox ] ->
-          let best = ref neg_infinity in
+    let shape = Shape.of_list [ n; c; oh; ow ] in
+    let src = Tensor.data t in
+    let out = Array.create_float (Shape.numel shape) in
+    for plane = 0 to (n * c) - 1 do
+      let sbase = plane * h * w and obase = plane * oh * ow in
+      for oy = 0 to oh - 1 do
+        for ox = 0 to ow - 1 do
+          let acc = ref init in
           for ky = 0 to k - 1 do
-            for kx = 0 to k - 1 do
-              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
-              if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                best := Float.max !best (Tensor.get t [ ni; ci; iy; ix ])
-            done
+            let iy = (oy * stride) + ky - pad in
+            if iy >= 0 && iy < h then
+              for kx = 0 to k - 1 do
+                let ix = (ox * stride) + kx - pad in
+                if ix >= 0 && ix < w then acc := tap !acc src.(sbase + (iy * w) + ix)
+              done
           done;
-          !best
-        | _ -> assert false)
-  | s -> invalid_arg ("Ops.maxpool2d: expected NCHW, got " ^ Shape.to_string s)
+          out.(obase + (oy * ow) + ox) <- finish !acc
+        done
+      done
+    done;
+    Tensor.create shape out
+  | s -> invalid_arg (Printf.sprintf "Ops.%s: expected NCHW, got %s" name (Shape.to_string s))
+
+let maxpool2d t ~k ~stride ?(pad = 0) () =
+  pool2d "maxpool2d" t ~k ~stride ~pad ~init:neg_infinity ~tap:Float.max ~finish:Fun.id
 
 let avgpool2d t ~k ~stride ?(pad = 0) () =
-  match Tensor.shape t with
-  | [ n; c; h; w ] ->
-    let oh = out_dim h k stride pad and ow = out_dim w k stride pad in
-    Tensor.init (Shape.of_list [ n; c; oh; ow ]) (fun idx ->
-        match idx with
-        | [ ni; ci; oy; ox ] ->
-          let acc = ref 0. in
-          for ky = 0 to k - 1 do
-            for kx = 0 to k - 1 do
-              let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
-              if iy >= 0 && iy < h && ix >= 0 && ix < w then
-                acc := !acc +. Tensor.get t [ ni; ci; iy; ix ]
-            done
-          done;
-          !acc /. float_of_int (k * k)
-        | _ -> assert false)
-  | s -> invalid_arg ("Ops.avgpool2d: expected NCHW, got " ^ Shape.to_string s)
+  let taps = float_of_int (k * k) in
+  pool2d "avgpool2d" t ~k ~stride ~pad ~init:0. ~tap:( +. ) ~finish:(fun s -> s /. taps)
 
 let avgpool_global t =
   match Tensor.shape t with
   | [ n; c; h; w ] ->
-    Tensor.init (Shape.of_list [ n; c ]) (fun idx ->
-        match idx with
-        | [ ni; ci ] ->
-          let s = ref 0. in
-          for yi = 0 to h - 1 do
-            for xi = 0 to w - 1 do
-              s := !s +. Tensor.get t [ ni; ci; yi; xi ]
-            done
-          done;
-          !s /. float_of_int (h * w)
-        | _ -> assert false)
+    let hw = h * w and src = Tensor.data t in
+    Tensor.create (Shape.of_list [ n; c ])
+      (Array.init (n * c) (fun plane ->
+           let s = ref 0. in
+           for i = plane * hw to ((plane + 1) * hw) - 1 do
+             s := !s +. src.(i)
+           done;
+           !s /. float_of_int hw))
   | s -> invalid_arg ("Ops.avgpool_global: expected NCHW, got " ^ Shape.to_string s)
 
+(* One blit per outer row from each operand: a row is the operand's
+   extent along [axis] times everything after it. *)
 let concat a b ~axis =
   match Shape.concat_dim (Tensor.shape a) (Tensor.shape b) ~axis with
   | None -> invalid_arg "Ops.concat: incompatible shapes"
   | Some shape ->
-    let da = Shape.dim (Tensor.shape a) axis in
-    Tensor.init shape (fun idx ->
-        let i = List.nth idx axis in
-        if i < da then Tensor.get a idx
-        else Tensor.get b (List.mapi (fun ax j -> if ax = axis then j - da else j) idx))
-
-let attention ~q ~k ~v ?(causal = false) () =
-  match (Tensor.shape q, Tensor.shape k, Tensor.shape v) with
-  | [ m; d ], [ l; d' ], [ l'; d'' ] when d = d' && l = l' && d = d'' ->
-    let scores = matmul q (transpose2d k) in
-    let scale = 1. /. sqrt (float_of_int d) in
-    let scores = Tensor.map (fun x -> x *. scale) scores in
-    let scores =
-      if not causal then scores
-      else
-        Tensor.init (Shape.of_list [ m; l ]) (fun idx ->
-            match idx with
-            | [ i; j ] ->
-              (* query i corresponds to absolute position l - m + i *)
-              if j > l - m + i then neg_infinity else Tensor.get scores [ i; j ]
-            | _ -> assert false)
-    in
-    matmul (softmax scores) v
-  | _ -> invalid_arg "Ops.attention: expects q:[m;d] k:[l;d] v:[l;d]"
+    let row t = Shape.numel (List.filteri (fun i _ -> i >= axis) (Tensor.shape t)) in
+    let ra = row a and rb = row b in
+    let out = Array.create_float (Shape.numel shape) in
+    for o = 0 to (Shape.numel shape / (ra + rb)) - 1 do
+      Array.blit (Tensor.data a) (o * ra) out (o * (ra + rb)) ra;
+      Array.blit (Tensor.data b) (o * rb) out ((o * (ra + rb)) + ra) rb
+    done;
+    Tensor.create shape out

@@ -2,19 +2,25 @@
     These define functional correctness for the CIM simulator: the meta-op
     executor must match these up to quantisation error.
 
-    The hot kernels (matmul, im2col and the conv2d lowering built on them)
-    dispatch on {!Kernels.backend}: the default [Bigarray] backend runs the
+    Every op is a flat loop over row-major offsets. The hot kernels
+    (matmul, im2col and the conv2d lowering built on them) dispatch on
+    {!Kernels.backend}: the default [Bigarray] backend runs the
     cache-blocked unsafe loops of {!Kernels}, while [Boxed] keeps the seed
     loops in this module as the differential oracle. Both return bitwise
     identical tensors for every input (see kernels.mli for the contract);
-    [test/t_kernels.ml] checks it exhaustively. *)
+    [test/t_kernels.ml] checks it exhaustively. Everything else (broadcast,
+    permute, concat, pooling) is one loop that both backends share: one
+    strided walker for broadcast and permute, blits for concat, direct
+    window loops for pooling. Their per-element [int list] forms live in
+    [test/t_tensor.ml] as the oracle, which requires bitwise equality. *)
 
 val matmul : Tensor.t -> Tensor.t -> Tensor.t
 (** [m;k] x [k;n] -> [m;n]; also accepts a leading batch dim on the left
     operand ([b;m;k] x [k;n]) and fully batched ([b;m;k] x [b;k;n]). *)
 
 val add : Tensor.t -> Tensor.t -> Tensor.t
-(** Broadcasting element-wise addition. *)
+(** Broadcasting element-wise addition (numpy rules: rank padding on the
+    left, size-1 axes repeat). *)
 
 val mul : Tensor.t -> Tensor.t -> Tensor.t
 (** Broadcasting element-wise (Hadamard) product. *)
@@ -68,8 +74,4 @@ val avgpool_global : Tensor.t -> Tensor.t
 (** [n;c;h;w] -> [n;c]. *)
 
 val concat : Tensor.t -> Tensor.t -> axis:int -> Tensor.t
-
-val attention :
-  q:Tensor.t -> k:Tensor.t -> v:Tensor.t -> ?causal:bool -> unit -> Tensor.t
-(** Single-head scaled dot-product attention; q:[m;d] k:[l;d] v:[l;d] ->
-    [m;d]. Causal masking assumes query i attends keys <= (l - m + i). *)
+(** [a] then [b] along [axis]; every other dimension must agree. *)

@@ -47,11 +47,15 @@ let max_abs_diff a b =
 let equal ?(eps = 1e-9) a b =
   Shape.equal a.shape b.shape && max_abs_diff a b <= eps
 
+(* Array.init fills offsets in ascending order, so the draws land in
+   row-major order. *)
 let rand rng shape ~lo ~hi =
-  init shape (fun _ -> lo +. Cim_util.Rng.float rng (hi -. lo))
+  let n = Shape.numel shape in
+  { shape; data = Array.init n (fun _ -> lo +. Cim_util.Rng.float rng (hi -. lo)) }
 
 let randn rng shape ~mu ~sigma =
-  init shape (fun _ -> Cim_util.Rng.gaussian rng ~mu ~sigma)
+  let n = Shape.numel shape in
+  { shape; data = Array.init n (fun _ -> Cim_util.Rng.gaussian rng ~mu ~sigma) }
 
 let to_string ?(max_elems = 16) t =
   let n = numel t in

@@ -10,6 +10,10 @@ val create : Shape.t -> float array -> t
 val zeros : Shape.t -> t
 val full : Shape.t -> float -> t
 val init : Shape.t -> (int list -> float) -> t
+(** [f] gets each element's multi-index, in row-major order. Building the
+    index allocates per element, so this and {!get}/{!set} serve tests and
+    one-off lookups; {!Ops} works on flat offsets. *)
+
 val scalar : float -> t
 
 val shape : t -> Shape.t

@@ -3,9 +3,10 @@
    bit for bit — exact integer equality on the quantized path, identical
    float bits on the float path (the determinism contract in kernels.mli).
    Also covers the batched-matmul offset indexing, the quantisation
-   rounding/clamp edges, and the functional simulator's byte-identity
-   across backends and job counts (in-process and against a golden
-   fixture; refresh with CMSWITCH_UPDATE_GOLDEN=1 dune runtest). *)
+   rounding/clamp edges, NaN and infinite inputs, and the functional
+   simulator's byte-identity across backends and job counts (in-process
+   and against a golden fixture; refresh with CMSWITCH_UPDATE_GOLDEN=1
+   dune runtest). *)
 
 module Kernels = Cim_tensor.Kernels
 module Tensor = Cim_tensor.Tensor
@@ -414,6 +415,62 @@ let test_sim_golden () =
     Alcotest.(check string) "functional-sim digests match fixture" expected rendered
   end
 
+(* ---- non-finite inputs ----------------------------------------------------- *)
+
+let specials = [ ("nan", Float.nan); ("+inf", Float.infinity); ("-inf", Float.neg_infinity) ]
+
+let test_quant_non_finite () =
+  List.iter
+    (fun (label, x) ->
+      let t = Tensor.create (Shape.of_list [ 4 ]) [| 0.5; x; -1.; 0.25 |] in
+      let boxed, big = both (fun () -> Quant.quantize t) in
+      Alcotest.(check (array int)) (label ^ ": values agree") boxed.Quant.values big.Quant.values;
+      Alcotest.(check int64) (label ^ ": scale bits agree")
+        (Int64.bits_of_float boxed.Quant.scale) (Int64.bits_of_float big.Quant.scale);
+      (* x / scale is NaN for every element: a NaN scale, or inf / inf *)
+      Alcotest.(check (array int)) (label ^ ": all zero") [| 0; 0; 0; 0 |] big.Quant.values;
+      Alcotest.(check bool) (label ^ ": scale is NaN exactly for a NaN input")
+        (Float.is_nan x) (Float.is_nan big.Quant.scale))
+    specials;
+  (* the chunk-parallel reduction keeps a NaN from any chunk *)
+  let v = Array.init (1 lsl 18) (fun i -> float_of_int (i mod 7)) in
+  v.(100_000) <- Float.nan;
+  let m =
+    Cim_util.Pool.with_pool ~jobs:2 (fun p ->
+        Kernels.with_pool (Some p) (fun () -> Kernels.max_abs v))
+  in
+  Alcotest.(check bool) "parallel max_abs propagates NaN" true (Float.is_nan m)
+
+(* The mlp case with one non-finite input: both backends must agree, and a
+   NaN (which poisons a quantisation scale) must surface as the simulator's
+   own error, naming the node. *)
+let test_sim_non_finite () =
+  let g, x =
+    match sim_cases () with
+    | ("mlp", g, [ ("x", x) ]) :: _ -> (g, x)
+    | _ -> assert false
+  in
+  let program = (Cmswitch.compile chip g).Cmswitch.program in
+  List.iter
+    (fun (label, v) ->
+      let data = Array.copy (Tensor.data x) in
+      data.(3) <- v;
+      let inputs = [ ("x", Tensor.create (Tensor.shape x) data) ] in
+      let run backend =
+        match Functional.run chip ~jobs:1 ~backend g program ~inputs with
+        | rep -> Ok (Functional.digest rep)
+        | exception Functional.Error m -> Error m
+      in
+      let boxed = run Kernels.Boxed and big = run Kernels.Bigarray in
+      Alcotest.(check (result string string)) (label ^ ": backends agree") boxed big;
+      match big with
+      | Error m when Float.is_nan v ->
+        Alcotest.(check bool) (label ^ ": error names the node: " ^ m) true
+          (String.starts_with ~prefix:"node " m)
+      | Error m -> Alcotest.failf "%s: unexpected error %s" label m
+      | Ok _ -> if Float.is_nan v then Alcotest.failf "%s: run succeeded" label)
+    specials
+
 let suite =
   ( "kernels",
     [ matmul_differential;
@@ -422,6 +479,8 @@ let suite =
       im2col_differential;
       Alcotest.test_case "batched matmul = looped 2-d" `Quick test_batched_vs_looped;
       Alcotest.test_case "quantisation edges" `Quick test_quant_edges;
+      Alcotest.test_case "quantisation of NaN and inf" `Quick test_quant_non_finite;
       Alcotest.test_case "backend_of_string" `Quick test_backend_of_string;
       Alcotest.test_case "functional sim byte-identity" `Quick test_sim_byte_identity;
-      Alcotest.test_case "functional sim golden digests" `Quick test_sim_golden ] )
+      Alcotest.test_case "functional sim golden digests" `Quick test_sim_golden;
+      Alcotest.test_case "functional sim on NaN and inf" `Quick test_sim_non_finite ] )

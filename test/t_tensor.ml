@@ -201,27 +201,210 @@ let test_clip () =
   Alcotest.check_raises "clip bounds" (Invalid_argument "Ops.clip: hi < lo")
     (fun () -> ignore (Ops.clip x ~lo:1. ~hi:0.))
 
-(* --- attention --- *)
+(* --- per-element oracles ---
+   Each oracle builds every output element from its multi-index, the
+   plainest statement of the op. Ops and Exec compute with flat loops over
+   offsets, but every output element must still be the same float
+   operation on the same operands, so the properties demand equal bits. *)
 
-let test_attention_uniform () =
-  (* with q = 0, softmax is uniform and the output is the mean of v rows *)
-  let d = 4 and l = 3 in
-  let q = Tensor.zeros (Shape.of_list [ 1; d ]) in
-  let k = Tensor.rand rng (Shape.of_list [ l; d ]) ~lo:(-1.) ~hi:1. in
-  let v = t_of [ 3; 4 ] [| 1.;1.;1.;1.; 2.;2.;2.;2.; 3.;3.;3.;3. |] in
-  let out = Ops.attention ~q ~k ~v () in
-  check_tensor "uniform attention" (Tensor.full (Shape.of_list [ 1; d ]) 2.) out
+let bits_equal a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       (Tensor.data a) (Tensor.data b)
 
-let test_attention_causal () =
-  (* single query attending a cache of length 2 plus itself: causal mask
-     allows all; but with m = l and causal, query 0 sees only key 0 *)
-  let d = 2 and l = 2 in
-  let q = Tensor.zeros (Shape.of_list [ l; d ]) in
-  let k = Tensor.zeros (Shape.of_list [ l; d ]) in
-  let v = t_of [ 2; 2 ] [| 1.; 1.; 3.; 3. |] in
-  let out = Ops.attention ~q ~k ~v ~causal:true () in
-  (* row 0 sees v0 only; row 1 averages v0, v1 *)
-  check_tensor "causal mask" (t_of [ 2; 2 ] [| 1.; 1.; 2.; 2. |]) out
+let oracle_broadcast f a b =
+  let shape = Option.get (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
+  let rank = Shape.rank shape in
+  let pad s = List.init (rank - Shape.rank s) (fun _ -> 1) @ s in
+  let sa = pad (Tensor.shape a) and sb = pad (Tensor.shape b) in
+  let a = Tensor.reshape a (Shape.of_list sa) and b = Tensor.reshape b (Shape.of_list sb) in
+  Tensor.init shape (fun idx ->
+      let clip s = List.map2 (fun i d -> if d = 1 then 0 else i) idx s in
+      f (Tensor.get a (clip sa)) (Tensor.get b (clip sb)))
+
+let oracle_permute t perm =
+  let shape = Tensor.shape t in
+  let src = Array.make (Shape.rank shape) 0 in
+  Tensor.init (List.map (fun i -> Shape.dim shape i) perm) (fun idx ->
+      List.iteri (fun out_axis in_axis -> src.(in_axis) <- List.nth idx out_axis) perm;
+      Tensor.get t (Array.to_list src))
+
+let oracle_concat a b ~axis =
+  let shape = Option.get (Shape.concat_dim (Tensor.shape a) (Tensor.shape b) ~axis) in
+  let da = Shape.dim (Tensor.shape a) axis in
+  Tensor.init shape (fun idx ->
+      if List.nth idx axis < da then Tensor.get a idx
+      else Tensor.get b (List.mapi (fun ax j -> if ax = axis then j - da else j) idx))
+
+let oracle_pool ~max t ~k ~stride ~pad =
+  match Tensor.shape t with
+  | [ n; c; h; w ] ->
+    let o d = ((d + (2 * pad) - k) / stride) + 1 in
+    Tensor.init [ n; c; o h; o w ] (function
+      | [ ni; ci; oy; ox ] ->
+        let acc = ref (if max then neg_infinity else 0.) in
+        for ky = 0 to k - 1 do
+          for kx = 0 to k - 1 do
+            let iy = (oy * stride) + ky - pad and ix = (ox * stride) + kx - pad in
+            if iy >= 0 && iy < h && ix >= 0 && ix < w then begin
+              let v = Tensor.get t [ ni; ci; iy; ix ] in
+              acc := if max then Float.max !acc v else !acc +. v
+            end
+          done
+        done;
+        if max then !acc else !acc /. float_of_int (k * k)
+      | _ -> assert false)
+  | _ -> assert false
+
+let oracle_global t =
+  match Tensor.shape t with
+  | [ n; c; h; w ] ->
+    Tensor.init [ n; c ] (function
+      | [ ni; ci ] ->
+        let s = ref 0. in
+        for yi = 0 to h - 1 do
+          for xi = 0 to w - 1 do
+            s := !s +. Tensor.get t [ ni; ci; yi; xi ]
+          done
+        done;
+        !s /. float_of_int (h * w)
+      | _ -> assert false)
+  | _ -> assert false
+
+let oracle_embedding ids w =
+  let d = Shape.dim (Tensor.shape w) 1 in
+  Tensor.init (Tensor.shape ids @ [ d ]) (fun idx ->
+      let rev = List.rev idx in
+      let row = int_of_float (Tensor.get ids (List.rev (List.tl rev))) in
+      Tensor.get w [ row; List.hd rev ])
+
+(* Values include the IEEE specials, so a reordered or re-associated
+   operation would show up as different bits. *)
+let gen_tensor shape =
+  let open QCheck.Gen in
+  let one =
+    frequency
+      [ (8, float_range (-4.) 4.);
+        (1, oneofl [ nan; infinity; neg_infinity; -0.; 0.; 1e300; -1e-300 ]) ]
+  in
+  map (fun l -> Tensor.create shape (Array.of_list l)) (list_repeat (Shape.numel shape) one)
+
+let gen_dims ~lo ~hi =
+  QCheck.Gen.(list_size (int_range lo hi) (int_range 1 4))
+
+let print_shapes shapes = String.concat " , " (List.map Shape.to_string shapes)
+
+(* A broadcastable pair: each side keeps a suffix of the output's axes
+   (rank padding, down to a scalar) and turns any kept axis into 1. *)
+let gen_broadcast_pair =
+  let open QCheck.Gen in
+  let* out = gen_dims ~lo:0 ~hi:4 in
+  let side =
+    let* rank = int_range 0 (List.length out) in
+    let kept = List.filteri (fun i _ -> i >= List.length out - rank) out in
+    flatten_l (List.map (fun d -> oneofl [ d; d; 1 ]) kept)
+  in
+  let* sa = side in
+  let* sb = side in
+  let* a = gen_tensor sa in
+  let* b = gen_tensor sb in
+  return (a, b)
+
+let prop_broadcast_oracle =
+  QCheck.Test.make ~name:"broadcast add/mul = per-element oracle, bitwise" ~count:300
+    (QCheck.make gen_broadcast_pair
+       ~print:(fun (a, b) -> print_shapes [ Tensor.shape a; Tensor.shape b ]))
+    (fun (a, b) ->
+      bits_equal (oracle_broadcast ( +. ) a b) (Ops.add a b)
+      && bits_equal (oracle_broadcast ( +. ) b a) (Ops.add b a)
+      && bits_equal (oracle_broadcast ( *. ) a b) (Ops.mul a b))
+
+let prop_permute_oracle =
+  QCheck.Test.make ~name:"permute = per-element oracle, bitwise" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* dims = gen_dims ~lo:1 ~hi:4 in
+         let* perm = shuffle_l (List.init (List.length dims) Fun.id) in
+         let* t = gen_tensor dims in
+         return (t, perm))
+       ~print:(fun (t, perm) ->
+         Printf.sprintf "%s perm [%s]" (Shape.to_string (Tensor.shape t))
+           (String.concat ";" (List.map string_of_int perm))))
+    (fun (t, perm) -> bits_equal (oracle_permute t perm) (Ops.permute t perm))
+
+(* one base shape; a and b differ from it along each axis in turn *)
+let gen_concat_cases =
+  let open QCheck.Gen in
+  let* dims = gen_dims ~lo:1 ~hi:4 in
+  let* xa = int_range 1 3 in
+  let* xb = int_range 1 3 in
+  flatten_l
+    (List.mapi
+       (fun axis _ ->
+         let at x = List.mapi (fun i d -> if i = axis then x else d) dims in
+         map2 (fun a b -> (axis, a, b)) (gen_tensor (at xa)) (gen_tensor (at xb)))
+       dims)
+
+let prop_concat_oracle =
+  QCheck.Test.make ~name:"concat on every axis = per-element oracle, bitwise" ~count:100
+    (QCheck.make gen_concat_cases ~print:(fun cases ->
+         String.concat "; "
+           (List.map
+              (fun (axis, a, b) ->
+                Printf.sprintf "axis %d: %s" axis (print_shapes [ Tensor.shape a; Tensor.shape b ]))
+              cases)))
+    (List.for_all (fun (axis, a, b) ->
+         bits_equal (oracle_concat a b ~axis) (Ops.concat a b ~axis)))
+
+let gen_pool =
+  let open QCheck.Gen in
+  let* k = int_range 1 3 in
+  let* stride = int_range 1 3 in
+  let* pad = int_range 0 2 in
+  let* n = int_range 1 2 in
+  let* c = int_range 1 3 in
+  let* h = int_range (max 1 (k - (2 * pad))) 7 in
+  let* w = int_range (max 1 (k - (2 * pad))) 7 in
+  let* t = gen_tensor [ n; c; h; w ] in
+  return (t, k, stride, pad)
+
+let prop_pool_oracle =
+  QCheck.Test.make ~name:"max/avg pooling = per-element oracle, bitwise" ~count:150
+    (QCheck.make gen_pool ~print:(fun (t, k, stride, pad) ->
+         Printf.sprintf "%s k=%d s=%d p=%d" (Shape.to_string (Tensor.shape t)) k stride pad))
+    (fun (t, k, stride, pad) ->
+      bits_equal (oracle_pool ~max:true t ~k ~stride ~pad) (Ops.maxpool2d t ~k ~stride ~pad ())
+      && bits_equal (oracle_pool ~max:false t ~k ~stride ~pad)
+           (Ops.avgpool2d t ~k ~stride ~pad ()))
+
+let prop_global_pool_oracle =
+  QCheck.Test.make ~name:"global average pooling = per-element oracle, bitwise" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         map4 (fun n c h w -> [ n; c; h; w ]) (int_range 1 2) (int_range 1 3) (int_range 1 6)
+           (int_range 1 6)
+         >>= gen_tensor)
+       ~print:(fun t -> Shape.to_string (Tensor.shape t)))
+    (fun t -> bits_equal (oracle_global t) (Ops.avgpool_global t))
+
+let prop_embedding_oracle =
+  let nd =
+    { Cim_nnir.Graph.id = 0; name = "emb"; op = Cim_nnir.Op.Embedding;
+      inputs = [ "ids"; "w" ]; outputs = [ "y" ]; attrs = [] }
+  in
+  QCheck.Test.make ~name:"Embedding gather = per-element oracle, bitwise" ~count:100
+    (QCheck.make
+       QCheck.Gen.(
+         let* vocab = int_range 1 6 in
+         let* d = int_range 1 5 in
+         let* ids_shape = gen_dims ~lo:0 ~hi:2 in
+         let* ids = list_repeat (Shape.numel ids_shape) (int_range 0 (vocab - 1)) in
+         let* w = gen_tensor [ vocab; d ] in
+         return (Tensor.create ids_shape (Array.of_list (List.map float_of_int ids)), w))
+       ~print:(fun (ids, w) -> print_shapes [ Tensor.shape ids; Tensor.shape w ]))
+    (fun (ids, w) ->
+      bits_equal (oracle_embedding ids w) (Cim_nnir.Exec.eval_node nd [ ids; w ]))
 
 (* --- quantisation --- *)
 
@@ -275,8 +458,12 @@ let suite =
       Alcotest.test_case "im2col shape" `Quick test_im2col_shape;
       Alcotest.test_case "pooling" `Quick test_maxpool;
       Alcotest.test_case "clip/relu6" `Quick test_clip;
-      Alcotest.test_case "attention uniform" `Quick test_attention_uniform;
-      Alcotest.test_case "attention causal" `Quick test_attention_causal;
+      qtest prop_broadcast_oracle;
+      qtest prop_permute_oracle;
+      qtest prop_concat_oracle;
+      qtest prop_pool_oracle;
+      qtest prop_global_pool_oracle;
+      qtest prop_embedding_oracle;
       qtest prop_quant_roundtrip_bounded;
       Alcotest.test_case "quant zeros" `Quick test_quant_zero;
       Alcotest.test_case "quant matmul accuracy" `Quick test_quant_matmul_close;
