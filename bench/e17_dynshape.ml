@@ -11,19 +11,19 @@
                 hits the prog tier and re-solves ZERO MILPs (checked via
                 the solver.bb.nodes counter, which only moves when the
                 branch-and-bound solver actually runs)
-   - incr:      a compilation session walking the lengths in decode order;
-                bucket-interior steps are in-session memo hits and each
-                bucket crossing seeds the DP from the previous frontier
 
-   The bucketed/incremental programs must be byte-identical to each other
-   (same program_md5 at every ceiling) — the differential that licenses
-   frontier reuse. *)
+   Every length inside a bucket must replay the same program bytes. The
+   summary also times the serving fast path: Scenario.bucketed_profile
+   walking the lengths in decode order, one compile per ceiling and memo
+   hits for every other length. *)
 
 open Common
 module Store = Cim_cache.Store
 module Bucket = Cim_compiler.Bucket
 module Flow = Cim_metaop.Flow
 module Metrics = Cim_obs.Metrics
+module Scenario = Cim_serve.Scenario
+module Serving = Cim_sim.Serving
 
 let model_key = "llama2-7b"
 
@@ -45,7 +45,7 @@ let md5_of_mc (mc : Cmswitch.model_cost) =
 let median xs = Stats.percentile_nearest_rank 50. xs
 
 let run () =
-  section "E17 | dynamic-shape decode sweep: cold vs warm vs bucketed vs incremental";
+  section "E17 | dynamic-shape decode sweep: cold vs warm vs bucketed";
   Metrics.set_enabled true;
   let chip = Config.dynaplasia in
   let e = Option.get (Zoo.find model_key) in
@@ -73,16 +73,10 @@ let run () =
   let nodes_before = Metrics.counter_value bb_nodes in
   let bwarm = sweep (bkt_cfg (Store.open_dir dir_bkt)) in
   let warm_bb_nodes = Metrics.counter_value bb_nodes -. nodes_before in
-  (* incremental: one session (no disk cache), lengths in decode order *)
-  let sess =
-    Cmswitch.session ~config:(Cmswitch.Config.with_buckets (Some policy) base)
-      chip e
-  in
-  let incr =
-    List.map
-      (fun kv ->
-        time (fun () -> Cmswitch.session_step sess (Workload.decode ~batch:1 kv)))
-      kvs
+  (* the serving fast path (no disk cache), lengths in decode order *)
+  let profile = Scenario.bucketed_profile ~config:base chip e ~batch:1 policy in
+  let steps =
+    List.map (fun kv -> snd (time (fun () -> profile.Serving.decode_cycles kv))) kvs
   in
   let tbl =
     Table.create
@@ -91,8 +85,7 @@ let run () =
            model_key (Bucket.to_string policy))
       [ ("kv", Table.Right); ("ceiling", Table.Right); ("cold (ms)", Table.Right);
         ("warm (ms)", Table.Right); ("bucketed (ms)", Table.Right);
-        ("bkt-warm (ms)", Table.Right); ("incr (ms)", Table.Right);
-        ("prefix reuse", Table.Right) ]
+        ("bkt-warm (ms)", Table.Right) ]
   in
   let ms t = Table.cell_f ~digits:2 (1e3 *. t) in
   List.iteri
@@ -101,18 +94,15 @@ let run () =
       let _, t_c = List.nth cold i in
       let _, t_w = List.nth warm i in
       let _, t_bw = List.nth bwarm i in
-      let st, t_i = List.nth incr i in
       Table.add_row tbl
         [ string_of_int kv;
           (match mc_b.Cmswitch.bucket_ceiling with
           | Some c -> string_of_int c
           | None -> "-");
-          ms t_c; ms t_w; ms t_b; ms t_bw; ms t_i;
-          string_of_int st.Cmswitch.step_prefix_reused ])
+          ms t_c; ms t_w; ms t_b; ms t_bw ])
     kvs;
   Table.print tbl;
-  (* byte-identity: every length in a bucket must replay the same program,
-     and the frontier-seeded session must agree with the full compiles *)
+  (* byte-identity: every length in a bucket must replay the same program *)
   let by_ceiling =
     List.fold_left
       (fun acc (mc, _) ->
@@ -129,15 +119,10 @@ let run () =
   let md5_within_bucket =
     List.for_all (fun (_, ms) -> List.length ms = 1) by_ceiling
   in
-  let incr_matches =
-    List.for_all2
-      (fun (mc, _) (st, _) -> md5_of_mc mc = md5_of_mc st.Cmswitch.step_cost)
-      bwarm incr
-  in
   let seconds xs = List.map snd xs in
   let med_cold = median (seconds cold) in
   let med_bwarm = median (seconds bwarm) in
-  let med_incr = median (seconds incr) in
+  let med_step = median steps in
   let summary =
     Table.create ~title:"dynamic-shape summary"
       [ ("metric", Table.Left); ("value", Table.Right) ]
@@ -152,15 +137,14 @@ let run () =
          (extract, placement, codegen, validate) re-run at the ceiling *)
       [ "median bucketed warm replay (ms/token)";
         Table.cell_f ~digits:3 (1e3 *. med_bwarm) ];
-      (* the serving fast path: an in-session decode step is a memo hit for
-         every length inside an already-compiled bucket *)
+      (* the serving fast path: a decode step is a memo hit for every
+         length inside an already-compiled bucket *)
       [ "median bucketed decode step (ms/token)";
-        Table.cell_f ~digits:3 (1e3 *. med_incr) ];
+        Table.cell_f ~digits:3 (1e3 *. med_step) ];
       [ "bucketed decode-step speedup vs cold";
-        Table.cell_f ~digits:1 (med_cold /. Float.max 1e-6 med_incr) ];
+        Table.cell_f ~digits:1 (med_cold /. Float.max 1e-6 med_step) ];
       [ "warm bucketed B&B nodes"; Printf.sprintf "%.0f" warm_bb_nodes ];
       [ "md5 identical within bucket"; (if md5_within_bucket then "yes" else "NO") ];
-      [ "incremental md5 matches full"; (if incr_matches then "yes" else "NO") ];
       [ "distinct bucket ceilings"; string_of_int (List.length by_ceiling) ];
       [ "lengths swept"; string_of_int (List.length kvs) ];
     ];

@@ -21,7 +21,7 @@ let experiments =
     ("e14", "fleet serving: load sweep with runtime faults", E14_fleet.run);
     ("e15", "telemetry overhead: fleet run with observability off/on", E15_telemetry.run);
     ("e16", "kernel engine: boxed vs Bigarray + parallel functional sim", E16_kernels.run);
-    ("e17", "dynamic shapes: bucketed + incremental decode-sweep compile", E17_dynshape.run);
+    ("e17", "dynamic shapes: bucketed decode-sweep compile", E17_dynshape.run);
     ("e18", "MMIO command-stream ISA: lowering + machine-level simulator", E18_isa.run);
     ("micro", "bechamel micro-benchmarks", Micro.run);
     ("solver", "per-MILP solver cost, revised vs dense backend", Micro.run_solver);

@@ -103,27 +103,28 @@ let of_string s =
           list like 32,64,128)"
          s)
   in
+  (* the constructors validate; their rejection is a parse error *)
+  let make f =
+    match f () with t -> Ok t | exception Invalid_argument _ -> fail ()
+  in
   if String.length s > 10 && String.sub s 0 10 = "buckets.v1" then of_canonical s
   else
     match String.split_on_char ':' s with
     | [ "pow2" ] -> Ok (pow2 ())
     | [ "pow2"; mn ] -> (
         match int_of_string_opt mn with
-        | Some mn when mn >= 1 -> Ok (pow2 ~min_ceiling:mn ())
-        | _ -> fail ())
+        | Some mn -> make (fun () -> pow2 ~min_ceiling:mn ())
+        | None -> fail ())
     | [ "pow2"; mn; mx ] -> (
         match (int_of_string_opt mn, int_of_string_opt mx) with
-        | Some mn, Some mx when 1 <= mn && mn <= mx ->
-            Ok (pow2 ~min_ceiling:mn ~max_ceiling:mx ())
+        | Some mn, Some mx ->
+            make (fun () -> pow2 ~min_ceiling:mn ~max_ceiling:mx ())
         | _ -> fail ())
     | [ _ ] -> (
         let parts = String.split_on_char ',' s in
         let ints = List.filter_map int_of_string_opt parts in
-        if List.length ints <> List.length parts || ints = [] then fail ()
-        else
-          match explicit ints with
-          | t -> Ok t
-          | exception Invalid_argument _ -> fail ())
+        if List.length ints <> List.length parts then fail ()
+        else make (fun () -> explicit ints))
     | _ -> fail ()
 
 let to_string = function

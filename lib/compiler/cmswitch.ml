@@ -212,8 +212,7 @@ let report cfg (chip : Chip.t) ~events ~diagnostics =
    so a caller that catches a failure still sees what fired before it.
    [compile_seconds] counts from [t0]. A pipeline that never ran codegen
    fails here with the producing pass named (via the _exn accessors). *)
-let run_passes ?frontiers ?frontier_tag ?validate_each ?on_pass ~cfg ~events
-    ~t0 passes chip graph =
+let run_passes ?validate_each ?on_pass ~cfg ~events ~t0 passes chip graph =
   Log.debug (fun m ->
       m "compiling %s on %s" graph.Cim_nnir.Graph.graph_name chip.Chip.name);
   (* the solver plans against the flexible pool only; placement runs on the
@@ -233,8 +232,8 @@ let run_passes ?frontiers ?frontier_tag ?validate_each ?on_pass ~cfg ~events
     events := e :: !events
   in
   let env =
-    Passes.make_env ?faults:cfg.Config.faults ?frontiers ?frontier_tag
-      ~on_stage ~partition_fraction:cfg.Config.partition_fraction
+    Passes.make_env ?faults:cfg.Config.faults ~on_stage
+      ~partition_fraction:cfg.Config.partition_fraction
       ~seg_options:(Config.to_segment_options cfg) chip
   in
   let st =
@@ -397,7 +396,7 @@ let prog_cache_store ?shape ~cfg ~passes chip graph (r : result) =
         ~key:(prog_cache_key ?shape ~cfg ~passes chip graph)
         ~payload:(Ccache.prog_payload_to_string payload)
 
-let compile ?config:(cfg = Config.default) ?shape ?frontiers ?frontier_tag
+let compile ?config:(cfg = Config.default) ?shape
     ?(passes = Passes.default_pipeline) ?validate_each ?on_pass chip graph =
   let t0 = Unix.gettimeofday () in
   Trace.with_span "compile" ~cat:"compiler"
@@ -409,8 +408,8 @@ let compile ?config:(cfg = Config.default) ?shape ?frontiers ?frontier_tag
   | Some r -> r
   | None ->
     let r =
-      run_passes ?frontiers ?frontier_tag ?validate_each ?on_pass ~cfg
-        ~events:(ref []) ~t0:(Unix.gettimeofday ()) passes chip graph
+      run_passes ?validate_each ?on_pass ~cfg ~events:(ref [])
+        ~t0:(Unix.gettimeofday ()) passes chip graph
     in
     prog_cache_store ?shape ~cfg ~passes chip graph r;
     r
@@ -608,8 +607,8 @@ let assert_padding_dominates ~model g_pad g_act =
           shapes: %s"
          model e)
 
-let compile_model ?config:(cfg = Config.default) ?frontiers ?passes
-    ?validate_each ?on_pass chip (e : Zoo.entry) w =
+let compile_model ?config:(cfg = Config.default) ?passes ?validate_each ?on_pass
+    chip (e : Zoo.entry) w =
   let w', bucket_ceiling = padded_workload cfg e w in
   let padded = Workload.context_len w' <> Workload.context_len w in
   let shape =
@@ -617,15 +616,14 @@ let compile_model ?config:(cfg = Config.default) ?frontiers ?passes
     | Some b, Some c -> Some (shape_fragment b ~ceil:c)
     | _ -> None
   in
-  let compile_g ~tag g =
-    compile ~config:cfg ?shape ?frontiers ~frontier_tag:tag ?passes
-      ?validate_each ?on_pass chip g
+  let compile_g g =
+    compile ~config:cfg ?shape ?passes ?validate_each ?on_pass chip g
   in
   match e.Zoo.layer with
   | None ->
     let g = e.Zoo.build w' in
     if padded then assert_padding_dominates ~model:e.Zoo.display g (e.Zoo.build w);
-    let r = compile_g ~tag:"whole" g in
+    let r = compile_g g in
     {
       model = e.Zoo.display;
       workload = w;
@@ -642,8 +640,8 @@ let compile_model ?config:(cfg = Config.default) ?frontiers ?passes
     let gl = build_layer w' in
     if padded then
       assert_padding_dominates ~model:e.Zoo.display gl (build_layer w);
-    let rl = compile_g ~tag:"layer" gl in
-    let rh = Option.map (compile_g ~tag:"head") (head_graph e w') in
+    let rl = compile_g gl in
+    let rh = Option.map compile_g (head_graph e w') in
     let head_cycles =
       match rh with Some r -> r.schedule.Plan.total_cycles | None -> 0.
     in
@@ -662,65 +660,4 @@ let compile_model ?config:(cfg = Config.default) ?frontiers ?passes
       total_cycles = total;
       mem_ratio = memory_mode_ratio rl;
       compile_seconds = rl.compile_seconds +. head_seconds;
-    }
-
-(* --- compilation sessions: the decode-loop fast path ---------------------- *)
-
-type session = {
-  s_config : Config.t;
-  s_chip : Chip.t;
-  s_entry : Zoo.entry;
-  s_frontiers : Segment.frontier_state;
-  s_memo : (string, model_cost) Hashtbl.t;
-}
-
-type step = {
-  step_cost : model_cost;
-  step_ceiling : int;
-  step_recompiled : bool;
-  step_prefix_reused : int;
-  step_seconds : float;
-}
-
-let session ?(config = Config.default) chip e =
-  {
-    s_config = config;
-    s_chip = chip;
-    s_entry = e;
-    s_frontiers = Segment.frontier_state ();
-    s_memo = Hashtbl.create 32;
-  }
-
-let session_step s w =
-  let w', bucket_ceiling = padded_workload s.s_config s.s_entry w in
-  let step_ceiling =
-    match bucket_ceiling with
-    | Some c -> c
-    | None -> Workload.context_len w'
-  in
-  let key = Workload.to_string w' in
-  match Hashtbl.find_opt s.s_memo key with
-  | Some mc ->
-    {
-      step_cost = { mc with workload = w };
-      step_ceiling;
-      step_recompiled = false;
-      step_prefix_reused = 0;
-      step_seconds = 0.;
-    }
-  | None ->
-    let t0 = Unix.gettimeofday () in
-    let reused_before = fst (Segment.reuse_counters s.s_frontiers) in
-    let mc =
-      compile_model ~config:s.s_config ~frontiers:s.s_frontiers s.s_chip
-        s.s_entry w
-    in
-    let reused_after = fst (Segment.reuse_counters s.s_frontiers) in
-    Hashtbl.replace s.s_memo key mc;
-    {
-      step_cost = mc;
-      step_ceiling;
-      step_recompiled = true;
-      step_prefix_reused = reused_after - reused_before;
-      step_seconds = Unix.gettimeofday () -. t0;
     }

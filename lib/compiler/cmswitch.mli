@@ -43,10 +43,10 @@ module Config : sig
     force_all_compute : bool;     (** CIM-MLC restriction *)
     lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
-        (** length-bucketing policy for {!compile_model} /
-            {!session_step}: sequence workloads compile at their
-            {!Bucket.ceiling} instead of the raw length. Semantic (the
-            compiled graph changes), so it {e is} part of {!canonical}. *)
+        (** length-bucketing policy for {!compile_model}: sequence
+            workloads compile at their {!Bucket.ceiling} instead of the
+            raw length. Semantic (the compiled graph changes), so it
+            {e is} part of {!canonical}. *)
     faults : Cim_arch.Faultmap.t option;
         (** plan around these faults *)
     cache : Cim_cache.Store.t option;
@@ -109,9 +109,8 @@ type result = {
 }
 
 val compile :
-  ?config:Config.t -> ?shape:string -> ?frontiers:Segment.frontier_state ->
-  ?frontier_tag:string -> ?passes:Passes.pass list -> ?validate_each:bool ->
-  ?on_pass:(Passes.pass -> Passes.state -> unit) ->
+  ?config:Config.t -> ?shape:string -> ?passes:Passes.pass list ->
+  ?validate_each:bool -> ?on_pass:(Passes.pass -> Passes.state -> unit) ->
   Cim_arch.Chip.t -> Cim_nnir.Graph.t -> result
 (** Run the pass pipeline over the graph. With [config.faults], the solver
     plans against {!Cim_arch.Faultmap.effective_chip} (only
@@ -145,10 +144,7 @@ val compile :
 
     [shape] is an opaque versioned fragment mixed into the program-tier key
     (see {!Ccache.prog_key}); {!compile_model} derives it from the bucket
-    policy. [frontiers] enables incremental DP-prefix reuse across
-    successive compiles (see {!Segment.run}); [frontier_tag] namespaces the
-    lineages when several distinct graphs share one state. Neither affects
-    the emitted program — only compile time. *)
+    policy. *)
 
 val compile_robust :
   ?config:Config.t -> Cim_arch.Chip.t -> Cim_nnir.Graph.t ->
@@ -229,9 +225,8 @@ type model_cost = {
 }
 
 val compile_model :
-  ?config:Config.t -> ?frontiers:Segment.frontier_state ->
-  ?passes:Passes.pass list ->
-  ?validate_each:bool -> ?on_pass:(Passes.pass -> Passes.state -> unit) ->
+  ?config:Config.t -> ?passes:Passes.pass list -> ?validate_each:bool ->
+  ?on_pass:(Passes.pass -> Passes.state -> unit) ->
   Cim_arch.Chip.t -> Cim_models.Zoo.entry -> Cim_models.Workload.t -> model_cost
 (** [passes] / [validate_each] / [on_pass] are forwarded to every
     underlying {!compile} (the block, the whole network and the LM head
@@ -240,34 +235,11 @@ val compile_model :
     [shape.v1] fragment derived from the bucket (so every length inside a
     bucket shares the same program- and seg-tier entries), and a
     {!Cim_nnir.Shape_infer.dominates} check asserts the padded graph covers
-    the actual shapes whenever padding occurred. *)
-
-(** {2 Compilation sessions — the dynamic-shape decode fast path}
-
-    A [session] pins (config, chip, model) and carries the two stores that
-    make a decode sweep cheap: an in-session memo of compiled bucket
-    ceilings (same ceiling twice = free) and a {!Segment.frontier_state}
-    (crossing into a new bucket re-solves only the DP suffix whose
-    operators changed). With [config.cache] also set, warm sweeps re-solve
-    zero MILPs across process restarts. *)
-
-type session
-
-type step = {
-  step_cost : model_cost;
-  step_ceiling : int;        (** context length this step compiled at *)
-  step_recompiled : bool;    (** [false] = in-session memo hit (no work) *)
-  step_prefix_reused : int;  (** DP ops seeded from the frontier this step *)
-  step_seconds : float;      (** wall clock of this step *)
-}
-
-val session : ?config:Config.t -> Cim_arch.Chip.t -> Cim_models.Zoo.entry -> session
-
-val session_step : session -> Cim_models.Workload.t -> step
-(** Price one decode/prefill step. The program underlying [step_cost] is
-    byte-identical to what a cold {!compile_model} of the same (padded)
-    workload would emit — memo, cache and frontier reuse change wall-clock
-    only. *)
+    the actual shapes whenever padding occurred. This is the decode loop's
+    one fast path: a decode step that crosses into a new bucket is an
+    ordinary compile at the new ceiling, and with [config.cache] every
+    other length inside a compiled bucket replays the program tier without
+    solving a MILP. *)
 
 val head_graph :
   Cim_models.Zoo.entry -> Cim_models.Workload.t -> Cim_nnir.Graph.t option

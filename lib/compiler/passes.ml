@@ -17,8 +17,6 @@ type env = {
   faults : Faultmap.t option;
   partition_fraction : float;
   seg_options : Segment.options;
-  frontiers : Segment.frontier_state option;
-  frontier_tag : string;
   on_stage : Degrade.event -> unit;
 }
 
@@ -50,13 +48,12 @@ let () =
       Some (Printf.sprintf "pass %S failed validation: %s" pass reason)
     | _ -> None)
 
-let make_env ?faults ?frontiers ?(frontier_tag = "") ?(on_stage = fun _ -> ())
-    ~partition_fraction ~seg_options chip =
+let make_env ?faults ?(on_stage = fun _ -> ()) ~partition_fraction ~seg_options
+    chip =
   let solve_chip =
     match faults with None -> chip | Some fm -> Faultmap.effective_chip fm
   in
-  { chip; solve_chip; faults; partition_fraction; seg_options; frontiers;
-    frontier_tag; on_stage }
+  { chip; solve_chip; faults; partition_fraction; seg_options; on_stage }
 
 let init env graph =
   { env; graph; ops = None; segments = None; dp_stats = None; places = None;
@@ -191,8 +188,7 @@ let p_segment =
               [ ("ops", J.Int (Array.length ops));
                 ("window", J.Int e.seg_options.Segment.max_segment_ops) ]
             (fun () ->
-              Segment.run ~options:e.seg_options ?frontiers:e.frontiers
-                ~frontier_tag:(e.frontier_tag ^ ":main") ~on_stage:e.on_stage
+              Segment.run ~options:e.seg_options ~on_stage:e.on_stage
                 e.solve_chip ops)
         in
         Log.debug (fun m ->
@@ -311,9 +307,8 @@ let p_probe =
           let seg_ac, stats_ac, places_ac, sched_ac =
             Trace.with_span "all_compute.probe" ~cat:"compiler" (fun () ->
                 let seg_ac, stats_ac =
-                  Segment.run ~options:restricted ?frontiers:e.frontiers
-                    ~frontier_tag:(e.frontier_tag ^ ":all_compute")
-                    ~on_stage:e.on_stage e.solve_chip ops
+                  Segment.run ~options:restricted ~on_stage:e.on_stage
+                    e.solve_chip ops
                 in
                 let places_ac =
                   Placement.place e.chip ?faults:e.faults ops seg_ac

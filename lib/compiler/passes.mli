@@ -27,8 +27,6 @@ type env = {
   faults : Cim_arch.Faultmap.t option;
   partition_fraction : float;
   seg_options : Segment.options;
-  frontiers : Segment.frontier_state option;
-  frontier_tag : string;
   on_stage : Degrade.event -> unit;
       (** degradation-event sink (the driver accumulates the report) *)
 }
@@ -67,8 +65,7 @@ val log_src : Logs.src
 (** Log source ["cmswitch.passes"]: [Debug] traces each pass boundary. *)
 
 val make_env :
-  ?faults:Cim_arch.Faultmap.t -> ?frontiers:Segment.frontier_state ->
-  ?frontier_tag:string -> ?on_stage:(Degrade.event -> unit) ->
+  ?faults:Cim_arch.Faultmap.t -> ?on_stage:(Degrade.event -> unit) ->
   partition_fraction:float -> seg_options:Segment.options ->
   Cim_arch.Chip.t -> env
 (** [solve_chip] is derived from [faults]
@@ -106,7 +103,7 @@ val p_extract : pass
 
 val p_segment : pass
 (** DP segmentation with per-window MIP allocation (Alg. 1); emits
-    ["dp.segmentation"]. Frontier lineage [frontier_tag ^ ":main"]. *)
+    ["dp.segmentation"]. *)
 
 val p_segment_serial : pass
 (** Last-resort serial segmentation: one operator per segment under greedy

@@ -50,8 +50,6 @@ let make_ctx (ops : Opinfo.t array) =
   done;
   { ctx_ops = ops; last_consumer = last }
 
-let last_consumers ctx = Array.copy ctx.last_consumer
-
 (* An operator's output is boundary data of segment [lo, hi] when some
    operator beyond hi consumes it, or when nothing consumes it at all (it
    feeds the graph output). *)

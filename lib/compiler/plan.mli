@@ -45,12 +45,6 @@ type ctx
 
 val make_ctx : Opinfo.t array -> ctx
 
-val last_consumers : ctx -> int array
-(** Copy of the last-consumer table: entry [i] is the max uid consuming op
-    [i]'s output, [-1] when none. Segment's incremental frontier stores and
-    compares it — the inter-segment cost of a prefix window depends on it,
-    and a suffix op can be the last consumer of a prefix op. *)
-
 val inter_segment_cost :
   Cim_arch.Chip.t -> ctx -> prev:seg_plan option -> cur:seg_plan -> inter_cost
 (** The three components of Fig. 10 between the previous segment (if any;

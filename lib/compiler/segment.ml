@@ -1,7 +1,6 @@
 module Chip = Cim_arch.Chip
 module Pool = Cim_util.Pool
 module Trace = Cim_obs.Trace
-module Metrics = Cim_obs.Metrics
 
 type options = {
   alloc : Alloc.options;
@@ -43,64 +42,6 @@ let signature (ops : Opinfo.t array) ~lo ~hi =
   done;
   Buffer.contents buf
 
-(* --- incremental DP-prefix reuse -------------------------------------------
-
-   When only trailing operators change between two runs (the decode loop
-   crossing a bucket boundary grows the KV-cache operand of the suffix
-   attention ops), the DP table entries best.(0..P) of the old run are still
-   exact for the new one, provided the reuse check below holds, and the run
-   can start its frontier loop at j = P instead of j = 0.
-
-   Validity of a prefix of length P (ops 0..P-1 byte-equal between runs) is
-   NOT implied by per-op equality alone: Plan.inter_segment_cost reads
-   ctx.last_consumer, and the last consumer of a *prefix* op can be a
-   *suffix* op. So a frontier entry stores, and the reuse check compares,
-   both the per-op identity (every cost-model field plus absolute deps —
-   strictly finer than the window [signature]) and the last-consumer table
-   over the prefix. Under the same premise as the window memo table
-   (identical inputs => Degrade.solve returns the identical plan), a run
-   seeded from a valid frontier chooses byte-identical segments to a cold
-   run — only the stats (solve/candidate counts) shrink. *)
-
-type frontier = {
-  f_sigs : string array;    (* per-op identity, absolute deps included *)
-  f_last : int array;       (* Plan ctx last-consumer table of that run *)
-  f_best : float array;     (* DP values, length m+1 *)
-  f_choice : (int * Plan.seg_plan) option array;
-}
-
-type frontier_state = {
-  frontiers : (string, frontier) Hashtbl.t;
-  fs_mutex : Mutex.t;
-  mutable reused_ops : int;
-  mutable solved_ops : int;
-}
-
-let frontier_state () =
-  { frontiers = Hashtbl.create 8; fs_mutex = Mutex.create ();
-    reused_ops = 0; solved_ops = 0 }
-
-let reuse_counters fs =
-  Mutex.lock fs.fs_mutex;
-  let r = (fs.reused_ops, fs.solved_ops) in
-  Mutex.unlock fs.fs_mutex;
-  r
-
-let op_identity (op : Opinfo.t) =
-  Printf.sprintf "%h:%h:%d:%d:%d:%d:%d:%d:%d:%s" op.Opinfo.macs op.Opinfo.ai
-    op.Opinfo.min_compute_arrays op.Opinfo.in_bytes op.Opinfo.out_bytes
-    op.Opinfo.weight_bytes op.Opinfo.stationary_rows op.Opinfo.stationary_cols
-    op.Opinfo.replicas
-    (String.concat "," (List.map string_of_int op.Opinfo.deps))
-
-(* one lineage per (caller tag, chip, window/alloc knobs): the all-compute
-   probe and the main solve of a compile, or the layer and head graphs of a
-   model, must never seed each other *)
-let frontier_key ~tag ~chip ~(options : options) =
-  String.concat "|"
-    [ tag; Ccache.chip_canonical chip; Ccache.alloc_canonical options.alloc;
-      string_of_int options.max_segment_ops; string_of_bool options.memoize ]
-
 (* One solved window, as produced on a (possibly worker) domain: the plan,
    the degradation events the solve fired, and its buffered trace spans.
    Events and spans are replayed by the coordinator in task-submission
@@ -112,8 +53,7 @@ type solved = {
   spans : Trace.event list;        (* in recording order *)
 }
 
-let run ?(options = default_options) ?frontiers ?(frontier_tag = "") ?on_stage
-    chip (ops : Opinfo.t array) =
+let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
   if options.jobs < 1 then
     invalid_arg
       (Printf.sprintf "Segment.run: jobs must be >= 1, got %d" options.jobs);
@@ -215,54 +155,7 @@ let run ?(options = default_options) ?frontiers ?(frontier_tag = "") ?on_stage
     let best = Array.make (m + 1) infinity in
     let choice : (int * Plan.seg_plan) option array = Array.make (m + 1) None in
     best.(0) <- 0.;
-    (* seed the longest valid DP prefix from a previous run's frontier *)
-    let fkey = frontier_key ~tag:frontier_tag ~chip ~options in
-    let cur_sigs, cur_last =
-      match frontiers with
-      | None -> ([||], [||])
-      | Some _ -> (Array.map op_identity ops, Plan.last_consumers ctx)
-    in
-    let start_j =
-      match frontiers with
-      | None -> 0
-      | Some fs ->
-        Mutex.lock fs.fs_mutex;
-        let prev = Hashtbl.find_opt fs.frontiers fkey in
-        Mutex.unlock fs.fs_mutex;
-        let p =
-          match prev with
-          | None -> 0
-          | Some f ->
-            let n = min (Array.length f.f_sigs) m in
-            let rec lcp i =
-              if
-                i < n
-                && f.f_sigs.(i) = cur_sigs.(i)
-                && f.f_last.(i) = cur_last.(i)
-              then lcp (i + 1)
-              else i
-            in
-            lcp 0
-        in
-        (match prev with
-        | Some f when p > 0 ->
-          Array.blit f.f_best 0 best 0 (p + 1);
-          Array.blit f.f_choice 0 choice 0 (p + 1)
-        | _ -> ());
-        if prev <> None then begin
-          Metrics.incr (Metrics.counter "compile.incremental.runs");
-          Metrics.incr ~by:(float_of_int p)
-            (Metrics.counter "compile.incremental.prefix_ops_reused");
-          Metrics.incr ~by:(float_of_int (m - p))
-            (Metrics.counter "compile.incremental.suffix_ops_solved")
-        end;
-        Mutex.lock fs.fs_mutex;
-        fs.reused_ops <- fs.reused_ops + p;
-        fs.solved_ops <- fs.solved_ops + (m - p);
-        Mutex.unlock fs.fs_mutex;
-        p
-    in
-    for j = start_j to m - 1 do
+    for j = 0 to m - 1 do
       (* frontier j: first gather the candidate windows [i, j] (the cheap
          feasibility walk of Alg. 1 line 9), then solve every window not
          already memoised concurrently, then fold the DP serially — the
@@ -354,21 +247,6 @@ let run ?(options = default_options) ?frontiers ?(frontier_tag = "") ?on_stage
     done;
     if best.(m) = infinity then
       failwith "Segment.run: no feasible segmentation (operator exceeds chip)";
-    (* publish this run's frontier for the next incremental recompile *)
-    (match frontiers with
-    | None -> ()
-    | Some fs ->
-      let f =
-        {
-          f_sigs = cur_sigs;
-          f_last = cur_last;
-          f_best = Array.copy best;
-          f_choice = Array.copy choice;
-        }
-      in
-      Mutex.lock fs.fs_mutex;
-      Hashtbl.replace fs.frontiers fkey f;
-      Mutex.unlock fs.fs_mutex);
     (* backtrack *)
     let rec collect j acc =
       if j = 0 then acc

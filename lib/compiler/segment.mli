@@ -45,31 +45,8 @@ type stats = {
   pruned_infeasible : int; (** windows rejected by the Alg. 1 line 9 test *)
 }
 
-(** {2 Incremental DP-prefix reuse}
-
-    A decode loop recompiles near-identical operator lists: only the
-    trailing attention windows grow when the KV length crosses a bucket
-    boundary. A {!frontier_state} carries the DP table of previous runs so
-    the next run re-solves only the changed suffix. *)
-
-type frontier_state
-(** Mutable carrier of memoised DP frontiers, keyed by (caller tag, chip,
-    alloc/window options). Thread one state through the successive
-    {!run}s of one compilation session (see [Cmswitch.session]). Safe to
-    share across domains (internal mutex). *)
-
-val frontier_state : unit -> frontier_state
-(** A fresh, empty frontier carrier. *)
-
-val reuse_counters : frontier_state -> int * int
-(** [(reused, solved)] — cumulative count of operator positions seeded from
-    a previous frontier vs. re-solved, across every {!run} that was handed
-    this state and found a previous frontier under its key. Mirrored by the
-    [compile.incremental.*] metrics. *)
-
 val run :
-  ?options:options -> ?frontiers:frontier_state -> ?frontier_tag:string ->
-  ?on_stage:(Degrade.event -> unit) -> Cim_arch.Chip.t ->
+  ?options:options -> ?on_stage:(Degrade.event -> unit) -> Cim_arch.Chip.t ->
   Opinfo.t array -> Plan.seg_plan list * stats
 (** Optimal segmentation of the whole operator list. Per-window allocation
     goes through the {!Degrade.solve} chain, so a node-limited MIP degrades
@@ -82,16 +59,4 @@ val run :
     a [jobs = 1] run. Raises [Invalid_argument] when [options.jobs < 1],
     and [Failure] when some operator cannot be scheduled at all (does not
     fit the chip alone — cannot happen for operator lists produced by
-    {!Opinfo.extract} against the same chip).
-
-    With [frontiers], the run seeds its DP table with the longest prefix of
-    a previous run (same [frontier_tag], chip and options) whose operators
-    are byte-identical — every cost-model field, absolute dependency and
-    last-consumer entry compared — and starts the frontier loop after it,
-    then publishes its own table for the next run. The chosen segmentation
-    (and hence the emitted program) is byte-identical to a run without
-    [frontiers] at any job count; only [stats] counters shrink, because
-    prefix frontiers are never re-enumerated. [on_stage] events of skipped
-    prefix windows are not re-fired (same contract as memo hits).
-    [frontier_tag] namespaces lineages that interleave over one state —
-    e.g. the layer and head graphs of a model compile. *)
+    {!Opinfo.extract} against the same chip). *)

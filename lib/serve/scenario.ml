@@ -25,31 +25,26 @@ let flat_profile pass =
   { Serving.prefill_cycles = (fun _ -> pass); decode_cycles = (fun _ -> pass) }
 
 let bucketed_profile ?telemetry ~config chip e ~batch b =
-  let sess =
-    Cmswitch.session ~config:(Cmswitch.Config.with_buckets (Some b) config)
-      chip e
-  in
+  let config = Cmswitch.Config.with_buckets (Some b) config in
   let compile_clock = ref 0. in
-  let step_cost w =
-    let st = Cmswitch.session_step sess w in
-    if st.Cmswitch.step_recompiled then begin
-      let dur = st.Cmswitch.step_seconds *. chip.Chip.freq_mhz *. 1e6 in
-      (match telemetry with
-      | Some t ->
-        Telemetry.span t ~lane:"compile" ~ts:!compile_clock ~dur
-          ~attrs:
-            [ ("ceiling", Json.Int st.Cmswitch.step_ceiling);
-              ("prefix_reused", Json.Int st.Cmswitch.step_prefix_reused);
-              ("workload", Json.String (Workload.to_string w)) ]
-          "bucket_compile"
-      | None -> ());
-      compile_clock := !compile_clock +. dur
-    end;
-    st.Cmswitch.step_cost.Cmswitch.total_cycles
+  let price w =
+    let mc = Cmswitch.compile_model ~config chip e w in
+    let dur = mc.Cmswitch.compile_seconds *. chip.Chip.freq_mhz *. 1e6 in
+    (match telemetry with
+    | Some t ->
+      Telemetry.span t ~lane:"compile" ~ts:!compile_clock ~dur
+        ~attrs:
+          [ ("ceiling",
+             Json.Int (Workload.context_len mc.Cmswitch.padded_workload));
+            ("workload", Json.String (Workload.to_string w)) ]
+        "bucket_compile"
+    | None -> ());
+    compile_clock := !compile_clock +. dur;
+    mc.Cmswitch.total_cycles
   in
   Serving.bucketed_profile ~ceiling:(Bucket.ceiling b)
-    ~prefill_cycles:(fun s -> step_cost (Workload.prefill ~batch s))
-    ~decode_cycles:(fun kv -> step_cost (Workload.decode ~batch kv))
+    ~prefill_cycles:(fun s -> price (Workload.prefill ~batch s))
+    ~decode_cycles:(fun kv -> price (Workload.decode ~batch kv))
 
 let planner ?healthy ?budget_seconds ~config chip b : Fleet.planner =
  fun ~chip:_ ~faults ->

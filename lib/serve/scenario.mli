@@ -28,12 +28,13 @@ val bucketed_profile :
   ?telemetry:Cim_obs.Telemetry.t -> config:Cim_compiler.Cmswitch.Config.t ->
   Cim_arch.Chip.t -> Cim_models.Zoo.entry -> batch:int ->
   Cim_compiler.Bucket.t -> Cim_sim.Serving.cost_profile
-(** Length-bucketed pricing for a healthy chip: a {!Cim_compiler.Cmswitch.session} of
-    the whole model under [config] plus the bucket policy prices each step
-    at its bucket ceiling, and {!Cim_sim.Serving.bucketed_profile} memoises one
-    price per ceiling. Each step that compiles records a [bucket_compile]
-    span on the collector's ["compile"] lane, laid end to end in simulated
-    cycles. *)
+(** Length-bucketed pricing for a healthy chip.
+    {!Cim_sim.Serving.bucketed_profile} maps each step to its bucket
+    ceiling and asks for one price per (phase, ceiling); each price is the
+    [total_cycles] of a {!Cim_compiler.Cmswitch.compile_model} of the whole
+    model under [config] plus the bucket policy. Each such compile records
+    a [bucket_compile] span on the collector's ["compile"] lane, laid end
+    to end in simulated cycles. *)
 
 val planner :
   ?healthy:Cim_sim.Serving.cost_profile -> ?budget_seconds:float ->

@@ -39,7 +39,7 @@ let interpolate samples =
 (* Bucket-policy view of a cost profile: every length maps to its bucket
    ceiling before the underlying per-length costers run, and each distinct
    ceiling is priced exactly once. The compiler side passes expensive
-   costers (a Cmswitch.session_step behind each call); the memo here is
+   costers (a Cmswitch.compile_model behind each call); the memo here is
    what makes decode loops touch them once per bucket, not once per
    length. Kept policy-agnostic (a plain [ceiling] function) so cim_sim
    does not depend on the compiler. *)

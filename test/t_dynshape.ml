@@ -1,6 +1,6 @@
 (* Dynamic-shape fast path: the bucket policy, bucket-aware cache keys,
-   the incremental (DP-prefix + in-session memo) compilation session, and
-   the serving-side per-token statistics. The load-bearing claims:
+   the bucketed serving profile, and the serving-side per-token
+   statistics. The load-bearing claims:
 
    - lengths map to bucket ceilings exactly at/below/above each boundary,
      and beyond the last boundary compilation falls back to the exact length
@@ -8,8 +8,8 @@
      buckets NEVER collide (distinct prog-tier keys)
    - a warm bucketed compile re-solves zero MILPs (the B&B solver is never
      entered)
-   - the frontier-seeded incremental session produces byte-identical
-     programs to full recompilation, at any job count *)
+   - [serve --buckets] prices each (phase, ceiling) with one compile_model,
+     at any job count *)
 
 module Cmswitch = Cim_compiler.Cmswitch
 module Cfg = Cim_compiler.Cmswitch.Config
@@ -22,7 +22,10 @@ module Zoo = Cim_models.Zoo
 module Transformer = Cim_models.Transformer
 module Serving = Cim_sim.Serving
 module Fleet = Cim_sim.Fleet
+module Scenario = Cim_serve.Scenario
 module Metrics = Cim_obs.Metrics
+module Telemetry = Cim_obs.Telemetry
+module Json = Cim_obs.Json
 module Flow = Cim_metaop.Flow
 
 let chip = Cim_arch.Config.dynaplasia
@@ -124,7 +127,8 @@ let test_policy_round_trips () =
       match Bucket.of_string s with
       | Ok _ -> Alcotest.failf "of_string accepted %S" s
       | Error _ -> ())
-    [ ""; "pow2:0"; "pow2:64:32"; "0,4"; "abc"; "32,"; "pow2:1:2:3:4" ]
+    [ ""; "pow2:0"; "pow2:64:32"; "pow2:4096"; "0,4"; "abc"; "32,";
+      "pow2:1:2:3:4" ]
 
 (* ---- bucket-aware cache keys --------------------------------------------- *)
 
@@ -196,61 +200,71 @@ let test_warm_bucketed_resolves_zero_milps () =
   Alcotest.(check string) "warm program byte-identical" (md5_of_mc cold)
     (md5_of_mc warm)
 
-(* ---- incremental session ------------------------------------------------- *)
+(* ---- the serve --buckets pricing path ------------------------------------ *)
 
-let test_session_memo_and_crossings () =
-  let cfg =
-    Cfg.(
-      default |> with_jobs 1
-      |> with_buckets (Some (Bucket.pow2 ~min_ceiling:16 ~max_ceiling:64 ())))
-  in
-  let s = Cmswitch.session ~config:cfg chip tiny_entry in
-  let step kv = Cmswitch.session_step s (Workload.decode ~batch:1 kv) in
-  let a = step 10 in
-  (* context 11 -> ceiling 16 *)
-  Alcotest.(check int) "first step ceiling" 16 a.Cmswitch.step_ceiling;
-  Alcotest.(check bool) "first step compiles" true a.Cmswitch.step_recompiled;
-  let b = step 12 in
-  Alcotest.(check bool) "bucket-interior step is a memo hit" false
-    b.Cmswitch.step_recompiled;
-  Alcotest.(check int) "memo hit keeps the ceiling" 16 b.Cmswitch.step_ceiling;
-  let c = step 16 in
-  (* context 17 crosses to ceiling 32 *)
-  Alcotest.(check bool) "bucket crossing recompiles" true
-    c.Cmswitch.step_recompiled;
-  Alcotest.(check int) "crossing ceiling" 32 c.Cmswitch.step_ceiling;
-  Alcotest.(check bool) "crossing seeds the DP from the previous frontier"
-    true
-    (c.Cmswitch.step_prefix_reused > 0);
-  let d = step 20 in
-  Alcotest.(check bool) "after crossing, interior steps memo-hit again" false
-    d.Cmswitch.step_recompiled;
-  (* prefill and decode at the same ceiling are distinct memo entries *)
-  let p = Cmswitch.session_step s (Workload.prefill ~batch:1 30) in
-  Alcotest.(check bool) "prefill at a cached decode ceiling still compiles"
-    true p.Cmswitch.step_recompiled
-
-let test_incremental_differential () =
-  (* the frontier-seeded session must be byte-identical to full
-     recompilation at every length, at any job count *)
-  List.iter
-    (fun jobs ->
-      let cfg =
-        Cfg.(
-          default |> with_jobs jobs |> with_buckets (Some Bucket.default))
-      in
-      let s = Cmswitch.session ~config:cfg chip tiny_entry in
-      List.iter
+let test_scenario_bucketed_profile () =
+  let b = Bucket.pow2 ~min_ceiling:16 ~max_ceiling:64 () in
+  (* prefill ceilings 16, 16, 32, 32, 64; decode contexts 11, 13, 16, 17,
+     21, 41 -> ceilings 16, 16, 16, 32, 32, 64 *)
+  let prefills = [ 5; 16; 17; 30; 40 ] and decodes = [ 10; 12; 15; 16; 20; 40 ] in
+  let prices jobs =
+    let config = Cfg.(default |> with_jobs jobs) in
+    let t = Telemetry.create () in
+    let p =
+      Scenario.bucketed_profile ~telemetry:t ~config chip tiny_entry ~batch:1 b
+    in
+    let full w =
+      (Cmswitch.compile_model ~config:(Cfg.with_buckets (Some b) config) chip
+         tiny_entry w)
+        .Cmswitch.total_cycles
+    in
+    let check what price w =
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "jobs=%d %s = compile_model" jobs what)
+        (full w) price;
+      price
+    in
+    let ps =
+      List.map
+        (fun s ->
+          check (Printf.sprintf "prefill %d" s) (p.Serving.prefill_cycles s)
+            (Workload.prefill ~batch:1 s))
+        prefills
+    in
+    let ds =
+      List.map
         (fun kv ->
-          let w = Workload.decode ~batch:1 kv in
-          let incr = Cmswitch.session_step s w in
-          let full = Cmswitch.compile_model ~config:cfg chip tiny_entry w in
-          Alcotest.(check string)
-            (Printf.sprintf "jobs=%d kv=%d incremental == full" jobs kv)
-            (md5_of_mc full)
-            (md5_of_mc incr.Cmswitch.step_cost))
-        [ 10; 31; 32; 100 ])
-    [ 1; 4 ]
+          check (Printf.sprintf "decode kv=%d" kv) (p.Serving.decode_cycles kv)
+            (Workload.decode ~batch:1 kv))
+        decodes
+    in
+    (* one bucket_compile span per distinct (phase, ceiling) *)
+    let spans =
+      match Json.member "spans" (Telemetry.to_json t) with
+      | Some (Json.List l) -> l
+      | _ -> Alcotest.fail "telemetry document has no span list"
+    in
+    let compiled =
+      List.filter_map
+        (fun sp ->
+          match (Json.member "name" sp, Json.member "attrs" sp) with
+          | Some (Json.String "bucket_compile"), Some attrs -> (
+            match (Json.member "workload" attrs, Json.member "ceiling" attrs) with
+            | Some (Json.String w), Some (Json.Int c) ->
+              Some (String.sub w 0 (String.index w '('), c)
+            | _ -> Alcotest.fail "bucket_compile span lacks its attributes")
+          | _ -> None)
+        spans
+    in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "jobs=%d one compile per (phase, ceiling)" jobs)
+      [ ("decode", 16); ("decode", 32); ("decode", 64); ("prefill", 16);
+        ("prefill", 32); ("prefill", 64) ]
+      (List.sort compare compiled);
+    ps @ ds
+  in
+  Alcotest.(check (list (float 0.))) "prices agree at jobs 1 and 4" (prices 1)
+    (prices 4)
 
 let test_padded_graph_dominates () =
   let g_small = Transformer.build_layer tiny_cfg (Workload.decode ~batch:1 20) ~layer_index:0 in
@@ -327,13 +341,11 @@ let suite =
         test_bucket_cache_sharing_and_isolation;
       Alcotest.test_case "warm bucketed re-solves zero MILPs" `Quick
         test_warm_bucketed_resolves_zero_milps;
-      Alcotest.test_case "session memo and crossings" `Quick
-        test_session_memo_and_crossings;
-      Alcotest.test_case "incremental differential (jobs 1 and 4)" `Quick
-        test_incremental_differential;
       Alcotest.test_case "padded graph dominates" `Quick
         test_padded_graph_dominates;
       Alcotest.test_case "serving tpt percentiles" `Quick
         test_serving_tpt_percentiles;
       Alcotest.test_case "bucketed cost profile" `Quick test_bucketed_profile;
+      Alcotest.test_case "bucketed serving prices via compile_model" `Quick
+        test_scenario_bucketed_profile;
     ] )

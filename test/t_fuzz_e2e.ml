@@ -1,8 +1,10 @@
 (* Whole-stack fuzz across hardware configurations: for random networks on
    random chip scalings, compilation must succeed, the flow must validate,
    the timing simulator must agree with the compiler's roll-up, and the
-   dual-mode result must never lose to the all-compute restriction. This is
-   the compositional safety net behind every experiment sweep. *)
+   dual-mode result must never lose to the all-compute restriction; random
+   valued graphs must compile and simulate within quantisation error of
+   the float reference. This is the compositional safety net behind every
+   experiment sweep. *)
 
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
@@ -12,6 +14,11 @@ module Segment = Cim_compiler.Segment
 module Alloc = Cim_compiler.Alloc
 module Plan = Cim_compiler.Plan
 module Timing = Cim_sim.Timing
+module Op = Cim_nnir.Op
+module B = Cim_nnir.Builder
+module Shape = Cim_tensor.Shape
+module Tensor = Cim_tensor.Tensor
+module Rng = Cim_util.Rng
 
 let restricted = Cmswitch.Config.(with_force_all_compute true default)
 
@@ -83,6 +90,56 @@ let prop_transformer_layers_compile_on_small_chips =
       Flow.validate chip r.Cmswitch.program = Ok ()
       && r.Cmswitch.schedule.Plan.total_cycles > 0.)
 
+(* random valued graphs: dense layers, activations, residual adds and
+   transpose pairs over a [2; 4] input *)
+type layer = Dense of int | Act of Op.t | Residual | Shuffle
+
+let gen_layers =
+  QCheck.Gen.(
+    list_size (int_range 1 6)
+      (frequency
+         [
+           (3, map (fun d -> Dense d) (int_range 2 12));
+           (3, map (fun o -> Act o) (oneofl [ Op.Relu; Op.Gelu; Op.Silu; Op.Softmax ]));
+           (1, return Residual);
+           (1, return Shuffle);
+         ]))
+
+let build_random (seed, layers) =
+  let rng = Rng.create seed in
+  let b = B.create "fuzz" in
+  let d0 = 4 in
+  let x = B.input b "x" (Shape.of_list [ 2; d0 ]) in
+  let cur = ref x and dim = ref d0 in
+  List.iter
+    (fun layer ->
+      match layer with
+      | Dense d ->
+        cur := B.linear ~bias:false ~value_rng:rng b !cur ~in_dim:!dim ~out_dim:d
+                 ~prefix:"fc";
+        dim := d
+      | Act op -> cur := B.node b op [ !cur ]
+      | Residual -> cur := B.add b !cur !cur
+      | Shuffle ->
+        let t1 = B.transpose b !cur [ 1; 0 ] in
+        cur := B.transpose b t1 [ 1; 0 ])
+    layers;
+  (B.finish b ~outputs:[ !cur ], rng)
+
+let prop_random_graphs_compile_and_simulate =
+  QCheck.Test.make ~name:"random graphs compile and simulate faithfully"
+    ~count:25
+    (QCheck.make QCheck.Gen.(pair (int_range 0 10_000) gen_layers))
+    (fun spec ->
+      let g, rng = build_random spec in
+      let chip = Config.dynaplasia in
+      let r = Cmswitch.compile chip g in
+      let x = Tensor.rand rng (Shape.of_list [ 2; 4 ]) ~lo:(-1.) ~hi:1. in
+      let rep =
+        Cim_sim.Functional.run chip g r.Cmswitch.program ~inputs:[ ("x", x) ]
+      in
+      rep.Cim_sim.Functional.max_rel_err < 0.30)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -91,4 +148,5 @@ let suite =
       qtest prop_compile_everywhere;
       qtest prop_segments_partition_on_random_chips;
       qtest prop_transformer_layers_compile_on_small_chips;
+      qtest prop_random_graphs_compile_and_simulate;
     ] )
