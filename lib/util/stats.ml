@@ -72,6 +72,32 @@ let percentile_nearest_rank p xs =
   let rank = int_of_float (ceil (p *. float_of_int n /. 100.)) in
   arr.(max 0 (min (n - 1) (rank - 1)))
 
+(* The same rank as [percentile_nearest_rank] over the multiset, found by
+   walking cumulative counts instead of indexing an expanded array. *)
+let nearest_rank_counts counts =
+  let name = "Stats.nearest_rank_counts" in
+  if List.exists (fun (v, _) -> Float.is_nan v) counts then
+    invalid_arg (name ^ ": NaN in input");
+  if List.exists (fun (_, k) -> k < 1) counts then
+    invalid_arg (name ^ ": count below 1");
+  let sorted =
+    Array.of_list (List.sort (fun (a, _) (b, _) -> Float.compare a b) counts)
+  in
+  if sorted = [||] then fail_empty name;
+  (* upto.(i): samples in entries 0..i *)
+  let upto = Array.make (Array.length sorted) 0 in
+  Array.iteri
+    (fun i (_, k) -> upto.(i) <- (if i = 0 then k else upto.(i - 1) + k))
+    sorted;
+  let n = upto.(Array.length upto - 1) in
+  fun p ->
+    if Float.is_nan p then invalid_arg (name ^ ": p is NaN");
+    if p < 0. || p > 100. then invalid_arg (name ^ ": p out of [0,100]");
+    let rank = int_of_float (ceil (p *. float_of_int n /. 100.)) in
+    let i = max 0 (min (n - 1) (rank - 1)) in
+    let rec find e = if upto.(e) > i then fst sorted.(e) else find (e + 1) in
+    find 0
+
 let median xs = percentile 50. xs
 
 let normalize_to_max = function

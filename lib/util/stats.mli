@@ -29,6 +29,15 @@ val percentile_nearest_rank : float -> float list -> float
     largest. Raises [Invalid_argument] on the empty list, [p] out of range
     or NaN, or any NaN sample (same rationale as {!percentile}). *)
 
+val nearest_rank_counts : (float * int) list -> float -> float
+(** [nearest_rank_counts counts] is [fun p -> percentile_nearest_rank p xs]
+    for the [xs] that holds each [v] of [(v, k)] in [counts] [k] times
+    (values equal under [Float.compare] are one value). [xs] is never
+    built, and [counts] is sorted once, on the first application, so one
+    sort serves every percentile of a sample. Raises [Invalid_argument]
+    when [counts] is empty or holds a NaN value or a count below 1, and
+    when [p] is out of range or NaN. *)
+
 val median : float list -> float
 
 val normalize_to_max : float list -> float list

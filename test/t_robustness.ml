@@ -553,6 +553,7 @@ type fcfs = {
   f_makespan : float;
   f_latencies : float list;
   f_ttfts : float list;
+  f_tpts : float list;  (* every decode step of every completed request *)
 }
 
 let fcfs_oracle ?slo (profile : Serving.cost_profile) trace =
@@ -565,11 +566,12 @@ let fcfs_oracle ?slo (profile : Serving.cost_profile) trace =
     (fun acc (r : Serving.request) ->
       let start = Float.max acc.f_makespan r.Serving.arrival in
       let prefill = profile.Serving.prefill_cycles r.Serving.prompt in
-      let cost = ref prefill in
-      for t = 0 to r.Serving.output - 1 do
-        cost := !cost +. profile.Serving.decode_cycles (r.Serving.prompt + t)
-      done;
-      let finish = start +. !cost in
+      let steps =
+        List.init r.Serving.output (fun t ->
+            profile.Serving.decode_cycles (r.Serving.prompt + t))
+      in
+      let cost = List.fold_left ( +. ) prefill steps in
+      let finish = start +. cost in
       match slo with
       | Some d when finish -. r.Serving.arrival > d ->
         { acc with f_dropped = acc.f_dropped + 1 }
@@ -579,9 +581,10 @@ let fcfs_oracle ?slo (profile : Serving.cost_profile) trace =
           f_tokens = acc.f_tokens + r.Serving.output + 1;
           f_makespan = finish;
           f_latencies = (finish -. r.Serving.arrival) :: acc.f_latencies;
-          f_ttfts = (start +. prefill -. r.Serving.arrival) :: acc.f_ttfts })
+          f_ttfts = (start +. prefill -. r.Serving.arrival) :: acc.f_ttfts;
+          f_tpts = steps @ acc.f_tpts })
     { f_completed = 0; f_dropped = 0; f_tokens = 0; f_makespan = 0.;
-      f_latencies = []; f_ttfts = [] }
+      f_latencies = []; f_ttfts = []; f_tpts = [] }
     trace
 
 let prop_one_chip_is_fcfs =
@@ -618,6 +621,13 @@ let prop_one_chip_is_fcfs =
         Float.abs (x -. y) <= 1e-9 *. Float.max 1. (Float.abs y)
       in
       let mean = function [] -> 0. | l -> Cim_util.Stats.mean l in
+      let pct p = function
+        | [] -> 0.
+        | l -> Cim_util.Stats.percentile_nearest_rank p l
+      in
+      (* the profile is linear in kv, so the decode steps are many and
+         distinct: the per-token percentiles must match exactly *)
+      let matches eq oracle got = List.for_all (fun (p, v) -> eq v (pct p oracle)) got in
       s.Fleet.completed = o.f_completed
       && s.Fleet.dropped = o.f_dropped
       && s.Fleet.tokens = o.f_tokens
@@ -625,7 +635,13 @@ let prop_one_chip_is_fcfs =
       && s.Fleet.slo_violations = 0
       && close s.Fleet.makespan o.f_makespan
       && close s.Fleet.mean_latency (mean o.f_latencies)
-      && close s.Fleet.mean_ttft (mean o.f_ttfts))
+      && close s.Fleet.mean_ttft (mean o.f_ttfts)
+      && matches close o.f_latencies
+           [ (50., s.Fleet.p50_latency); (95., s.Fleet.p95_latency);
+             (99., s.Fleet.p99_latency); (99.9, s.Fleet.p999_latency) ]
+      && matches Float.equal o.f_tpts
+           [ (50., s.Fleet.p50_tpt); (95., s.Fleet.p95_tpt);
+             (99., s.Fleet.p99_tpt) ])
 
 (* --- satellite regressions: interpolate, transient band, apply/diff --- *)
 
@@ -949,23 +965,15 @@ let render_fleet_stats (s : Fleet.stats) =
     s.Fleet.tokens_per_megacycle
     (String.concat "; " (List.map string_of_int s.Fleet.per_chip_served))
 
-let test_fleet_golden () =
-  let s = run_fleet_fixture ~jobs:1 in
-  (* the fixture must actually exercise the failure path *)
-  Alcotest.(check bool) "a mid-run fault forces a recompile" true
-    (s.Fleet.recompiles >= 1);
-  Alcotest.(check int) "no request errors out" s.Fleet.offered
-    (s.Fleet.completed + s.Fleet.dropped + s.Fleet.shed);
-  let rendered = render_fleet_stats s in
+let check_golden key rendered =
+  let path = golden_path key in
   if Sys.getenv_opt "CMSWITCH_UPDATE_GOLDEN" = Some "1" then begin
-    let path = golden_path "fleet" in
     let oc = open_out path in
     output_string oc rendered;
     close_out oc;
     Printf.printf "golden fixture refreshed: %s\n" path
   end
   else begin
-    let path = golden_path "fleet" in
     if not (Sys.file_exists path) then
       Alcotest.failf
         "missing fixture %s — run CMSWITCH_UPDATE_GOLDEN=1 dune runtest" path;
@@ -980,8 +988,112 @@ let test_fleet_golden () =
         "golden mismatch for %s: if the change is intentional, refresh with \
          CMSWITCH_UPDATE_GOLDEN=1 dune runtest\n"
         path;
-    Alcotest.(check string) "fleet stats fingerprint" expected rendered
+    Alcotest.(check string) (key ^ " fingerprint") expected rendered
   end
+
+let test_fleet_golden () =
+  let s = run_fleet_fixture ~jobs:1 in
+  (* the fixture must actually exercise the failure path *)
+  Alcotest.(check bool) "a mid-run fault forces a recompile" true
+    (s.Fleet.recompiles >= 1);
+  Alcotest.(check int) "no request errors out" s.Fleet.offered
+    (s.Fleet.completed + s.Fleet.dropped + s.Fleet.shed);
+  check_golden "fleet" (render_fleet_stats s)
+
+(* --- golden per-token fixture: every stat that per-request pricing and
+   per-token latencies feed, plus the serving histograms --- *)
+
+(* decode cost piecewise in kv over pow2 context buckets, as a bucketed
+   compile prices it; a faulted chip's costs scale by its lost flexible
+   capacity, and a chip down more than two arrays has no plan *)
+let bucketed_planner =
+  let pow2 n =
+    let rec go c = if c >= n then c else go (2 * c) in
+    go 16
+  in
+  let base =
+    Serving.bucketed_profile ~ceiling:pow2
+      ~prefill_cycles:(fun s -> 200. +. (3. *. float_of_int s))
+      ~decode_cycles:(fun kv -> 40. +. (0.25 *. float_of_int kv))
+  in
+  fun ~chip:_ ~faults:fm ->
+    let n = chip.Chip.n_arrays and flex = Faultmap.flexible_count fm in
+    if flex < n - 2 then None
+    else
+      let k = float_of_int n /. float_of_int flex in
+      Some
+        { Fleet.level = n - flex;
+          profile =
+            { Serving.prefill_cycles = (fun s -> k *. base.Serving.prefill_cycles s);
+              decode_cycles = (fun kv -> k *. base.Serving.decode_cycles kv) } }
+
+let run_fleet_tokens_fixture () =
+  let rng = Rng.create 2024 in
+  let n = 160 and mean_gap = 1100. in
+  let at = ref 0. in
+  let reqs =
+    List.init n (fun _ ->
+        at := !at -. (mean_gap *. log (1. -. Rng.float rng 1.));
+        { Serving.arrival = !at; prompt = 1 + Rng.int rng 300;
+          output = Rng.int rng 65 })
+  in
+  let schedule =
+    Fleet.random_schedule (Rng.create 7) ~chip ~chips:3 ~n:6
+      ~horizon:(float_of_int n *. mean_gap)
+  in
+  let config =
+    { Fleet.default_config with
+      Fleet.chips = 3;
+      slo = Some 8_000.;
+      backoff_base = 500.;
+      backoff_cap = 8_000.;
+      recompile_cycles = 2_000.;
+      breaker_threshold = 3;
+      jobs = 1 }
+  in
+  Fleet.run ~config ~chip bucketed_planner schedule reqs
+
+let render_all_fleet_stats (s : Fleet.stats) =
+  Printf.sprintf
+    "offered=%d completed=%d dropped=%d shed=%d starved=%d\n\
+     retries=%d recompiles=%d breaker_opens=%d chips_out=%d slo_violations=%d\n\
+     makespan=%h mean_latency=%h\n\
+     p50_latency=%h p95_latency=%h p99_latency=%h p999_latency=%h\n\
+     mean_ttft=%h p50_tpt=%h p95_tpt=%h p99_tpt=%h\n\
+     tokens=%d tokens_per_megacycle=%h\n\
+     per_chip=[%s]\n"
+    s.Fleet.offered s.Fleet.completed s.Fleet.dropped s.Fleet.shed
+    s.Fleet.starved s.Fleet.retries s.Fleet.recompiles s.Fleet.breaker_opens
+    s.Fleet.chips_out s.Fleet.slo_violations s.Fleet.makespan
+    s.Fleet.mean_latency s.Fleet.p50_latency s.Fleet.p95_latency
+    s.Fleet.p99_latency s.Fleet.p999_latency s.Fleet.mean_ttft s.Fleet.p50_tpt
+    s.Fleet.p95_tpt s.Fleet.p99_tpt s.Fleet.tokens s.Fleet.tokens_per_megacycle
+    (String.concat "; " (List.map string_of_int s.Fleet.per_chip_served))
+
+let test_fleet_tokens_golden () =
+  let module M = Cim_obs.Metrics in
+  let was = M.enabled () in
+  M.set_enabled true;
+  M.reset ();
+  Fun.protect ~finally:(fun () -> M.reset (); M.set_enabled was) @@ fun () ->
+  let s = run_fleet_tokens_fixture () in
+  (* the fixture must reach what it pins: recompiles, the shed tier, and
+     more decode steps than the metrics reservoir holds *)
+  Alcotest.(check bool) "a fault forces a recompile" true (s.Fleet.recompiles >= 1);
+  Alcotest.(check bool) "the shed tier fires" true (s.Fleet.shed > s.Fleet.starved);
+  Alcotest.(check bool) "the tpt reservoir samples" true
+    (M.histogram_count (M.histogram "serving.tpt_cycles") > M.reservoir_capacity);
+  let hist name =
+    let h = M.summarize (M.histogram name) in
+    Printf.sprintf "%s n=%d sum=%h min=%h max=%h p50=%h p95=%h p99=%h\n" name
+      h.M.n h.M.sum h.M.min h.M.max h.M.p50 h.M.p95 h.M.p99
+  in
+  check_golden "fleet_tokens"
+    (render_all_fleet_stats s
+    ^ String.concat ""
+        (List.map hist
+           [ "serving.latency_cycles"; "serving.ttft_cycles";
+             "serving.tpt_cycles" ]))
 
 let test_fleet_jobs_determinism () =
   let s1 = run_fleet_fixture ~jobs:1 in
@@ -1202,6 +1314,8 @@ let suite =
         test_fleet_breaker_opens;
       Alcotest.test_case "fleet: all chips out" `Quick test_fleet_all_chips_out;
       Alcotest.test_case "fleet: golden fixture" `Quick test_fleet_golden;
+      Alcotest.test_case "fleet: per-token golden fixture" `Quick
+        test_fleet_tokens_golden;
       Alcotest.test_case "fleet: jobs determinism" `Quick
         test_fleet_jobs_determinism;
       Alcotest.test_case "drift: attribution" `Quick test_drift_attribution;

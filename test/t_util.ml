@@ -86,6 +86,51 @@ let prop_geomean_between =
       let g = Cim_util.Stats.geomean xs in
       g >= Cim_util.Stats.minimum xs -. 1e-6 && g <= Cim_util.Stats.maximum xs +. 1e-6)
 
+(* The count table must rank exactly as the expanded list does: ties, the
+   infinities and counts of 1 included, and a NaN value or an empty table
+   must raise the same kind of [Invalid_argument]. *)
+let prop_nearest_rank_counts =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (8, map float_of_int (int_range (-3) 3));
+          (2, float_range (-1e3) 1e3);
+          (1, oneofl [ Float.infinity; Float.neg_infinity ]);
+          (1, return Float.nan) ])
+  in
+  let count = QCheck.Gen.(frequency [ (3, return 1); (1, int_range 2 6) ]) in
+  let p =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ 0.; 50.; 95.; 99.; 99.9; 100. ]);
+          (1, float_bound_inclusive 100.) ])
+  in
+  QCheck.Test.make ~name:"count-table nearest rank = nearest rank of the list"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (counts, p) ->
+         Printf.sprintf "p=%h [%s]" p
+           (String.concat "; "
+              (List.map (fun (v, k) -> Printf.sprintf "%h x%d" v k) counts)))
+       QCheck.Gen.(pair (list_size (int_range 0 10) (pair value count)) p))
+    (fun (counts, p) ->
+      let xs = List.concat_map (fun (v, k) -> List.init k (fun _ -> v)) counts in
+      (* the message after the function name: "empty list", "NaN in input" *)
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception Invalid_argument m ->
+          let i = String.index m ':' in
+          Error (String.sub m i (String.length m - i))
+      in
+      match
+        ( outcome (fun () -> Stats.percentile_nearest_rank p xs),
+          outcome (fun () -> Stats.nearest_rank_counts counts p) )
+      with
+      | Ok a, Ok b -> Float.equal a b
+      | Error a, Error b -> a = b
+      | _ -> false)
+
 (* --- Rng --- *)
 
 let test_rng_determinism () =
@@ -213,6 +258,7 @@ let suite =
       Alcotest.test_case "stats normalize" `Quick test_normalize;
       qtest prop_percentile_bounds;
       qtest prop_geomean_between;
+      qtest prop_nearest_rank_counts;
       Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
       Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
       Alcotest.test_case "rng copy/split" `Quick test_rng_copy_split;
