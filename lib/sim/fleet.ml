@@ -274,6 +274,12 @@ let prefetch_plans ~config ~chip planner schedule =
         invalid_arg
           (Printf.sprintf "Fleet.run: fault event chip %d out of range [0, %d)"
              e.chip config.chips);
+      (match Chip.index_of_coord chip e.coord with
+      | _ -> ()
+      | exception Chip.Invalid_config _ ->
+        invalid_arg
+          (Printf.sprintf "Fleet.run: fault event %S names an array off the chip"
+             (event_to_string e)));
       per_chip_rev.(e.chip) <- e :: per_chip_rev.(e.chip))
     schedule;
   let fm_chains =

@@ -155,4 +155,5 @@ val run :
     chip [i] = tid [i+1]).
 
     Raises [Invalid_argument] on an invalid config, a malformed request,
-    or a fault event naming a chip outside [0, chips). *)
+    or a fault event naming a chip outside [0, chips) or an array
+    coordinate outside [chip]'s grid. *)

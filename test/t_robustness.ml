@@ -862,6 +862,23 @@ let prop_fleet_conservation =
          = s1.Fleet.offered
       && s1.Fleet.starved <= s1.Fleet.shed)
 
+let test_fleet_fault_off_chip () =
+  (* an event whose array is off the grid is rejected up front with the
+     event named, like a bad chip id — never Chip.Invalid_config from deep
+     inside the fault map *)
+  let reqs = [ { Serving.arrival = 0.; prompt = 4; output = 1 } ] in
+  let config = { Fleet.default_config with Fleet.chips = 2; jobs = 1 } in
+  List.iter
+    (fun coord ->
+      let e = { Fleet.at = 1e6; chip = 0; coord; state = Some Faultmap.Dead } in
+      match Fleet.run ~config ~chip synthetic_planner [ e ] reqs with
+      | _ -> Alcotest.failf "array %d,%d accepted" coord.Chip.x coord.Chip.y
+      | exception Invalid_argument m ->
+        Alcotest.(check bool) ("names the event: " ^ m) true
+          (contains m
+             (Printf.sprintf "array=%d,%d" coord.Chip.x coord.Chip.y)))
+    [ c 99 99; c (-1) 0; c 0 (-1); c chip.Chip.grid_cols 0 ]
+
 let test_fleet_breaker_opens () =
   (* two dead-array events on chip 0 with threshold 2: the breaker opens,
      chip 1 absorbs the traffic, nothing is lost *)
@@ -1310,6 +1327,8 @@ let suite =
       Alcotest.test_case "fleet: schedule codec" `Quick
         test_fleet_schedule_codec;
       QCheck_alcotest.to_alcotest prop_fleet_conservation;
+      Alcotest.test_case "fleet: fault array off the chip" `Quick
+        test_fleet_fault_off_chip;
       Alcotest.test_case "fleet: circuit breaker" `Quick
         test_fleet_breaker_opens;
       Alcotest.test_case "fleet: all chips out" `Quick test_fleet_all_chips_out;
