@@ -223,6 +223,12 @@ type rstate = {
   mutable started_at : float;
 }
 
+(* What one plan charges a (prompt, tokens) request: its [prefill], its
+   service [cost] summed in step order (so the float is the one a direct
+   sum gives), and its decode-step costs as runs of bit-equal values, in
+   step order. *)
+type priced = { prefill : float; cost : float; steps : (float * int) list }
+
 type cstate = {
   id : int;
   mutable fm : Faultmap.t;
@@ -236,6 +242,7 @@ type cstate = {
   mutable fault_hits : int;
   mutable plan_idx : int;
   mutable served : int;
+  memo : (int * int, priced) Hashtbl.t;  (* [plan]'s prices by (prompt, tokens) *)
 }
 
 let validate_config c =
@@ -254,12 +261,20 @@ let validate_config c =
     invalid_arg "Fleet.run: recompile_cycles must be >= 0";
   if c.jobs < 1 then invalid_arg "Fleet.run: jobs must be >= 1"
 
-let service_cost (profile : Serving.cost_profile) ~prompt ~out_eff =
-  let acc = ref (profile.Serving.prefill_cycles prompt) in
-  for t = 0 to out_eff - 1 do
-    acc := !acc +. profile.Serving.decode_cycles (prompt + t)
+let price (profile : Serving.cost_profile) ~prompt ~tokens =
+  let prefill = profile.Serving.prefill_cycles prompt in
+  let cost = ref prefill and runs = ref [] in
+  for t = 0 to tokens - 1 do
+    let d = profile.Serving.decode_cycles (prompt + t) in
+    cost := !cost +. d;
+    runs :=
+      (match !runs with
+      | (v, k) :: rest
+        when Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float d) ->
+        (v, k + 1) :: rest
+      | runs -> (d, 1) :: runs)
   done;
-  !acc
+  { prefill; cost = !cost; steps = List.rev !runs }
 
 (* Every fault map each chip can pass through, with the planner evaluated
    for each — fanned out on the pool, merged back in (chip, prefix) order.
@@ -352,6 +367,7 @@ let run ?(config = default_config) ?telemetry
           fault_hits = 0;
           plan_idx = 0;
           served = 0;
+          memo = Hashtbl.create 16;
         })
   in
   let requests =
@@ -416,30 +432,25 @@ let run ?(config = default_config) ?telemetry
   let starved = ref 0 and retries = ref 0 and recompiles = ref 0 in
   let breaker_opens = ref 0 and slo_violations = ref 0 in
   let tokens = ref 0 in
-  let latencies = ref [] and ttfts = ref [] and tpts = ref [] in
+  let latencies = ref [] and ttfts = ref [] in
+  (* decode-step runs of each served request, newest first *)
+  let tpt_runs = ref [] in
   let makespan = ref 0. in
+  let shed_tokens (r : rstate) = min r.req.Serving.output config.shed_output in
   let out_eff (r : rstate) =
-    if r.shed_mode then min r.req.Serving.output config.shed_output
-    else r.req.Serving.output
+    if r.shed_mode then shed_tokens r else r.req.Serving.output
   in
-  let cost_of c (r : rstate) =
-    match c.plan with
-    | None -> infinity
-    | Some p -> service_cost p.profile ~prompt:r.req.Serving.prompt ~out_eff:(out_eff r)
+  let priced c p (r : rstate) tokens =
+    let key = (r.req.Serving.prompt, tokens) in
+    match Hashtbl.find_opt c.memo key with
+    | Some x -> x
+    | None ->
+      let x = price p.profile ~prompt:r.req.Serving.prompt ~tokens in
+      Hashtbl.add c.memo key x;
+      x
   in
-  let cost_full c (r : rstate) =
-    match c.plan with
-    | None -> infinity
-    | Some p ->
-      service_cost p.profile ~prompt:r.req.Serving.prompt
-        ~out_eff:r.req.Serving.output
-  in
-  let cost_shed c (r : rstate) =
-    match c.plan with
-    | None -> infinity
-    | Some p ->
-      service_cost p.profile ~prompt:r.req.Serving.prompt
-        ~out_eff:(min r.req.Serving.output config.shed_output)
+  let cost c r tokens =
+    match c.plan with None -> infinity | Some p -> (priced c p r tokens).cost
   in
   let terminal_starved now rid =
     let r = rstates.(rid) in
@@ -466,18 +477,20 @@ let run ?(config = default_config) ?telemetry
          shed tier rather than failing the request *)
       (match config.slo with
       | Some s when not r.shed_mode ->
-        if now +. cost_full c r -. r.req.Serving.arrival > s then begin
+        if now +. cost c r r.req.Serving.output -. r.req.Serving.arrival > s
+        then begin
           r.shed_mode <- true;
           if observing () then
             tmark ~lane:"fleet" ~tid:fleet_tid ~ts:now "shed"
               ~attrs:[ ("req", Json.Int rid); ("at", Json.String "start") ]
         end
       | _ -> ());
-      let cost = cost_of c r in
-      let prefill =
+      let prefill, cost =
         match c.plan with
-        | None -> 0.
-        | Some p -> p.profile.Serving.prefill_cycles r.req.Serving.prompt
+        | None -> (0., infinity)
+        | Some p ->
+          let x = priced c p r (out_eff r) in
+          (x.prefill, x.cost)
       in
       if observing () then
         tspan ~lane:"fleet" ~tid:fleet_tid ~ts:r.enqueued_at
@@ -497,7 +510,7 @@ let run ?(config = default_config) ?telemetry
     Array.iter
       (fun c ->
         if (not c.out) && c.plan <> None then begin
-          let est = Float.max c.est_free now +. cost_of c r in
+          let est = Float.max c.est_free now +. cost c r (out_eff r) in
           match !best with
           | Some (_, best_est) when best_est <= est -> ()
           | _ -> best := Some (c, est)
@@ -508,7 +521,7 @@ let run ?(config = default_config) ?telemetry
   let enqueue now (c : cstate) rid =
     let r = rstates.(rid) in
     r.enqueued_at <- now;
-    c.est_free <- Float.max c.est_free now +. cost_of c r;
+    c.est_free <- Float.max c.est_free now +. cost c r (out_eff r);
     Queue.push rid c.waiting;
     start_service now c
   in
@@ -523,9 +536,10 @@ let run ?(config = default_config) ?telemetry
       | None -> enqueue now c rid
       | Some s ->
         let base = Float.max c.est_free now in
-        if base +. cost_full c r -. r.req.Serving.arrival <= s then
-          enqueue now c rid
-        else if base +. cost_shed c r -. r.req.Serving.arrival <= s then begin
+        if base +. cost c r r.req.Serving.output -. r.req.Serving.arrival <= s
+        then enqueue now c rid
+        else if base +. cost c r (shed_tokens r) -. r.req.Serving.arrival <= s
+        then begin
           r.shed_mode <- true;
           if observing () then
             tmark ~lane:"fleet" ~tid:fleet_tid ~ts:now "shed"
@@ -610,6 +624,7 @@ let run ?(config = default_config) ?telemetry
         | Some p ->
           incr recompiles;
           c.plan <- Some p;
+          Hashtbl.reset c.memo;
           c.recompiling <- true;
           c.token <- c.token + 1;
           c.est_free <- Float.max c.est_free now +. config.recompile_cycles;
@@ -636,12 +651,7 @@ let run ?(config = default_config) ?telemetry
         (* per-decode-step latency: the token match guarantees [c.plan] is
            the plan that actually served this request *)
         (match c.plan with
-        | Some p ->
-          for t = 0 to out_eff r - 1 do
-            tpts :=
-              p.profile.Serving.decode_cycles (r.req.Serving.prompt + t)
-              :: !tpts
-          done
+        | Some p -> tpt_runs := (priced c p r (out_eff r)).steps :: !tpt_runs
         | None -> ());
         tokens := !tokens + out_eff r + 1;
         makespan := Float.max !makespan now;
@@ -774,7 +784,9 @@ let run ?(config = default_config) ?telemetry
     let h_tpt = Metrics.histogram "serving.tpt_cycles" in
     List.iter (Metrics.observe h_lat) !latencies;
     List.iter (Metrics.observe h_ttft) !ttfts;
-    List.iter (Metrics.observe h_tpt) !tpts;
+    (* every decode step, newest first, as a per-token list would hold them *)
+    let observe_run (v, k) = for _ = 1 to k do Metrics.observe h_tpt v done in
+    List.iter (fun runs -> List.iter observe_run (List.rev runs)) !tpt_runs;
     Array.iter
       (fun c ->
         let labels = [ ("chip", string_of_int c.id) ] in
@@ -804,8 +816,21 @@ let run ?(config = default_config) ?telemetry
         (Telemetry.slo_summary ~budget:b ~violations:!slo_violations
            ~completed:(!completed + !shed))
     | None -> ()));
-  let pct p xs = Cim_util.Stats.percentile_nearest_rank p xs in
+  (* one sort ranks every latency percentile; the decode steps are ranked
+     from a table of value -> count, never expanded to one entry each *)
+  let ranks = function
+    | [] -> fun _ -> 0.
+    | counts -> Cim_util.Stats.nearest_rank_counts counts
+  in
   let served_latencies = !latencies in
+  let lat = ranks (List.map (fun l -> (l, 1)) served_latencies) in
+  let tpt_counts = Hashtbl.create 64 in
+  List.iter
+    (List.iter (fun (v, k) ->
+         Hashtbl.replace tpt_counts v
+           (k + Option.value ~default:0 (Hashtbl.find_opt tpt_counts v))))
+    !tpt_runs;
+  let tpt = ranks (Hashtbl.fold (fun v k acc -> (v, k) :: acc) tpt_counts []) in
   {
     offered;
     completed = !completed;
@@ -820,15 +845,14 @@ let run ?(config = default_config) ?telemetry
     makespan = !makespan;
     mean_latency =
       (if served_latencies = [] then 0. else Cim_util.Stats.mean served_latencies);
-    p50_latency = (if served_latencies = [] then 0. else pct 50. served_latencies);
-    p95_latency = (if served_latencies = [] then 0. else pct 95. served_latencies);
-    p99_latency = (if served_latencies = [] then 0. else pct 99. served_latencies);
-    p999_latency =
-      (if served_latencies = [] then 0. else pct 99.9 served_latencies);
+    p50_latency = lat 50.;
+    p95_latency = lat 95.;
+    p99_latency = lat 99.;
+    p999_latency = lat 99.9;
     mean_ttft = (if !ttfts = [] then 0. else Cim_util.Stats.mean !ttfts);
-    p50_tpt = (if !tpts = [] then 0. else pct 50. !tpts);
-    p95_tpt = (if !tpts = [] then 0. else pct 95. !tpts);
-    p99_tpt = (if !tpts = [] then 0. else pct 99. !tpts);
+    p50_tpt = tpt 50.;
+    p95_tpt = tpt 95.;
+    p99_tpt = tpt 99.;
     tokens = !tokens;
     tokens_per_megacycle =
       (if !makespan > 0. then float_of_int !tokens /. (!makespan /. 1e6) else 0.);

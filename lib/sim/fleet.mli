@@ -63,6 +63,9 @@ type plan = {
       (** degradation-ladder level this plan was compiled at (0 = best);
           informational — the simulator only charges [profile] *)
   profile : Serving.cost_profile;
+      (** {!run} prices each (prompt, tokens) pair once per chip while the
+          plan is installed there, and reuses that price: so the profile is
+          called at most once per pair, and must be pure *)
 }
 
 type planner = chip:int -> faults:Cim_arch.Faultmap.t -> plan option
