@@ -440,17 +440,20 @@ let run ?(config = default_config) ?telemetry
   let out_eff (r : rstate) =
     if r.shed_mode then shed_tokens r else r.req.Serving.output
   in
-  let priced c p (r : rstate) tokens =
-    let key = (r.req.Serving.prompt, tokens) in
-    match Hashtbl.find_opt c.memo key with
-    | Some x -> x
-    | None ->
-      let x = price p.profile ~prompt:r.req.Serving.prompt ~tokens in
-      Hashtbl.add c.memo key x;
-      x
+  let priced c (r : rstate) tokens =
+    match c.plan with
+    | None -> None
+    | Some p ->
+      let key = (r.req.Serving.prompt, tokens) in
+      match Hashtbl.find_opt c.memo key with
+      | Some _ as hit -> hit
+      | None ->
+        let x = price p.profile ~prompt:r.req.Serving.prompt ~tokens in
+        Hashtbl.add c.memo key x;
+        Some x
   in
   let cost c r tokens =
-    match c.plan with None -> infinity | Some p -> (priced c p r tokens).cost
+    match priced c r tokens with None -> infinity | Some x -> x.cost
   in
   let terminal_starved now rid =
     let r = rstates.(rid) in
@@ -486,11 +489,9 @@ let run ?(config = default_config) ?telemetry
         end
       | _ -> ());
       let prefill, cost =
-        match c.plan with
+        match priced c r (out_eff r) with
         | None -> (0., infinity)
-        | Some p ->
-          let x = priced c p r (out_eff r) in
-          (x.prefill, x.cost)
+        | Some x -> (x.prefill, x.cost)
       in
       if observing () then
         tspan ~lane:"fleet" ~tid:fleet_tid ~ts:r.enqueued_at
@@ -650,8 +651,8 @@ let run ?(config = default_config) ?telemetry
         ttfts := (r.prefill_done -. r.req.Serving.arrival) :: !ttfts;
         (* per-decode-step latency: the token match guarantees [c.plan] is
            the plan that actually served this request *)
-        (match c.plan with
-        | Some p -> tpt_runs := (priced c p r (out_eff r)).steps :: !tpt_runs
+        (match priced c r (out_eff r) with
+        | Some x -> tpt_runs := x.steps :: !tpt_runs
         | None -> ());
         tokens := !tokens + out_eff r + 1;
         makespan := Float.max !makespan now;
@@ -784,7 +785,8 @@ let run ?(config = default_config) ?telemetry
     let h_tpt = Metrics.histogram "serving.tpt_cycles" in
     List.iter (Metrics.observe h_lat) !latencies;
     List.iter (Metrics.observe h_ttft) !ttfts;
-    (* every decode step, newest first, as a per-token list would hold them *)
+    (* one observe per decode step, newest first: the reservoir's sample
+       depends on this order, which test/golden/fleet_tokens.txt pins *)
     let observe_run (v, k) = for _ = 1 to k do Metrics.observe h_tpt v done in
     List.iter (fun runs -> List.iter observe_run (List.rev runs)) !tpt_runs;
     Array.iter

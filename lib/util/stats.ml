@@ -76,14 +76,15 @@ let percentile_nearest_rank p xs =
    walking cumulative counts instead of indexing an expanded array. *)
 let nearest_rank_counts counts =
   let name = "Stats.nearest_rank_counts" in
+  if counts = [] then fail_empty name;
   if List.exists (fun (v, _) -> Float.is_nan v) counts then
     invalid_arg (name ^ ": NaN in input");
   if List.exists (fun (_, k) -> k < 1) counts then
     invalid_arg (name ^ ": count below 1");
   let sorted =
-    Array.of_list (List.sort (fun (a, _) (b, _) -> Float.compare a b) counts)
+    Array.of_list
+      (List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) counts)
   in
-  if sorted = [||] then fail_empty name;
   (* upto.(i): samples in entries 0..i *)
   let upto = Array.make (Array.length sorted) 0 in
   Array.iteri

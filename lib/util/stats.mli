@@ -31,12 +31,11 @@ val percentile_nearest_rank : float -> float list -> float
 
 val nearest_rank_counts : (float * int) list -> float -> float
 (** [nearest_rank_counts counts] is [fun p -> percentile_nearest_rank p xs]
-    for the [xs] that holds each [v] of [(v, k)] in [counts] [k] times
-    (values equal under [Float.compare] are one value). [xs] is never
-    built, and [counts] is sorted once, on the first application, so one
-    sort serves every percentile of a sample. Raises [Invalid_argument]
-    when [counts] is empty or holds a NaN value or a count below 1, and
-    when [p] is out of range or NaN. *)
+    for the [xs] that holds each [v] of [(v, k)] in [counts] [k] times,
+    in order. [xs] is never built, and [counts] is sorted once, on the
+    first application, so one sort serves every percentile of a sample.
+    Raises [Invalid_argument] when [counts] is empty or holds a NaN value
+    or a count below 1, and when [p] is out of range or NaN. *)
 
 val median : float list -> float
 
