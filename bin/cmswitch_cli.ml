@@ -298,6 +298,12 @@ let finish_obs ~trace ~metrics =
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
+  (* pool workers log concurrently (the fault recompiles of serve --jobs N);
+     one lock keeps them from sharing the stderr formatter at once *)
+  let m = Mutex.create () in
+  Logs.set_reporter_mutex
+    ~lock:(fun () -> Mutex.lock m)
+    ~unlock:(fun () -> Mutex.unlock m);
   Logs.set_reporter (Logs_fmt.reporter ());
   if verbose then begin
     Logs.Src.set_level Cim_compiler.Cmswitch.log_src (Some Logs.Debug);

@@ -17,7 +17,6 @@ module Config = struct
   type t = {
     partition_fraction : float;
     max_segment_ops : int;
-    memoize : bool;
     jobs : int;
     milp_max_nodes : int;
     refine : bool;
@@ -29,19 +28,18 @@ module Config = struct
   }
 
   let default =
-    let { Segment.alloc; max_segment_ops; memoize; jobs; cache } =
+    let { Segment.alloc; max_segment_ops; jobs; cache } =
       Segment.default_options
     in
     let { Alloc.milp_max_nodes; refine; force_all_compute; lp_backend } =
       alloc
     in
-    { partition_fraction = 0.5; max_segment_ops; memoize; jobs; milp_max_nodes;
+    { partition_fraction = 0.5; max_segment_ops; jobs; milp_max_nodes;
       refine; force_all_compute; lp_backend; buckets = None; faults = None;
       cache }
 
   let with_partition_fraction v t = { t with partition_fraction = v }
   let with_max_segment_ops v t = { t with max_segment_ops = v }
-  let with_memoize v t = { t with memoize = v }
   let with_jobs v t = { t with jobs = v }
   let with_milp_max_nodes v t = { t with milp_max_nodes = v }
   let with_refine v t = { t with refine = v }
@@ -63,7 +61,6 @@ module Config = struct
     {
       Segment.alloc = to_alloc_options t;
       max_segment_ops = t.max_segment_ops;
-      memoize = t.memoize;
       jobs = t.jobs;
       cache = t.cache;
     }
@@ -75,8 +72,8 @@ module Config = struct
      (plumbing, not semantics). *)
   let canonical t =
     Printf.sprintf
-      "cmswitch.config.v2{partition_fraction=%h;max_segment_ops=%d;memoize=%b;milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s;buckets=%s}"
-      t.partition_fraction t.max_segment_ops t.memoize t.milp_max_nodes
+      "cmswitch.config.v3{partition_fraction=%h;max_segment_ops=%d;milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s;buckets=%s}"
+      t.partition_fraction t.max_segment_ops t.milp_max_nodes
       t.refine t.force_all_compute
       (Ccache.backend_to_string t.lp_backend)
       (match t.buckets with
@@ -85,14 +82,14 @@ module Config = struct
 
   let of_canonical s =
     let ( let* ) = Result.bind in
-    let prefix = "cmswitch.config.v2{" in
+    let prefix = "cmswitch.config.v3{" in
     let plen = String.length prefix in
     if
       not
         (String.length s > plen
         && String.sub s 0 plen = prefix
         && s.[String.length s - 1] = '}')
-    then Error "not a cmswitch.config.v2 string"
+    then Error "not a cmswitch.config.v3 string"
     else begin
       let body = String.sub s plen (String.length s - plen - 1) in
       let fields = String.split_on_char ';' body in
@@ -121,14 +118,13 @@ module Config = struct
         | Some b -> Ok b
         | None -> Error (Printf.sprintf "config: bad bool in %s" k)
       in
-      if List.length fields <> 8 then
+      if List.length fields <> 7 then
         Error
-          (Printf.sprintf "config: expected 8 fields, got %d"
+          (Printf.sprintf "config: expected 7 fields, got %d"
              (List.length fields))
       else
         let* partition_fraction = float_field "partition_fraction" in
         let* max_segment_ops = int_field "max_segment_ops" in
-        let* memoize = bool_field "memoize" in
         let* milp_max_nodes = int_field "milp_max_nodes" in
         let* refine = bool_field "refine" in
         let* force_all_compute = bool_field "force_all_compute" in
@@ -151,7 +147,6 @@ module Config = struct
             default with
             partition_fraction;
             max_segment_ops;
-            memoize;
             milp_max_nodes;
             refine;
             force_all_compute;

@@ -33,14 +33,15 @@ module Config : sig
     partition_fraction : float;
         (** sub-operator cap, fraction of the chip (Opinfo.extract) *)
     max_segment_ops : int;        (** DP window cap (Segment) *)
-    memoize : bool;               (** memoise window MIPs by signature *)
     jobs : int;
         (** concurrent MILP solvers per DP frontier; output is
             byte-identical for every value, so [jobs] is {e excluded} from
             {!canonical} *)
     milp_max_nodes : int;         (** branch-and-bound node budget (Alloc) *)
     refine : bool;                (** lexicographic array-count refinement *)
-    force_all_compute : bool;     (** CIM-MLC restriction *)
+    force_all_compute : bool;
+        (** CIM-MLC restriction: every window in compute mode only. Off,
+            the DP prices each window in both modes ({!Segment.run}) *)
     lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
         (** length-bucketing policy for {!compile_model}: sequence
@@ -55,14 +56,13 @@ module Config : sig
 
   val default : t
   (** partition_fraction 0.5, no buckets, no faults; every other field
-      from {!Segment.default_options} (window 10, memoisation on, no cache,
+      from {!Segment.default_options} (window 10, no cache,
       [jobs] = {!Cim_util.Pool.default_jobs}) and its
       {!Alloc.default_options} (MILP node budget 600 with refinement,
       dual-mode search, [Revised] LP backend). *)
 
   val with_partition_fraction : float -> t -> t
   val with_max_segment_ops : int -> t -> t
-  val with_memoize : bool -> t -> t
   val with_jobs : int -> t -> t
   val with_milp_max_nodes : int -> t -> t
   val with_refine : bool -> t -> t
@@ -79,18 +79,22 @@ module Config : sig
 
   val canonical : t -> string
   (** Deterministic single-line serialisation of every {e semantic} field
-      — the compilation-cache key component. Floats are rendered as exact
-      binary64 hex ([%h]), booleans and enums as fixed tokens, fields in
-      fixed order, so the string is byte-stable across runs, processes and
-      platforms. [jobs] (execution strategy under the byte-identical
-      determinism contract), [faults] (keyed separately, see
-      {!Ccache.prog_key}) and [cache] (plumbing) are excluded. *)
+      — the compilation-cache key component: ["cmswitch.config.v3{...}"]
+      with seven fields ([partition_fraction], [max_segment_ops],
+      [milp_max_nodes], [refine], [force_all_compute], [lp_backend],
+      [buckets]). Floats are rendered as exact binary64 hex ([%h]),
+      booleans and enums as fixed tokens, fields in fixed order, so the
+      string is byte-stable across runs, processes and platforms. [jobs]
+      (execution strategy under the byte-identical determinism contract),
+      [faults] (keyed separately, see {!Ccache.prog_key}) and [cache]
+      (plumbing) are excluded. *)
 
   val of_canonical : string -> (t, string) result
   (** Strict inverse of {!canonical} over the included fields; excluded
-      fields come back at their defaults. [canonical] ∘ [of_canonical] ∘
-      [canonical] is the identity (the round-trip fixed point the cache
-      keys rely on). *)
+      fields come back at their defaults. Other versions (the [v2] strings
+      that carried a [memoize] field among them) are an [Error].
+      [canonical] ∘ [of_canonical] ∘ [canonical] is the identity (the
+      round-trip fixed point the cache keys rely on). *)
 end
 
 type result = {

@@ -281,58 +281,6 @@ let p_schedule =
           else Error "schedule total_cycles is not a finite non-negative float");
   }
 
-(* The DP's inter-segment costs are estimates, so the dual-mode plan can
-   in corner cases place worse than a pure all-compute plan would. The
-   dual-mode search space strictly contains the all-compute one, so when
-   the restricted plan turns out faster after placement, adopt it — this
-   is the CIM-MLC kernel schedule the paper says CMSwitch falls back to
-   (§5.4: "CMSwitch's performance converges with that of CIM-MLC, as we
-   adopt its kernel optimizations"). *)
-let p_probe =
-  {
-    name = "probe";
-    describe = "all-compute probe: adopt the CIM-MLC plan when it places faster";
-    run =
-      (fun st ->
-        let e = st.env in
-        if e.seg_options.Segment.alloc.Alloc.force_all_compute then st
-        else begin
-          let ops = ops_exn st in
-          let schedule = schedule_exn st and dp_stats = dp_stats_exn st in
-          let restricted =
-            { e.seg_options with
-              Segment.alloc = { e.seg_options.Segment.alloc with
-                                Alloc.force_all_compute = true } }
-          in
-          let seg_ac, stats_ac, places_ac, sched_ac =
-            Trace.with_span "all_compute.probe" ~cat:"compiler" (fun () ->
-                let seg_ac, stats_ac =
-                  Segment.run ~options:restricted ~on_stage:e.on_stage
-                    e.solve_chip ops
-                in
-                let places_ac =
-                  Placement.place e.chip ?faults:e.faults ops seg_ac
-                in
-                (seg_ac, stats_ac, places_ac, placed_schedule e.chip ops places_ac))
-          in
-          let dp_stats =
-            { Segment.mip_solves =
-                dp_stats.Segment.mip_solves + stats_ac.Segment.mip_solves;
-              mip_cache_hits =
-                dp_stats.Segment.mip_cache_hits + stats_ac.Segment.mip_cache_hits;
-              candidates = dp_stats.Segment.candidates + stats_ac.Segment.candidates;
-              pruned_infeasible =
-                dp_stats.Segment.pruned_infeasible
-                + stats_ac.Segment.pruned_infeasible }
-          in
-          if sched_ac.Plan.total_cycles < schedule.Plan.total_cycles then
-            { st with segments = Some seg_ac; places = Some places_ac;
-              schedule = Some sched_ac; dp_stats = Some dp_stats }
-          else { st with dp_stats = Some dp_stats }
-        end);
-    validate = None;
-  }
-
 let p_codegen =
   {
     name = "codegen";
@@ -407,13 +355,13 @@ let p_lower_isa =
   }
 
 let registry =
-  [ p_extract; p_segment; p_segment_serial; p_place; p_schedule; p_probe;
-    p_codegen; p_check; p_lower_isa ]
+  [ p_extract; p_segment; p_segment_serial; p_place; p_schedule; p_codegen;
+    p_check; p_lower_isa ]
 
 let find name = List.find_opt (fun p -> p.name = name) registry
 
 let default_pipeline =
-  [ p_extract; p_segment; p_place; p_schedule; p_probe; p_codegen; p_check ]
+  [ p_extract; p_segment; p_place; p_schedule; p_codegen; p_check ]
 
 let serial_pipeline =
   [ p_extract; p_segment_serial; p_place; p_schedule; p_codegen; p_check ]

@@ -11,10 +11,8 @@
     {!serial_pipeline} for the fallback. The CLI surfaces custom
     pipelines with [--passes], [--dump-after] and [--validate-each].
 
-    The default pipeline is byte-identical to the historical hardwired
-    driver — same trace spans, same stats arithmetic, same emitted
-    programs (asserted by the golden program MD5s) — so swapping the
-    driver is a pure refactor for every existing caller. *)
+    The golden program MD5s and DP stats of [test/golden] pin what the
+    default pipeline emits. *)
 
 (** Immutable compilation context shared by every pass of one run. This is
     the decomposed form of [Cmswitch.Config] (the pass layer cannot see
@@ -102,8 +100,9 @@ val p_extract : pass
     emits the ["partition"] trace span. *)
 
 val p_segment : pass
-(** DP segmentation with per-window MIP allocation (Alg. 1); emits
-    ["dp.segmentation"]. *)
+(** DP segmentation with per-window MIP allocation (Alg. 1), each window
+    priced in dual-mode and in compute-only allocation ({!Segment.run});
+    emits ["dp.segmentation"]. *)
 
 val p_segment_serial : pass
 (** Last-resort serial segmentation: one operator per segment under greedy
@@ -116,13 +115,6 @@ val p_place : pass
 
 val p_schedule : pass
 (** Roll the schedule up from the placed segments; emits ["schedule"]. *)
-
-val p_probe : pass
-(** The all-compute probe: re-run segmentation + placement + schedule with
-    memory-mode variables forced to zero and adopt that plan when it turns
-    out faster after placement (the CIM-MLC convergence of §5.4). DP stats
-    of both searches are summed. No-op when [seg_options] already force
-    all-compute; emits ["all_compute.probe"] otherwise. *)
 
 val p_codegen : pass
 (** Meta-operator code generation (Fig. 13); emits ["codegen"]. *)
@@ -145,13 +137,13 @@ val registry : pass list
 val find : string -> pass option
 
 val default_pipeline : pass list
-(** [extract; segment; place; schedule; probe; codegen; check] — the
-    historical hardwired driver, now as data. *)
+(** [extract; segment; place; schedule; codegen; check]: one
+    segmentation per graph. *)
 
 val serial_pipeline : pass list
 (** [extract; segment_serial; place; schedule; codegen; check] — the
     serial step of [Cmswitch.compile_robust] and of the recompile ladder
-    (no DP, no probe). *)
+    (no DP). *)
 
 val parse_list : string -> (pass list, string) result
 (** Parse a [--passes] spec: comma-separated pass names; the token

@@ -5,13 +5,12 @@ module Trace = Cim_obs.Trace
 type options = {
   alloc : Alloc.options;
   max_segment_ops : int;
-  memoize : bool;
   jobs : int;
   cache : Cim_cache.Store.t option;
 }
 
 let default_options =
-  { alloc = Alloc.default_options; max_segment_ops = 10; memoize = true;
+  { alloc = Alloc.default_options; max_segment_ops = 10;
     jobs = Pool.default_jobs (); cache = None }
 
 type stats = {
@@ -53,72 +52,94 @@ type solved = {
   spans : Trace.event list;        (* in recording order *)
 }
 
+(* The allocation modes every window is solved in: the configured MILP
+   first, then the same MILP restricted to compute mode (CIM-MLC's
+   allocation). Each MILP maximises throughput alone and Eq. 2's rewrite
+   enters only in the DP, so a window's dual-mode plan can lose to its
+   compute-only one on the whole window cost; the DP fold picks. A
+   configuration that already forces all-compute has the one mode. *)
+type mode = {
+  alloc : Alloc.options;
+  memo : (string, Plan.seg_plan option) Hashtbl.t;  (* by window signature *)
+}
+
+let modes (alloc : Alloc.options) =
+  List.map
+    (fun alloc -> { alloc; memo = Hashtbl.create 256 })
+    (if alloc.Alloc.force_all_compute then [ alloc ]
+     else [ alloc; { alloc with Alloc.force_all_compute = true } ])
+
+(* One DP track: best.(j) = minimal cost of scheduling ops 0..j-1 (so
+   best.(0) = 0), path.(j) = the segments realising it, last first. *)
+type track = { best : float array; path : Plan.seg_plan list array }
+
+let track m =
+  let t = { best = Array.make (m + 1) infinity; path = Array.make (m + 1) [] } in
+  t.best.(0) <- 0.;
+  t
+
 let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
   if options.jobs < 1 then
     invalid_arg
       (Printf.sprintf "Segment.run: jobs must be >= 1, got %d" options.jobs);
   let m = Array.length ops in
   let ctx = Plan.make_ctx ops in
-  (* keys are signatures when memoizing, otherwise "lo:hi" (every window its
-     own entry) — one table serves both modes *)
-  let cache : (string, Plan.seg_plan option) Hashtbl.t = Hashtbl.create 256 in
+  let modes = modes options.alloc in
   let cache_mutex = Mutex.create () in
-  let cache_find key =
+  let cache_find mode signature =
     Mutex.lock cache_mutex;
-    let r = Hashtbl.find_opt cache key in
+    let r = Hashtbl.find_opt mode.memo signature in
     Mutex.unlock cache_mutex;
     r
   in
-  let cache_store key v =
+  let cache_store mode signature v =
     Mutex.lock cache_mutex;
-    Hashtbl.replace cache key v;
+    Hashtbl.replace mode.memo signature v;
     Mutex.unlock cache_mutex
   in
-  (* the persistent tier rides behind the in-memory memo table: signatures
-     only (positional "lo:hi" keys are meaningless across runs), consulted
-     by the coordinator during the dedupe scan so hits replay in the same
+  (* the persistent tier rides behind the in-memory memo tables, keyed by
+     the mode's own allocation options and the signature, consulted
+     by the coordinator during the memo scan so hits replay in the same
      deterministic order as memo hits, filled by the solving task. Entries
      are revalidated against the live window before being trusted — a
      stale or corrupted entry is a miss, never a wrong plan. *)
-  let persist = if options.memoize then options.cache else None in
-  (* when the persistent tier is active [memoize] is on, so the memo key IS
-     the window signature — the store key derives from it directly *)
-  let store_key signature_key =
-    Ccache.seg_key ~chip ~alloc:options.alloc ~signature:signature_key
+  let store_key mode signature =
+    Ccache.seg_key ~chip ~alloc:mode.alloc ~signature
   in
-  let persist_find ~lo ~hi key =
-    match persist with
+  let persist_find ~lo ~hi mode signature =
+    match options.cache with
     | None -> None
     | Some store -> (
       match
-        Cim_cache.Store.find store ~tier:Ccache.seg_tier ~key:(store_key key)
+        Cim_cache.Store.find store ~tier:Ccache.seg_tier
+          ~key:(store_key mode signature)
       with
       | None -> None
       | Some payload -> (
         match Ccache.seg_payload_of_string ~chip ~ops ~lo ~hi payload with
         | Ok plan ->
-          cache_store key plan;
+          cache_store mode signature plan;
           Some plan
         | Error _ ->
           Cim_cache.Store.note_invalid store ~tier:Ccache.seg_tier;
           None))
   in
-  let persist_put key plan =
-    match persist with
+  let persist_put mode signature plan =
+    match options.cache with
     | None -> ()
     | Some store ->
-      Cim_cache.Store.put store ~tier:Ccache.seg_tier ~key:(store_key key)
+      Cim_cache.Store.put store ~tier:Ccache.seg_tier
+        ~key:(store_key mode signature)
         ~payload:(Ccache.seg_payload_to_string plan)
   in
-  let solves = Atomic.make 0 and hits = Atomic.make 0 in
-  let cands = Atomic.make 0 and pruned = Atomic.make 0 in
+  let solves = ref 0 and hits = ref 0 and cands = ref 0 and pruned = ref 0 in
   (* nested parallelism guard: a Segment.run reached from inside a pool
      worker (parallel bench sweeps, parallel model compiles) runs serial
      rather than multiplying domain counts *)
   let jobs =
     match Pool.current_worker () with Some _ -> 1 | None -> options.jobs
   in
-  let solve_window ~lo ~hi () =
+  let solve_window mode ~lo ~hi =
     let local_events = ref [] in
     let local_on_stage e = local_events := e :: !local_events in
     let plan, spans =
@@ -126,8 +147,8 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
           Trace.with_span "milp.segment" ~cat:"solver"
             ~args:[ ("lo", Cim_obs.Json.Int lo); ("hi", Cim_obs.Json.Int hi) ]
             (fun () ->
-              Degrade.solve ~options:options.alloc ~on_stage:local_on_stage
-                chip ops ~lo ~hi))
+              Degrade.solve ~options:mode.alloc ~on_stage:local_on_stage chip
+                ops ~lo ~hi))
     in
     { plan; events = List.rev !local_events; spans }
   in
@@ -150,23 +171,37 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
     in
     Fun.protect ~finally:(fun () -> Option.iter Pool.shutdown pool)
     @@ fun () ->
-    (* best.(j) = minimal cost of scheduling ops 0..j-1 (so best.(0) = 0);
-       choice.(j) = (segment start i, plan) realising it. *)
-    let best = Array.make (m + 1) infinity in
-    let choice : (int * Plan.seg_plan) option array = Array.make (m + 1) None in
-    best.(0) <- 0.;
+    (* the main track takes every mode's plan; the compute-only track is
+       exactly the DP of a compute-only compile, and the main track adopts
+       it at any boundary where it is cheaper, so the DP's objective never
+       exceeds CIM-MLC's *)
+    let main = track m in
+    let compute_only = if List.length modes > 1 then Some (track m) else None in
+    let relax t ~lo ~j plan =
+      if t.best.(lo) < infinity then begin
+        let prev = match t.path.(lo) with [] -> None | p :: _ -> Some p in
+        let ic = Plan.inter_segment_cost chip ctx ~prev ~cur:plan in
+        let cost = t.best.(lo) +. plan.Plan.intra_cycles +. Plan.inter_total ic in
+        if cost < t.best.(j + 1) then begin
+          t.best.(j + 1) <- cost;
+          t.path.(j + 1) <- plan :: t.path.(lo)
+        end
+      end
+    in
+    let n_modes = List.length modes in
     for j = 0 to m - 1 do
       (* frontier j: first gather the candidate windows [i, j] (the cheap
-         feasibility walk of Alg. 1 line 9), then solve every window not
-         already memoised concurrently, then fold the DP serially — the
-         windows are mutually independent, the DP recurrence is not *)
+         feasibility walk of Alg. 1 line 9), then solve every (window,
+         mode) not already memoised concurrently, then fold the DP
+         serially — the windows are mutually independent, the DP
+         recurrence is not *)
       let candidates = ref [] in
       let i = ref j and stop = ref false in
       while (not !stop) && !i >= 0 && j - !i < options.max_segment_ops do
-        Atomic.incr cands;
+        cands := !cands + n_modes;
         if Opinfo.total_min_arrays ops ~lo:!i ~hi:j > chip.Chip.n_arrays then begin
           (* growing the window leftwards only adds operators *)
-          Atomic.incr pruned;
+          pruned := !pruned + n_modes;
           stop := true
         end
         else begin
@@ -174,46 +209,39 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
           decr i
         end
       done;
-      let candidates = List.rev !candidates (* i descending from j *) in
-      (* consult the memo cache before enqueue: within one frontier,
-         windows sharing a signature cost one solve (first occurrence wins,
-         exactly as the serial scan would) and cache-resident windows cost
-         none. The cache is filled by the solving task under its lock. *)
+      (* i descending from j; per window, the modes in order *)
       let keyed =
-        List.map
+        List.concat_map
           (fun lo ->
-            let key =
-              if options.memoize then signature ops ~lo ~hi:j
-              else Printf.sprintf "%d:%d" lo j
-            in
-            (lo, key))
-          candidates
+            let sg = signature ops ~lo ~hi:j in
+            List.map (fun mode -> (lo, mode, sg)) modes)
+          (List.rev !candidates)
       in
-      let to_solve = ref [] and seen = Hashtbl.create 8 in
-      List.iter
-        (fun (lo, key) ->
-          if
-            Hashtbl.mem seen key
-            || cache_find key <> None
-            || persist_find ~lo ~hi:j key <> None
-          then Atomic.incr hits
-          else begin
-            Hashtbl.add seen key ();
-            Atomic.incr solves;
-            to_solve := (lo, key) :: !to_solve
-          end)
-        keyed;
-      let to_solve = List.rev !to_solve in
+      (* consult the memo tables before enqueue: memo-resident windows
+         cost no solve. (Windows of one frontier differ in length, so
+         they never share a signature.) The tables are filled by the
+         solving task under their lock. *)
+      let to_solve =
+        List.filter
+          (fun (lo, mode, sg) ->
+            let hit =
+              cache_find mode sg <> None
+              || persist_find ~lo ~hi:j mode sg <> None
+            in
+            incr (if hit then hits else solves);
+            not hit)
+          keyed
+      in
       let results =
-        let task (lo, key) () =
-          let s = solve_window ~lo ~hi:j () in
-          cache_store key s.plan;
-          persist_put key s.plan;
+        let task (lo, mode, sg) =
+          let s = solve_window mode ~lo ~hi:j in
+          cache_store mode sg s.plan;
+          persist_put mode sg s.plan;
           s
         in
         match pool with
-        | None -> List.map (fun tk -> task tk ()) to_solve
-        | Some p -> Pool.map_list p (fun tk -> task tk ()) to_solve
+        | None -> List.map task to_solve
+        | Some p -> Pool.map_list p task to_solve
       in
       (* deterministic join: replay buffered spans and degradation events in
          task-submission order, whatever order the workers finished in *)
@@ -226,38 +254,29 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
         results;
       (* serial DP fold over the frontier, same order as the serial scan *)
       List.iter
-        (fun (lo, key) ->
-          match Option.join (cache_find key) with
+        (fun (lo, mode, sg) ->
+          match Option.join (cache_find mode sg) with
           | None -> ()
-          | Some plan ->
+          | Some plan -> (
             (* re-anchor a plan solved for an identical window here *)
             let plan = Plan.shift ~lo plan in
-            if best.(lo) < infinity then begin
-              let prev = if lo = 0 then None else Option.map snd choice.(lo) in
-              let ic = Plan.inter_segment_cost chip ctx ~prev ~cur:plan in
-              let cost =
-                best.(lo) +. plan.Plan.intra_cycles +. Plan.inter_total ic
-              in
-              if cost < best.(j + 1) then begin
-                best.(j + 1) <- cost;
-                choice.(j + 1) <- Some (lo, plan)
-              end
-            end)
-        keyed
+            relax main ~lo ~j plan;
+            match compute_only with
+            | Some t when mode.alloc.Alloc.force_all_compute ->
+              relax t ~lo ~j plan
+            | _ -> ()))
+        keyed;
+      Option.iter
+        (fun t ->
+          if t.best.(j + 1) < main.best.(j + 1) then begin
+            main.best.(j + 1) <- t.best.(j + 1);
+            main.path.(j + 1) <- t.path.(j + 1)
+          end)
+        compute_only
     done;
-    if best.(m) = infinity then
+    if main.best.(m) = infinity then
       failwith "Segment.run: no feasible segmentation (operator exceeds chip)";
-    (* backtrack *)
-    let rec collect j acc =
-      if j = 0 then acc
-      else
-        match choice.(j) with
-        | None -> failwith "Segment.run: broken DP table"
-        | Some (i, plan) -> collect i (plan :: acc)
-    in
-    let segments = collect m [] in
-    ( segments,
-      { mip_solves = Atomic.get solves; mip_cache_hits = Atomic.get hits;
-        candidates = Atomic.get cands;
-        pruned_infeasible = Atomic.get pruned } )
+    ( List.rev main.path.(m),
+      { mip_solves = !solves; mip_cache_hits = !hits; candidates = !cands;
+        pruned_infeasible = !pruned } )
   end

@@ -1,16 +1,22 @@
 (** Dual-mode-aware network segmentation (§4.3.1, Eq. 3, Alg. 1): dynamic
     programming over segment boundaries, where each candidate segment's
     intra cost comes from the {!Alloc} MIP and the boundary cost from the
-    three-part inter-segment model (Fig. 10). *)
+    three-part inter-segment model (Fig. 10).
+
+    Every candidate window is solved twice: as the dual-mode MILP and as
+    the same MILP with [force_all_compute] (CIM-MLC's allocation). The DP
+    fold picks per window by the whole window cost — intra, Eq. 1 switch,
+    Eq. 2 rewrite and write-back. A second DP track keeps the
+    compute-only chain, and the main track adopts it at any boundary
+    where it is cheaper, so the DP's objective never exceeds that of a
+    compute-only compile. When [alloc.force_all_compute] is already set
+    there is one mode and one track. *)
 
 type options = {
   alloc : Alloc.options;
   max_segment_ops : int;
       (** window cap on segment length; the hard feasibility bound (Eq. 8 /
           Alg. 1 line 9) still applies on top *)
-  memoize : bool;
-      (** cache MIP results by segment signature — identical transformer
-          blocks then cost one solve (the block-reuse of Fig. 18) *)
   jobs : int;
       (** concurrent MILP solvers per DP frontier. [1] = serial on the
           calling domain; [n > 1] = a {!Cim_util.Pool} of [n] worker
@@ -23,21 +29,23 @@ type options = {
   cache : Cim_cache.Store.t option;
       (** persistent per-segment tier (["seg"] entries, see
           {!Ccache.seg_key}): window solutions keyed by (signature,
-          effective chip, alloc options), shared across models and process
-          restarts. Consulted only when [memoize] is on (positional keys
-          are meaningless across runs); looked up by the coordinating
-          domain during the frontier scan, so hits replay in deterministic
-          submission order exactly like memo hits. Entries failing
-          revalidation against the live window degrade to a miss. Like
-          memo hits, persistent hits do not re-fire the original solve's
-          [on_stage] events. [None] (the default) disables the tier. *)
+          effective chip, the mode's alloc options), shared across models
+          and process restarts. Looked up by the coordinating domain during
+          the frontier scan, so hits replay in deterministic submission
+          order exactly like memo hits. Entries failing revalidation
+          against the live window degrade to a miss. Like memo hits,
+          persistent hits do not re-fire the original solve's [on_stage]
+          events. [None] (the default) disables the tier. *)
 }
 
 val default_options : options
-(** {!Alloc.default_options}, window 10, memoisation on,
+(** {!Alloc.default_options}, window 10,
     [jobs] = {!Cim_util.Pool.default_jobs}, no persistent cache — the
     source of [Cmswitch.Config.default]. *)
 
+(** Counted once per (window, mode). The memo key is the mode and the
+    window signature, so identical windows (transformer blocks) cost one
+    solve per mode — the block reuse of Fig. 18. *)
 type stats = {
   mip_solves : int;        (** MIP invocations actually performed *)
   mip_cache_hits : int;
@@ -49,10 +57,11 @@ val run :
   ?options:options -> ?on_stage:(Degrade.event -> unit) -> Cim_arch.Chip.t ->
   Opinfo.t array -> Plan.seg_plan list * stats
 (** Optimal segmentation of the whole operator list. Per-window allocation
-    goes through the {!Degrade.solve} chain, so a node-limited MIP degrades
-    to its incumbent or the greedy allocator instead of dropping the window;
-    [on_stage] observes every such fallback (memoised windows replay the
-    cached plan without re-firing it). With [jobs > 1] the candidate
+    goes through the {!Degrade.solve} chain in each mode, so a node-limited
+    MIP degrades to its incumbent or the greedy allocator instead of
+    dropping the window; [on_stage] observes every such fallback in
+    frontier order (memoised windows replay the cached plan without
+    re-firing it). With [jobs > 1] the candidate
     windows of each DP frontier are solved concurrently on a domain pool;
     [on_stage] callbacks and trace spans are replayed by the calling domain
     in deterministic (submission) order, so outputs are byte-identical to

@@ -229,29 +229,36 @@ let bucket_index bounds v =
   done;
   !lo
 
-let observe h v =
-  if Atomic.get on then begin
+(* [k] samples of [v] under one lock, exactly as [k] single observes: the
+   sum adds [v] once per sample (never [v *. k], which rounds differently)
+   and the reservoir draws once per sample *)
+let observe_n h v k =
+  if k > 0 && Atomic.get on then begin
     Mutex.lock h.hlock;
-    h.hcount <- h.hcount + 1;
-    h.hsum <- h.hsum +. v;
     if v < h.hmin then h.hmin <- v;
     if v > h.hmax then h.hmax <- v;
     let bi =
       if Float.is_nan v then Array.length h.bounds else bucket_index h.bounds v
     in
-    h.bucket_counts.(bi) <- h.bucket_counts.(bi) + 1;
-    (* Algorithm R: keep every sample while the reservoir has room, then
-       replace a uniformly-chosen slot with probability capacity/seen *)
-    if h.rfill < reservoir_capacity then begin
-      h.reservoir.(h.rfill) <- v;
-      h.rfill <- h.rfill + 1
-    end
-    else begin
-      let j = rand_below h h.hcount in
-      if j < reservoir_capacity then h.reservoir.(j) <- v
-    end;
+    h.bucket_counts.(bi) <- h.bucket_counts.(bi) + k;
+    for _ = 1 to k do
+      h.hcount <- h.hcount + 1;
+      h.hsum <- h.hsum +. v;
+      (* Algorithm R: keep every sample while the reservoir has room, then
+         replace a uniformly-chosen slot with probability capacity/seen *)
+      if h.rfill < reservoir_capacity then begin
+        h.reservoir.(h.rfill) <- v;
+        h.rfill <- h.rfill + 1
+      end
+      else begin
+        let j = rand_below h h.hcount in
+        if j < reservoir_capacity then h.reservoir.(j) <- v
+      end
+    done;
     Mutex.unlock h.hlock
   end
+
+let observe h v = observe_n h v 1
 
 let histogram_count h =
   Mutex.lock h.hlock;

@@ -71,6 +71,12 @@ val histogram :
     [Invalid_argument] when an explicit bucket list has no finite bound. *)
 
 val observe : histogram -> float -> unit
+
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h v k] records [k] samples of [v] under one lock, bit for
+    bit as [k] calls of [observe h v]: the sum adds [v] [k] times and the
+    reservoir draws once per sample. A no-op when [k <= 0]. *)
+
 val histogram_count : histogram -> int
 
 (** One histogram's bounded summary. [buckets] are (upper bound,

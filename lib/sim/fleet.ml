@@ -785,9 +785,9 @@ let run ?(config = default_config) ?telemetry
     let h_tpt = Metrics.histogram "serving.tpt_cycles" in
     List.iter (Metrics.observe h_lat) !latencies;
     List.iter (Metrics.observe h_ttft) !ttfts;
-    (* one observe per decode step, newest first: the reservoir's sample
+    (* one sample per decode step, newest first: the reservoir's sample
        depends on this order, which test/golden/fleet_tokens.txt pins *)
-    let observe_run (v, k) = for _ = 1 to k do Metrics.observe h_tpt v done in
+    let observe_run (v, k) = Metrics.observe_n h_tpt v k in
     List.iter (fun runs -> List.iter observe_run (List.rev runs)) !tpt_runs;
     Array.iter
       (fun c ->

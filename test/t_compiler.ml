@@ -10,6 +10,7 @@ module Opinfo = Cim_compiler.Opinfo
 module Alloc = Cim_compiler.Alloc
 module Plan = Cim_compiler.Plan
 module Segment = Cim_compiler.Segment
+module Degrade = Cim_compiler.Degrade
 module Ccfg = Cim_compiler.Cmswitch.Config
 module Placement = Cim_compiler.Placement
 module Workload = Cim_models.Workload
@@ -278,25 +279,31 @@ let test_segment_covers_all_ops () =
       Alcotest.(check bool) (name ^ " did some work") true (stats.Segment.candidates > 0))
     (Lazy.force sample_graphs)
 
-let test_segment_memoization_consistent () =
+(* Memo soundness: a memoised window replays the plan solved for an
+   identical window elsewhere, re-anchored with Plan.shift, so every
+   segment the DP returns must equal a fresh solve of its own window in
+   one of the two modes the DP prices. *)
+let test_segment_memo_sound () =
   let g = graph_of "bert-large" (Workload.prefill ~batch:1 32) in
-  let ops = Opinfo.extract chip g in
-  let with_memo, s1 =
-    Segment.run ~options:(Ccfg.to_segment_options Ccfg.default) chip ops
-  in
-  let without, s2 =
-    Segment.run
-      ~options:(Ccfg.to_segment_options (Ccfg.with_memoize false Ccfg.default))
-      chip ops
-  in
-  Alcotest.(check bool) "cache used" true (s1.Segment.mip_cache_hits > 0);
-  Alcotest.(check int) "no cache -> no hits" 0 s2.Segment.mip_cache_hits;
-  let total plans =
-    List.fold_left (fun acc (s : Plan.seg_plan) -> acc +. s.Plan.intra_cycles) 0. plans
-  in
-  Alcotest.(check bool) "same intra totals" true
-    (Float.abs (total with_memo -. total without)
-     <= 1e-6 *. Float.max 1. (total with_memo))
+  let options = Ccfg.to_segment_options Ccfg.default in
+  let dual = options.Segment.alloc in
+  let compute = { dual with Alloc.force_all_compute = true } in
+  List.iter
+    (fun chip ->
+      let ops = Opinfo.extract chip g in
+      let segments, stats = Segment.run ~options chip ops in
+      Alcotest.(check bool) (chip.Chip.name ^ " memo used") true
+        (stats.Segment.mip_cache_hits > 0);
+      List.iter
+        (fun (s : Plan.seg_plan) ->
+          let fresh alloc =
+            Degrade.solve ~options:alloc chip ops ~lo:s.Plan.lo ~hi:s.Plan.hi
+          in
+          if fresh dual <> Some s && fresh compute <> Some s then
+            Alcotest.failf "%s: segment %d..%d is no fresh solve of its window"
+              chip.Chip.name s.Plan.lo s.Plan.hi)
+        segments)
+    [ Config.dynaplasia; Config.prime ]
 
 (* DP quality vs exhaustive enumeration on a small operator list. The DP's
    inter-segment costs use the stored predecessor plan (the paper's
@@ -425,7 +432,7 @@ let suite =
       Alcotest.test_case "oversized segment rejected" `Quick test_alloc_infeasible_segment;
       Alcotest.test_case "MIP vs brute force" `Slow test_alloc_vs_brute_force;
       Alcotest.test_case "DP covers all operators" `Slow test_segment_covers_all_ops;
-      Alcotest.test_case "DP memoization consistent" `Slow test_segment_memoization_consistent;
+      Alcotest.test_case "DP memo sound" `Slow test_segment_memo_sound;
       Alcotest.test_case "DP vs exhaustive" `Slow test_segment_vs_exhaustive;
       Alcotest.test_case "placement counts and modes" `Slow test_placement_capacity_and_modes;
       Alcotest.test_case "placement switch economy" `Quick test_placement_switch_economy;

@@ -19,7 +19,6 @@ let sample_configs =
     (* a fraction with no short decimal form: exercises the hex printer *)
     Cfg.(default |> with_partition_fraction (1. /. 3.));
     Cfg.(default |> with_max_segment_ops 3);
-    Cfg.(default |> with_memoize false);
     Cfg.(default |> with_milp_max_nodes 17);
     Cfg.(default |> with_refine false);
     Cfg.(default |> with_force_all_compute true);
@@ -29,7 +28,7 @@ let sample_configs =
     Cfg.(default |> with_buckets (Some (Bucket.explicit [ 32; 64; 128; 512 ])));
     Cfg.(
       default |> with_partition_fraction 0.75 |> with_max_segment_ops 6
-      |> with_memoize false |> with_milp_max_nodes 123 |> with_refine false
+      |> with_milp_max_nodes 123 |> with_refine false
       |> with_force_all_compute true |> with_lp_backend Milp.Dense
       |> with_buckets (Some (Bucket.explicit [ 1; 7; 2048 ])));
   ]
@@ -48,12 +47,12 @@ let test_canonical_field_order_stable () =
   (* the exact default serialization is a compatibility surface: changing
      field order, float formatting, or the version tag silently invalidates
      every cache on disk, so any intentional change must bump the version
-     (v1 -> v2 added the buckets field) *)
+     (v1 -> v2 added the buckets field, v2 -> v3 dropped memoize) *)
   Alcotest.(check string) "default canonical"
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}"
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}"
     (Cfg.canonical Cfg.default);
   Alcotest.(check string) "bucketed canonical"
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:32:2048)}"
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:32:2048)}"
     (Cfg.canonical Cfg.(default |> with_buckets (Some Bucket.default)))
 
 let test_canonical_excludes_execution_knobs () =
@@ -74,38 +73,43 @@ let test_of_canonical_rejects_garbage () =
   in
   reject "";
   reject "not a config";
-  (* the retired v1 tag (and any other version) is rejected wholesale *)
+  (* the retired v1 and v2 tags (and any other version) are rejected
+     wholesale *)
   reject
     "cmswitch.config.v1{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised}";
-  reject "cmswitch.config.v3{partition_fraction=0x1p-1}";
+  reject
+    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
+  reject "cmswitch.config.v4{partition_fraction=0x1p-1}";
   (* missing closing brace *)
-  reject "cmswitch.config.v2{partition_fraction=0x1p-1";
+  reject "cmswitch.config.v3{partition_fraction=0x1p-1";
   (* missing fields *)
-  reject "cmswitch.config.v2{partition_fraction=0x1p-1}";
+  reject "cmswitch.config.v3{partition_fraction=0x1p-1}";
+  (* the retired memoize field in place of a current one *)
+  reject
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
   (* bad value types *)
   reject
-    "cmswitch.config.v2{partition_fraction=abc;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
+    "cmswitch.config.v3{partition_fraction=abc;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
   reject
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=cplex;buckets=none}";
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=cplex;buckets=none}";
   (* malformed bucket policies *)
   reject
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=pow2}";
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=pow2}";
   reject
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:64:32)}";
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:64:32)}";
   reject
-    "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(list:64,32)}"
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(list:64,32)}"
 
 let test_options_bridge () =
   (* the flattened fields land in the right nested slots *)
   let c =
     Cfg.(
-      default |> with_jobs 3 |> with_max_segment_ops 4 |> with_memoize false
+      default |> with_jobs 3 |> with_max_segment_ops 4
       |> with_milp_max_nodes 55 |> with_force_all_compute true)
   in
   let seg = Cfg.to_segment_options c in
   Alcotest.(check int) "segment jobs" 3 seg.Segment.jobs;
   Alcotest.(check int) "segment window" 4 seg.Segment.max_segment_ops;
-  Alcotest.(check bool) "segment memoize" false seg.Segment.memoize;
   let al = Cfg.to_alloc_options c in
   Alcotest.(check int) "alloc nodes" 55 al.Alloc.milp_max_nodes;
   Alcotest.(check bool) "alloc forced" true al.Alloc.force_all_compute
@@ -125,15 +129,15 @@ let prop_canonical_round_trip =
     (QCheck.Test.make ~name:"canonical round-trip is a fixed point" ~count:300
        QCheck.(
          pair
-           (quad (float_bound_exclusive 1.) (int_range 1 64) bool
+           (triple (float_bound_exclusive 1.) (int_range 1 64)
               (int_range 0 100_000))
            (triple small_int small_int small_int))
-       (fun ((frac, window, memo, nodes), (bk, ba, bb)) ->
+       (fun ((frac, window, nodes), (bk, ba, bb)) ->
          let c =
            Cfg.(
              default
              |> with_partition_fraction (frac +. 1e-3)
-             |> with_max_segment_ops window |> with_memoize memo
+             |> with_max_segment_ops window
              |> with_milp_max_nodes nodes
              |> with_buckets (bucket_of_ints bk ba bb))
          in

@@ -1,7 +1,7 @@
 (* Whole-stack fuzz across hardware configurations: for random networks on
    random chip scalings, compilation must succeed, the flow must validate,
    the timing simulator must agree with the compiler's roll-up, and the
-   dual-mode result must never lose to the all-compute restriction; random
+   dual-mode DP must never lose to the all-compute restriction; random
    valued graphs must compile and simulate within quantisation error of
    the float reference. This is the compositional safety net behind every
    experiment sweep. *)
@@ -22,25 +22,64 @@ module Rng = Cim_util.Rng
 
 let restricted = Cmswitch.Config.(with_force_all_compute true default)
 
-(* random instance: chip size, batch, MLP widths *)
+(* the chip families: DynaPlasia, DynaPlasia with PRIME's weight-write
+   cost (Eq. 2's rewrite then dominates a window's cost) and PRIME, each
+   scaled to a random array count *)
+type family = Dynaplasia | High_write | Prime
+
+let family_name = function
+  | Dynaplasia -> "dynaplasia"
+  | High_write -> "dynaplasia+prime-write"
+  | Prime -> "prime"
+
+let chip_of family ~n_arrays =
+  match family with
+  | Dynaplasia -> Config.scaled Config.dynaplasia ~n_arrays
+  | High_write ->
+    Config.scaled
+      { Config.dynaplasia with
+        Chip.name = "DynaPlasia-prime-write";
+        write_latency = Config.prime.Chip.write_latency }
+      ~n_arrays
+  | Prime -> Config.scaled Config.prime ~n_arrays
+
+(* random instance: chip family and size, batch, MLP widths *)
 let gen_instance =
   QCheck.Gen.(
-    quad (int_range 4 128) (int_range 1 4)
-      (list_size (int_range 2 5) (int_range 8 1500))
-      (int_range 0 1000))
+    quad (oneofl [ Dynaplasia; High_write; Prime ]) (int_range 4 128)
+      (int_range 1 4)
+      (list_size (int_range 2 5) (int_range 8 1500)))
 
 let arb_instance =
   QCheck.make
-    ~print:(fun (n, b, dims, _) ->
-      Printf.sprintf "chip=%d batch=%d dims=[%s]" n b
+    ~print:(fun (f, n, b, dims) ->
+      Printf.sprintf "chip=%s n_arrays=%d batch=%d dims=[%s]" (family_name f)
+        n b
         (String.concat ";" (List.map string_of_int dims)))
     gen_instance
+
+(* The DP's objective: the Eq. 10 roll-up of the segments it chose. Its
+   compute-only track is exactly the DP of an all-compute compile, and the
+   main track adopts that chain wherever it is cheaper, so this never
+   exceeds the all-compute compile's objective. Placed totals carry no
+   such guarantee: the DP estimates Eq. 1 against the previous segment
+   only, while placement keeps every idle array's mode, so a placed
+   dual-mode total can exceed the placed all-compute one by that gap
+   (OPT-6.7B on PRIME: 0.02%). *)
+let dp_objective chip (r : Cmswitch.result) =
+  (Plan.roll_up ~compiler:"dp" chip r.Cmswitch.ops
+     r.Cmswitch.schedule.Plan.segments).Plan.total_cycles
+
+let dominates chip g =
+  let r = Cmswitch.compile chip g in
+  let base = Cmswitch.compile ~config:restricted chip g in
+  dp_objective chip r <= dp_objective chip base *. (1. +. 1e-9)
 
 let prop_compile_everywhere =
   QCheck.Test.make ~name:"compile + validate + timing agree on random chips"
     ~count:40 arb_instance
-    (fun (n_arrays, batch, dims, _seed) ->
-      let chip = Config.scaled Config.dynaplasia ~n_arrays in
+    (fun (family, n_arrays, batch, dims) ->
+      let chip = chip_of family ~n_arrays in
       let g = Cim_models.Mlp.build ~batch ~dims () in
       let r = Cmswitch.compile chip g in
       let flow_ok = Flow.validate chip r.Cmswitch.program = Ok () in
@@ -53,17 +92,25 @@ let prop_compile_everywhere =
       let wb = r.Cmswitch.schedule.Plan.writeback in
       let eps = 1e-6 *. Float.max 1. total in
       let timing_ok = sim <= total +. eps && total <= sim +. wb +. eps in
-      let dominance_ok =
-        let base = Cmswitch.compile ~config:restricted chip g in
-        total <= base.Cmswitch.schedule.Plan.total_cycles *. (1. +. 1e-9)
-      in
-      flow_ok && timing_ok && dominance_ok && total > 0.)
+      flow_ok && timing_ok && dominates chip g && total > 0.)
+
+(* one DP track exceeds the all-compute objective on these (191261.8
+   against 191260.8 cycles, 128526.5 against 128526.0); the compute-only
+   track closes the gap *)
+let test_dominance_fixed_cases () =
+  let chip = chip_of High_write ~n_arrays:5 in
+  List.iter
+    (fun (batch, dims) ->
+      let g = Cim_models.Mlp.build ~batch ~dims () in
+      Alcotest.(check bool) "DP objective <= all-compute objective" true
+        (dominates chip g))
+    [ (3, [ 257; 380; 1002; 1199 ]); (1, [ 85; 25; 1063; 749; 183 ]) ]
 
 let prop_segments_partition_on_random_chips =
   QCheck.Test.make ~name:"segments tile operators on random chips" ~count:40
     arb_instance
-    (fun (n_arrays, batch, dims, _) ->
-      let chip = Config.scaled Config.dynaplasia ~n_arrays in
+    (fun (family, n_arrays, batch, dims) ->
+      let chip = chip_of family ~n_arrays in
       let g = Cim_models.Mlp.build ~batch ~dims () in
       let r = Cmswitch.compile chip g in
       let next = ref 0 in
@@ -146,6 +193,8 @@ let suite =
   ( "fuzz-e2e",
     [
       qtest prop_compile_everywhere;
+      Alcotest.test_case "dominance on two-track instances" `Quick
+        test_dominance_fixed_cases;
       qtest prop_segments_partition_on_random_chips;
       qtest prop_transformer_layers_compile_on_small_chips;
       qtest prop_random_graphs_compile_and_simulate;

@@ -757,6 +757,33 @@ let test_telemetry_report () =
   Alcotest.(check bool) "bare document renders no sections" false
     (has_sub bare "## ")
 
+(* observe_n is k single observes, bit for bit: counts, the exact sum
+   (added k times, never v *. k), extrema, buckets and the reservoir's
+   draws, across the reservoir's capacity *)
+let prop_observe_n_is_k_observes =
+  QCheck.Test.make ~name:"observe_n = k single observes" ~count:100
+    QCheck.(
+      list_of_size Gen.(int_range 0 12)
+        (pair (float_range (-1e6) 1e9) (int_range 0 700)))
+    (fun runs ->
+      with_obs @@ fun () ->
+      let one = Metrics.histogram "test.observe_one"
+      and many = Metrics.histogram "test.observe_n" in
+      List.iter
+        (fun (v, k) ->
+          for _ = 1 to k do Metrics.observe one v done;
+          Metrics.observe_n many v k)
+        runs;
+      let bits (s : Metrics.summary) =
+        Printf.sprintf "%d %h %h %h %h %h %h %h %h %s" s.Metrics.n s.Metrics.sum
+          s.Metrics.mean s.Metrics.min s.Metrics.p50 s.Metrics.p95
+          s.Metrics.p99 s.Metrics.p999 s.Metrics.max
+          (String.concat ","
+             (List.map (fun (le, c) -> Printf.sprintf "%h:%d" le c)
+                s.Metrics.buckets))
+      in
+      bits (Metrics.summarize one) = bits (Metrics.summarize many))
+
 let suite =
   ( "obs",
     [
@@ -777,6 +804,7 @@ let suite =
       Alcotest.test_case "bounded histogram" `Quick test_histogram_bounded;
       Alcotest.test_case "trace ring buffer" `Quick test_trace_ring;
       QCheck_alcotest.to_alcotest prop_json_roundtrip;
+      QCheck_alcotest.to_alcotest prop_observe_n_is_k_observes;
       Alcotest.test_case "json deep nesting" `Quick test_json_deep_nesting;
       Alcotest.test_case "openmetrics name sanitizer" `Quick
         test_openmetrics_sanitize;

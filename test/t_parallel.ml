@@ -14,8 +14,13 @@ module Plan = Cim_compiler.Plan
 module Flow = Cim_metaop.Flow
 module Metrics = Cim_obs.Metrics
 
-let chip = Config.dynaplasia
-let models = [ "resnet18"; "bert-large"; "llama2-7b" ]
+(* (fixture key, model, chip); on PRIME the DP mixes dual-mode and
+   compute-only windows *)
+let cases =
+  [ ("resnet18", "resnet18", Config.dynaplasia);
+    ("bert-large", "bert-large", Config.dynaplasia);
+    ("llama2-7b", "llama2-7b", Config.dynaplasia);
+    ("resnet18-prime", "resnet18", Config.prime) ]
 
 (* the e2e graphs of the compile-time experiment: CNNs whole, transformers
    one reused block *)
@@ -50,7 +55,7 @@ let metrics_lines () =
            (substring "compile.seconds" l || substring "wall_seconds" l
            || substring "compile.pass." l))
 
-let compile_fp ~jobs key =
+let compile_fp ~jobs chip model =
   Metrics.set_enabled true;
   Metrics.reset ();
   Fun.protect
@@ -58,7 +63,9 @@ let compile_fp ~jobs key =
       Metrics.set_enabled false;
       Metrics.reset ())
     (fun () ->
-      let r = Cmswitch.compile ~config:(config_with_jobs jobs) chip (graph_of key) in
+      let r =
+        Cmswitch.compile ~config:(config_with_jobs jobs) chip (graph_of model)
+      in
       { program = Flow.to_string r.Cmswitch.program;
         schedule = r.Cmswitch.schedule;
         stats = r.Cmswitch.dp_stats;
@@ -66,9 +73,9 @@ let compile_fp ~jobs key =
 
 (* ---- jobs=1 vs jobs=4 ---------------------------------------------------- *)
 
-let test_determinism key () =
-  let serial = compile_fp ~jobs:1 key in
-  let par = compile_fp ~jobs:4 key in
+let test_determinism chip model () =
+  let serial = compile_fp ~jobs:1 chip model in
+  let par = compile_fp ~jobs:4 chip model in
   Alcotest.(check string) "program bytes" serial.program par.program;
   Alcotest.(check bool) "schedule (plans, exact floats)" true
     (serial.schedule = par.schedule);
@@ -89,11 +96,11 @@ let golden_read_path key =
 
 let golden_write_path = golden_read_path
 
-let render_fingerprint key fp =
+let render_fingerprint chip model fp =
   let b = Buffer.create 1024 in
   let s = fp.schedule in
   Buffer.add_string b
-    (Printf.sprintf "model=%s chip=%s\n" key chip.Cim_arch.Chip.name);
+    (Printf.sprintf "model=%s chip=%s\n" model chip.Cim_arch.Chip.name);
   Buffer.add_string b
     (Printf.sprintf "stats candidates=%d pruned=%d solves=%d hits=%d\n"
        fp.stats.Segment.candidates fp.stats.Segment.pruned_infeasible
@@ -114,9 +121,9 @@ let render_fingerprint key fp =
     (Printf.sprintf "program_md5=%s\n" (Digest.to_hex (Digest.string fp.program)));
   Buffer.contents b
 
-let test_golden key () =
-  let fp = compile_fp ~jobs:1 key in
-  let rendered = render_fingerprint key fp in
+let test_golden key chip model () =
+  let fp = compile_fp ~jobs:1 chip model in
+  let rendered = render_fingerprint chip model fp in
   if Sys.getenv_opt "CMSWITCH_UPDATE_GOLDEN" = Some "1" then begin
     let path = golden_write_path key in
     let oc = open_out path in
@@ -146,7 +153,9 @@ let test_golden key () =
 let suite =
   ( "parallel",
     List.concat_map
-      (fun key ->
-        [ Alcotest.test_case (key ^ " jobs=1 = jobs=4") `Quick (test_determinism key);
-          Alcotest.test_case (key ^ " golden fingerprint") `Quick (test_golden key) ])
-      models )
+      (fun (key, model, chip) ->
+        [ Alcotest.test_case (key ^ " jobs=1 = jobs=4") `Quick
+            (test_determinism chip model);
+          Alcotest.test_case (key ^ " golden fingerprint") `Quick
+            (test_golden key chip model) ])
+      cases )

@@ -238,7 +238,7 @@ let test_parse_list () =
 
 let test_fingerprint () =
   Alcotest.(check string) "default fingerprint"
-    "passes.v1[extract;segment;place;schedule;probe;codegen;check]"
+    "passes.v1[extract;segment;place;schedule;codegen;check]"
     Passes.default_fingerprint;
   Alcotest.(check string) "fingerprint follows the list"
     "passes.v1[extract;codegen]"
