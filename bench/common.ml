@@ -22,10 +22,10 @@ let compiler_name = function
 
 let all_compilers = [ Base Baseline.Occ; Base Baseline.Puma; Base Baseline.Cim_mlc; Cms ]
 
-(* (chip name, compiler, model, workload) -> (total cycles, mem ratio,
-   compile seconds). The cache keeps repeated sweep points cheap; access is
-   mutex-guarded so {!par_map} sweeps may fill it from pool workers. *)
-let cache : (string * string * string * string, float * float * float) Hashtbl.t =
+(* (chip name, compiler, model, workload) -> (total cycles, mem ratio).
+   The cache keeps repeated sweep points cheap; access is mutex-guarded so
+   {!par_map} sweeps may fill it from pool workers. *)
+let cache : (string * string * string * string, float * float) Hashtbl.t =
   Hashtbl.create 128
 
 let cache_mutex = Mutex.create ()
@@ -48,14 +48,9 @@ let model_cost ?(chip = Config.dynaplasia) compiler key (w : Workload.t) =
     let r =
       match compiler with
       | Cms ->
-        let t0 = Unix.gettimeofday () in
         let mc = Cmswitch.compile_model chip e w in
-        (mc.Cmswitch.total_cycles, mc.Cmswitch.mem_ratio,
-         Unix.gettimeofday () -. t0)
-      | Base which ->
-        let t0 = Unix.gettimeofday () in
-        let cycles = Baseline.compile_model which chip e w in
-        (cycles, 0., Unix.gettimeofday () -. t0)
+        (mc.Cmswitch.total_cycles, mc.Cmswitch.mem_ratio)
+      | Base which -> (Baseline.compile_model which chip e w, 0.)
     in
     (* two workers racing on one point compute the same value; last write
        wins harmlessly *)
@@ -81,9 +76,9 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* min over [n] timed calls: the harness shares the machine with other
-   tenants, and the minimum is the least-disturbed sample. Returns the
-   last call's result. *)
+(* min over [n] timed calls, bench/perf's estimator: the harness shares
+   the machine with other tenants, and the minimum is the
+   least-disturbed sample. Returns the last call's result. *)
 let best n f =
   let t = ref infinity and r = ref None in
   for _ = 1 to n do
@@ -94,11 +89,11 @@ let best n f =
   (Option.get !r, !t)
 
 let cycles ?chip compiler key w =
-  let c, _, _ = model_cost ?chip compiler key w in
+  let c, _ = model_cost ?chip compiler key w in
   c
 
 let mem_ratio ?chip key w =
-  let _, r, _ = model_cost ?chip Cms key w in
+  let _, r = model_cost ?chip Cms key w in
   r
 
 (* End-to-end generative inference: one prefill pass over the prompt, then

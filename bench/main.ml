@@ -1,7 +1,8 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's per-experiment index). With no argument,
-   runs E1-E10 in paper order; pass experiment ids ("e3 e5") to run a
-   subset, or "micro" for the bechamel pass-level benchmarks. *)
+   runs e1 to e18 in order; pass experiment ids ("e3 e5") to run a subset,
+   or "solver" for the per-MILP revised-vs-dense LP table. Wall-clock
+   performance is measured by bench/perf. *)
 
 let experiments =
   [
@@ -17,19 +18,15 @@ let experiments =
     ("e10", "Table 2 + Fig. 4: configuration and mapping contrast", E10_config.run);
     ("e11", "ablations: partitioning, DP window, MIP vs greedy, Eq. 9 vs DES", E11_ablation.run);
     ("e12", "energy and EDP, dual-mode vs all-compute", E12_energy.run);
-    ("e13", "compilation cache: cold vs warm compile", E13_cache.run);
     ("e14", "fleet serving: load sweep with runtime faults", E14_fleet.run);
     ("e15", "telemetry overhead: fleet run with observability off/on", E15_telemetry.run);
-    ("e16", "kernel engine: boxed vs Bigarray + parallel functional sim", E16_kernels.run);
-    ("e17", "dynamic shapes: bucketed decode-sweep compile", E17_dynshape.run);
-    ("e18", "MMIO command-stream ISA: lowering + machine-level simulator", E18_isa.run);
-    ("micro", "bechamel micro-benchmarks", Micro.run);
-    ("solver", "per-MILP solver cost, revised vs dense backend", Micro.run_solver);
+    ("e18", "MMIO command-stream ISA: lowered stream sizes", E18_isa.run);
+    ("solver", "per-MILP solver cost, revised vs dense backend", Solver.run);
   ]
 
 let usage () =
   print_endline
-    "usage: main.exe [e1 .. e18 | micro | solver | all] ... [--csv DIR] [--json FILE]";
+    "usage: main.exe [e1 .. e18 | solver | all] ... [--csv DIR] [--json FILE]";
   List.iter (fun (id, desc, _) -> Printf.printf "  %-5s %s\n" id desc) experiments
 
 (* Sys.mkdir is not recursive; "--csv out/csv" must create "out" first. *)
@@ -109,7 +106,7 @@ let () =
       (fun req ->
         if req = "all" then
           List.iter
-            (fun (id, _, f) -> if id <> "micro" && id <> "solver" then f ())
+            (fun (id, _, f) -> if id <> "solver" then f ())
             experiments
         else
           match List.find_opt (fun (id, _, _) -> id = req) experiments with

@@ -975,32 +975,13 @@ let do_cache_stats cache_dir =
         t.Store.tier t.Store.entries t.Store.bytes c.Store.hits c.Store.misses
         c.Store.invalid c.Store.puts (hit_rate_pct c))
     d.Store.tiers;
-  (* which bucket ceilings have compiled programs resident: prog-tier keys
-     carry a "shape.v1(<policy>:ceil=N)" fragment when the program was
-     compiled at a bucket ceiling *)
+  (* which bucket ceilings have compiled programs resident *)
   let ceilings =
     Store.fold_keys s ~tier:Cim_compiler.Ccache.prog_tier ~init:[]
       ~f:(fun acc key ->
-        match
-          List.find_opt
-            (fun line ->
-              String.length line >= 9 && String.sub line 0 9 = "shape.v1(")
-            (String.split_on_char '\n' key)
-        with
-        | None -> acc
-        | Some line -> (
-          match String.index_opt line '=' with
-          | None -> acc
-          | Some i -> (
-            let rest = String.sub line (i + 1) (String.length line - i - 1) in
-            let digits =
-              String.to_seq rest
-              |> Seq.take_while (fun c -> c >= '0' && c <= '9')
-              |> String.of_seq
-            in
-            match int_of_string_opt digits with
-            | Some c -> c :: acc
-            | None -> acc)))
+        match Cim_compiler.Ccache.bucket_ceiling key with
+        | Some c -> c :: acc
+        | None -> acc)
   in
   let distinct = List.sort_uniq compare ceilings in
   if distinct = [] then Printf.printf "  buckets: none\n"

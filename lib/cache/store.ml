@@ -8,47 +8,40 @@ type counters = {
   hits : int;
   misses : int;
   invalid : int;
-  evictions : int;
   puts : int;
 }
 
-let zero_counters = { hits = 0; misses = 0; invalid = 0; evictions = 0; puts = 0 }
+let zero_counters = { hits = 0; misses = 0; invalid = 0; puts = 0 }
 
 type mut_counters = {
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_invalid : int;
-  mutable c_evictions : int;
   mutable c_puts : int;
 }
 
-let fresh_mut () =
-  { c_hits = 0; c_misses = 0; c_invalid = 0; c_evictions = 0; c_puts = 0 }
+let fresh_mut () = { c_hits = 0; c_misses = 0; c_invalid = 0; c_puts = 0 }
 
 let freeze (m : mut_counters) =
   { hits = m.c_hits; misses = m.c_misses; invalid = m.c_invalid;
-    evictions = m.c_evictions; puts = m.c_puts }
+    puts = m.c_puts }
 
 let set_mut (m : mut_counters) (c : counters) =
   m.c_hits <- c.hits;
   m.c_misses <- c.misses;
   m.c_invalid <- c.invalid;
-  m.c_evictions <- c.evictions;
   m.c_puts <- c.puts
 
 let add_counters a b =
   { hits = a.hits + b.hits; misses = a.misses + b.misses;
-    invalid = a.invalid + b.invalid; evictions = a.evictions + b.evictions;
-    puts = a.puts + b.puts }
+    invalid = a.invalid + b.invalid; puts = a.puts + b.puts }
 
 let sub_counters a b =
   { hits = a.hits - b.hits; misses = a.misses - b.misses;
-    invalid = a.invalid - b.invalid; evictions = a.evictions - b.evictions;
-    puts = a.puts - b.puts }
+    invalid = a.invalid - b.invalid; puts = a.puts - b.puts }
 
 type t = {
   root : string;
-  max_bytes : int option;
   mutex : Mutex.t;
   total : mut_counters;
   by_tier : (string, mut_counters) Hashtbl.t;
@@ -66,12 +59,9 @@ let rec mkdir_p dir =
     with Sys_error _ when Sys.is_directory dir -> ()
   end
 
-let open_dir ?max_bytes root =
-  (match max_bytes with
-  | Some b when b <= 0 -> invalid_arg "Store.open_dir: max_bytes must be positive"
-  | _ -> ());
+let open_dir root =
   mkdir_p root;
-  { root; max_bytes; mutex = Mutex.create (); total = fresh_mut ();
+  { root; mutex = Mutex.create (); total = fresh_mut ();
     by_tier = Hashtbl.create 4; flushed_total = fresh_mut ();
     flushed_by_tier = Hashtbl.create 4 }
 
@@ -106,9 +96,6 @@ let record_miss t tier = bump t tier (fun m -> m.c_misses <- m.c_misses + 1) "mi
 
 let record_invalid t tier =
   bump t tier (fun m -> m.c_invalid <- m.c_invalid + 1) "invalid"
-
-let record_eviction t tier =
-  bump t tier (fun m -> m.c_evictions <- m.c_evictions + 1) "evictions"
 
 let record_put t tier = bump t tier (fun m -> m.c_puts <- m.c_puts + 1) "puts"
 
@@ -189,13 +176,12 @@ let counters_path t = Filename.concat t.root "counters.json"
 let counters_to_json (c : counters) =
   J.Obj
     [ ("hits", J.Int c.hits); ("misses", J.Int c.misses);
-      ("invalid", J.Int c.invalid); ("evictions", J.Int c.evictions);
-      ("puts", J.Int c.puts) ]
+      ("invalid", J.Int c.invalid); ("puts", J.Int c.puts) ]
 
 let counters_of_json j =
   let i k = match J.member k j with Some (J.Int n) when n >= 0 -> n | _ -> 0 in
   { hits = i "hits"; misses = i "misses"; invalid = i "invalid";
-    evictions = i "evictions"; puts = i "puts" }
+    puts = i "puts" }
 
 (* A missing or damaged counters file reads as all-zero: lifetime stats are
    advisory and must never fail a cache operation. *)
@@ -359,12 +345,6 @@ let find t ~tier ~key =
     match verdict with
     | Ok payload ->
       record_hit t tier;
-      (* touch-on-hit: bump the entry's mtime so the size-budget eviction
-         (mtime-oldest-first) behaves as LRU rather than FIFO — a hot
-         fallback plan a serving fleet keeps recompiling around stays
-         resident however long ago it was first stored. Best-effort: a
-         read-only cache still hits *)
-      (try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ());
       Some payload
     | Error _ ->
       (* a bad entry is a miss, loudly accounted; [verify] can still find
@@ -377,7 +357,7 @@ let note_invalid t ~tier =
   record_invalid t tier;
   record_miss t tier
 
-(* --- put + eviction ------------------------------------------------------ *)
+(* --- put ------------------------------------------------------------------ *)
 
 let file_size path = match (Unix.stat path).Unix.st_size with s -> s
 
@@ -385,34 +365,11 @@ let disk_bytes t =
   List.fold_left (fun acc p -> acc + try file_size p with Unix.Unix_error _ -> 0)
     0 (all_entries t)
 
-let evict_to_budget t ~keep =
-  match t.max_bytes with
-  | None -> ()
-  | Some budget ->
-    let entries =
-      all_entries t
-      |> List.filter_map (fun p ->
-             if p = keep then None
-             else
-               match Unix.stat p with
-               | st -> Some (p, st.Unix.st_size, st.Unix.st_mtime)
-               | exception Unix.Unix_error _ -> None)
-      (* oldest first; name as tie-break so eviction order is stable *)
-      |> List.sort (fun (p1, _, m1) (p2, _, m2) ->
-             match compare m1 m2 with 0 -> compare p1 p2 | c -> c)
-    in
-    let total = ref (List.fold_left (fun a (_, s, _) -> a + s) 0 entries) in
-    let keep_size = try file_size keep with Unix.Unix_error _ -> 0 in
-    total := !total + keep_size;
-    List.iter
-      (fun (p, size, _) ->
-        if !total > budget then begin
-          (try Sys.remove p with Sys_error _ -> ());
-          total := !total - size;
-          let tier = Filename.basename (Filename.dirname p) in
-          record_eviction t tier
-        end)
-      entries
+(* the footprint stats every entry on disk, so it is walked only when the
+   registry records the gauge *)
+let record_footprint t =
+  if Metrics.enabled () then
+    Metrics.set_gauge (Metrics.gauge "cache.bytes") (float_of_int (disk_bytes t))
 
 let put t ~tier ~key ~payload =
   Trace.with_span "cache.put" ~cat:"cache" ~args:[ ("tier", J.String tier) ]
@@ -429,14 +386,9 @@ let put t ~tier ~key ~payload =
        ~finally:(fun () -> close_out_noerr oc)
        (fun () -> output_string oc (entry_to_string ~tier ~key ~payload));
      Sys.rename tmp path;
-     record_put t tier;
-     (* not under [locked]: record_eviction takes the counter mutex itself,
-        and relocking here would raise (and get swallowed below), silently
-        abandoning the eviction sweep. Concurrent sweeps are safe — removal
-        of an already-removed entry is ignored. *)
-     evict_to_budget t ~keep:path
+     record_put t tier
    with Sys_error _ | Unix.Unix_error _ -> ());
-  Metrics.set_gauge (Metrics.gauge "cache.bytes") (float_of_int (disk_bytes t))
+  record_footprint t
 
 (* --- maintenance --------------------------------------------------------- *)
 
@@ -478,7 +430,7 @@ let clear t =
           else if is_temp_file name then try Sys.remove p with Sys_error _ -> ())
         (try Sys.readdir d with Sys_error _ -> [||]))
     (tier_dirs t);
-  Metrics.set_gauge (Metrics.gauge "cache.bytes") (float_of_int (disk_bytes t));
+  record_footprint t;
   !removed
 
 let verify t =

@@ -20,22 +20,18 @@
     domains; the store's own counters are mutex-guarded.
 
     Metrics (recorded when {!Cim_obs.Metrics} is enabled): [cache.hits],
-    [cache.misses], [cache.invalid], [cache.evictions], [cache.puts]
-    globally, the same rooted at [cache.<tier>.] per tier, and the
-    [cache.bytes] gauge tracking the on-disk footprint after each write. *)
+    [cache.misses], [cache.invalid], [cache.puts] globally, the same
+    rooted at [cache.<tier>.] per tier, and the [cache.bytes] gauge
+    tracking the on-disk footprint after each write. The footprint walks
+    every entry, so it is taken only while metrics are enabled. *)
 
 type t
 
-val open_dir : ?max_bytes:int -> string -> t
+val open_dir : string -> t
 (** Open (creating directories as needed) a cache rooted at the given
-    path. With [max_bytes], every {!put} that pushes the store's on-disk
-    footprint above the budget evicts oldest-modified entries until it
-    fits again (the entry just written is never evicted). Because {!find}
-    touches an entry's mtime on every hit, the policy is LRU, not
-    insert-order FIFO — entries a long-running process keeps re-reading
-    (e.g. the fallback plans a serving fleet recompiles around) stay
-    resident. Raises [Invalid_argument] on a non-positive [max_bytes] and
-    [Sys_error] when the directory cannot be created. *)
+    path. The store has no size budget: entries stay until {!clear} or
+    an outside [rm]. Raises [Sys_error] when the directory cannot be
+    created. *)
 
 val dir : t -> string
 
@@ -44,8 +40,7 @@ val find : t -> tier:string -> key:string -> string option
     entry — unreadable, unparseable, wrong version, recorded key differing
     from [key] (hash collision or relocated file), or payload digest
     mismatch (corruption, truncation) — is a miss that also increments the
-    invalid counters; it is left on disk for [verify] to report. A hit
-    touches the entry's mtime (best-effort) so budget eviction is LRU. *)
+    invalid counters; it is left on disk for [verify] to report. *)
 
 val put : t -> tier:string -> key:string -> payload:string -> unit
 (** Write (or overwrite) the entry for [(tier, key)]. I/O failures are
@@ -61,7 +56,6 @@ type counters = {
   hits : int;
   misses : int;
   invalid : int;  (** subset of [misses] caused by bad entries *)
-  evictions : int;
   puts : int;
 }
 

@@ -6,12 +6,10 @@ type options = {
   milp_max_nodes : int;
   refine : bool;
   force_all_compute : bool;
-  lp_backend : Cim_solver.Milp.backend;
 }
 
 let default_options =
-  { milp_max_nodes = 600; refine = true; force_all_compute = false;
-    lp_backend = Cim_solver.Milp.Revised }
+  { milp_max_nodes = 600; refine = true; force_all_compute = false }
 
 let ceil_div = Cim_util.Bytesize.ceil_div
 
@@ -215,10 +213,7 @@ let solve_outcome ?(options = default_options) chip (ops : Opinfo.t array) ~lo ~
     let z_ub = z_upper chip ops ~lo ~hi in
     let m, vars, z, _capacity_terms = build ~options chip ops ~lo ~hi ~z_ub in
     Model.maximize m [ (1., z) ];
-    match
-      Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3
-        ~backend:options.lp_backend m
-    with
+    match Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3 m with
     | Model.Infeasible | Model.Unbounded -> Infeasible
     | Model.Truncated None -> Truncated_no_incumbent
     | Model.Truncated (Some _) ->
@@ -241,10 +236,7 @@ let solve_outcome ?(options = default_options) chip (ops : Opinfo.t array) ~lo ~
             List.filter (fun (c, _) -> c > 0.) cap2
           in
           Model.minimize m2 arrays_expr;
-          match
-            Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3
-              ~backend:options.lp_backend m2
-          with
+          match Model.solve ~max_nodes:options.milp_max_nodes ~gap:5e-3 m2 with
           | Model.Optimal _ ->
             let refined = read_plan ops chip m2 vars2 ~lo ~hi in
             (* guard against numeric slack: keep the refined plan only if it

@@ -14,17 +14,12 @@ type options = {
   force_all_compute : bool;
       (** restrict memory-mode variables to zero — this is how the CIM-MLC
           baseline is expressed in the same machinery *)
-  lp_backend : Cim_solver.Milp.backend;
-      (** LP core for the branch-and-bound relaxations: [Revised] (default)
-          is the warm-started bounded-variable revised simplex; [Dense] is
-          the original tableau solver, kept for differential testing and
-          for benchmarking the speedup in the same run *)
 }
 
 val default_options : options
 (** The compiler's MILP defaults: node budget 600, refinement on,
-    dual-mode search, [Revised] LP backend. {!Segment.default_options}
-    and [Cmswitch.Config.default] are built from it. *)
+    dual-mode search. {!Segment.default_options} and
+    [Cmswitch.Config.default] are built from it. *)
 
 (** Solver outcome distinguishing a genuinely infeasible segment from a
     node-limited search, so the {!Degrade} chain can fall back instead of

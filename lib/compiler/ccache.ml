@@ -34,20 +34,9 @@ let faults_canonical = function
       (String.concat ";" (List.map (fun (c, f) -> fault_canonical c f)
                             (Faultmap.faults fm)))
 
-let backend_to_string = function
-  | Cim_solver.Milp.Revised -> "revised"
-  | Cim_solver.Milp.Dense -> "dense"
-
-let backend_of_string = function
-  | "revised" -> Some Cim_solver.Milp.Revised
-  | "dense" -> Some Cim_solver.Milp.Dense
-  | _ -> None
-
 let alloc_canonical (o : Alloc.options) =
-  Printf.sprintf
-    "alloc.v1{milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s}"
+  Printf.sprintf "alloc.v2{milp_max_nodes=%d;refine=%b;force_all_compute=%b}"
     o.Alloc.milp_max_nodes o.Alloc.refine o.Alloc.force_all_compute
-    (backend_to_string o.Alloc.lp_backend)
 
 (* --- per-segment tier ----------------------------------------------------- *)
 
@@ -198,6 +187,33 @@ let prog_key ?shape ~graph_text ~chip ~faults ~config ~passes () =
     [ "prog.v1"; chip_canonical chip; faults_canonical faults; config; passes;
       Option.value shape ~default:"shape:none";
       graph_text ]
+
+let shape_fragment b ~ceil =
+  Printf.sprintf "shape.v1(%s:ceil=%d)" (Bucket.canonical b) ceil
+
+(* the digits between the fragment's last ":ceil=" and its closing paren,
+   in the writer's exact form: positive, no sign, no leading zero *)
+let ceiling_of_fragment s =
+  let prefix = "shape.v1(" and tag = ":ceil=" in
+  let n = String.length s and p = String.length prefix
+  and t = String.length tag in
+  if not (String.starts_with ~prefix s && String.ends_with ~suffix:")" s) then
+    None
+  else
+    match String.rindex_opt s '=' with
+    | Some i when i - t + 1 > p && String.sub s (i - t + 1) t = tag -> (
+      let digits = String.sub s (i + 1) (n - i - 2) in
+      match int_of_string_opt digits with
+      | Some c when c > 0 && string_of_int c = digits -> Some c
+      | Some _ | None -> None)
+    | Some _ | None -> None
+
+(* the shape fragment is the sixth line of a prog key *)
+let bucket_ceiling key =
+  match String.split_on_char '\n' key with
+  | "prog.v1" :: _chip :: _faults :: _config :: _passes :: shape :: _ ->
+    ceiling_of_fragment shape
+  | _ -> None
 
 type prog_payload = {
   segments : Plan.seg_plan list;

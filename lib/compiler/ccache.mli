@@ -25,10 +25,8 @@ val faults_canonical : Cim_arch.Faultmap.t option -> string
     ["faults:none"] when healthy. *)
 
 val alloc_canonical : Alloc.options -> string
-
-val backend_to_string : Cim_solver.Milp.backend -> string
-
-val backend_of_string : string -> Cim_solver.Milp.backend option
+(** ["alloc.v2{...}"]: the MILP node budget, refinement and the
+    compute-only restriction. *)
 
 (** {2 Per-segment tier} *)
 
@@ -83,6 +81,16 @@ val prog_key :
     a ["shape.v1(...)"] line keyed on the bucket ceiling (never the raw
     length), so every length inside a bucket derives the same key; without
     bucketing the fragment is the literal ["shape:none"]. *)
+
+val shape_fragment : Bucket.t -> ceil:int -> string
+(** The [?shape] line of {!prog_key} for a program compiled at bucket
+    ceiling [ceil] under policy [b]:
+    ["shape.v1(<Bucket.canonical b>:ceil=<ceil>)"]. *)
+
+val bucket_ceiling : string -> int option
+(** The ceiling a prog key's {!shape_fragment} records. [None] for an
+    unbucketed key (["shape:none"]), for a key that is not a [prog.v1]
+    key, and for a malformed fragment. Never raises. *)
 
 type prog_payload = {
   segments : Plan.seg_plan list;  (** the chosen segmentation, in order *)

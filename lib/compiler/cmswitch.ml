@@ -21,7 +21,6 @@ module Config = struct
     milp_max_nodes : int;
     refine : bool;
     force_all_compute : bool;
-    lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
     faults : Faultmap.t option;
     cache : Store.t option;
@@ -31,12 +30,9 @@ module Config = struct
     let { Segment.alloc; max_segment_ops; jobs; cache } =
       Segment.default_options
     in
-    let { Alloc.milp_max_nodes; refine; force_all_compute; lp_backend } =
-      alloc
-    in
+    let { Alloc.milp_max_nodes; refine; force_all_compute } = alloc in
     { partition_fraction = 0.5; max_segment_ops; jobs; milp_max_nodes;
-      refine; force_all_compute; lp_backend; buckets = None; faults = None;
-      cache }
+      refine; force_all_compute; buckets = None; faults = None; cache }
 
   let with_partition_fraction v t = { t with partition_fraction = v }
   let with_max_segment_ops v t = { t with max_segment_ops = v }
@@ -44,7 +40,6 @@ module Config = struct
   let with_milp_max_nodes v t = { t with milp_max_nodes = v }
   let with_refine v t = { t with refine = v }
   let with_force_all_compute v t = { t with force_all_compute = v }
-  let with_lp_backend v t = { t with lp_backend = v }
   let with_buckets v t = { t with buckets = v }
   let with_faults v t = { t with faults = v }
   let with_cache v t = { t with cache = v }
@@ -54,7 +49,6 @@ module Config = struct
       Alloc.milp_max_nodes = t.milp_max_nodes;
       refine = t.refine;
       force_all_compute = t.force_all_compute;
-      lp_backend = t.lp_backend;
     }
 
   let to_segment_options t =
@@ -72,24 +66,23 @@ module Config = struct
      (plumbing, not semantics). *)
   let canonical t =
     Printf.sprintf
-      "cmswitch.config.v3{partition_fraction=%h;max_segment_ops=%d;milp_max_nodes=%d;refine=%b;force_all_compute=%b;lp_backend=%s;buckets=%s}"
+      "cmswitch.config.v4{partition_fraction=%h;max_segment_ops=%d;milp_max_nodes=%d;refine=%b;force_all_compute=%b;buckets=%s}"
       t.partition_fraction t.max_segment_ops t.milp_max_nodes
       t.refine t.force_all_compute
-      (Ccache.backend_to_string t.lp_backend)
       (match t.buckets with
       | None -> "none"
       | Some b -> Bucket.canonical b)
 
   let of_canonical s =
     let ( let* ) = Result.bind in
-    let prefix = "cmswitch.config.v3{" in
+    let prefix = "cmswitch.config.v4{" in
     let plen = String.length prefix in
     if
       not
         (String.length s > plen
         && String.sub s 0 plen = prefix
         && s.[String.length s - 1] = '}')
-    then Error "not a cmswitch.config.v3 string"
+    then Error "not a cmswitch.config.v4 string"
     else begin
       let body = String.sub s plen (String.length s - plen - 1) in
       let fields = String.split_on_char ';' body in
@@ -118,9 +111,9 @@ module Config = struct
         | Some b -> Ok b
         | None -> Error (Printf.sprintf "config: bad bool in %s" k)
       in
-      if List.length fields <> 7 then
+      if List.length fields <> 6 then
         Error
-          (Printf.sprintf "config: expected 7 fields, got %d"
+          (Printf.sprintf "config: expected 6 fields, got %d"
              (List.length fields))
       else
         let* partition_fraction = float_field "partition_fraction" in
@@ -128,12 +121,6 @@ module Config = struct
         let* milp_max_nodes = int_field "milp_max_nodes" in
         let* refine = bool_field "refine" in
         let* force_all_compute = bool_field "force_all_compute" in
-        let* backend_s = field "lp_backend" in
-        let* lp_backend =
-          match Ccache.backend_of_string backend_s with
-          | Some b -> Ok b
-          | None -> Error ("config: unknown lp_backend " ^ backend_s)
-        in
         let* buckets_s = field "buckets" in
         let* buckets =
           if buckets_s = "none" then Ok None
@@ -150,7 +137,6 @@ module Config = struct
             milp_max_nodes;
             refine;
             force_all_compute;
-            lp_backend;
             buckets;
           }
     end
@@ -587,9 +573,6 @@ let padded_workload cfg (e : Zoo.entry) (w : Workload.t) =
     (w', Some ceil_ctx)
   | _ -> (w, None)
 
-let shape_fragment b ~ceil =
-  Printf.sprintf "shape.v1(%s:ceil=%d)" (Bucket.canonical b) ceil
-
 (* defensive check of the padding premise: every tensor of the actual-length
    graph must fit inside its bucket-ceiling counterpart *)
 let assert_padding_dominates ~model g_pad g_act =
@@ -608,7 +591,7 @@ let compile_model ?config:(cfg = Config.default) ?passes ?validate_each ?on_pass
   let padded = Workload.context_len w' <> Workload.context_len w in
   let shape =
     match (cfg.Config.buckets, bucket_ceiling) with
-    | Some b, Some c -> Some (shape_fragment b ~ceil:c)
+    | Some b, Some c -> Some (Ccache.shape_fragment b ~ceil:c)
     | _ -> None
   in
   let compile_g g =

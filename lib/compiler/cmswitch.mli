@@ -27,7 +27,7 @@ val log_src : Logs.src
     pipeline, flattened, plus the fault map and the compilation cache.
     Build with the [with_*] combinators:
     {[Config.default |> Config.with_jobs 4
-                     |> Config.with_lp_backend Cim_solver.Milp.Revised]} *)
+                     |> Config.with_milp_max_nodes 5000]} *)
 module Config : sig
   type t = {
     partition_fraction : float;
@@ -42,7 +42,6 @@ module Config : sig
     force_all_compute : bool;
         (** CIM-MLC restriction: every window in compute mode only. Off,
             the DP prices each window in both modes ({!Segment.run}) *)
-    lp_backend : Cim_solver.Milp.backend;
     buckets : Bucket.t option;
         (** length-bucketing policy for {!compile_model}: sequence
             workloads compile at their {!Bucket.ceiling} instead of the
@@ -59,7 +58,7 @@ module Config : sig
       from {!Segment.default_options} (window 10, no cache,
       [jobs] = {!Cim_util.Pool.default_jobs}) and its
       {!Alloc.default_options} (MILP node budget 600 with refinement,
-      dual-mode search, [Revised] LP backend). *)
+      dual-mode search). *)
 
   val with_partition_fraction : float -> t -> t
   val with_max_segment_ops : int -> t -> t
@@ -67,7 +66,6 @@ module Config : sig
   val with_milp_max_nodes : int -> t -> t
   val with_refine : bool -> t -> t
   val with_force_all_compute : bool -> t -> t
-  val with_lp_backend : Cim_solver.Milp.backend -> t -> t
   val with_buckets : Bucket.t option -> t -> t
   val with_faults : Cim_arch.Faultmap.t option -> t -> t
   val with_cache : Cim_cache.Store.t option -> t -> t
@@ -79,10 +77,9 @@ module Config : sig
 
   val canonical : t -> string
   (** Deterministic single-line serialisation of every {e semantic} field
-      — the compilation-cache key component: ["cmswitch.config.v3{...}"]
-      with seven fields ([partition_fraction], [max_segment_ops],
-      [milp_max_nodes], [refine], [force_all_compute], [lp_backend],
-      [buckets]). Floats are rendered as exact binary64 hex ([%h]),
+      — the compilation-cache key component: ["cmswitch.config.v4{...}"]
+      with six fields ([partition_fraction], [max_segment_ops],
+      [milp_max_nodes], [refine], [force_all_compute], [buckets]). Floats are rendered as exact binary64 hex ([%h]),
       booleans and enums as fixed tokens, fields in fixed order, so the
       string is byte-stable across runs, processes and platforms. [jobs]
       (execution strategy under the byte-identical determinism contract),
@@ -91,8 +88,8 @@ module Config : sig
 
   val of_canonical : string -> (t, string) result
   (** Strict inverse of {!canonical} over the included fields; excluded
-      fields come back at their defaults. Other versions (the [v2] strings
-      that carried a [memoize] field among them) are an [Error].
+      fields come back at their defaults. Other versions, the retired
+      [v3] and [v2] strings among them, are an [Error].
       [canonical] ∘ [of_canonical] ∘ [canonical] is the identity (the
       round-trip fixed point the cache keys rely on). *)
 end

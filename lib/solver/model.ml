@@ -75,13 +75,13 @@ let to_problem t =
   in
   ({ Lp.n_vars = n; maximize = objective; rows; lower; upper }, kinds)
 
-let solve ?max_nodes ?gap ?backend t =
+let solve ?max_nodes ?gap t =
   let p, kinds = to_problem t in
   let sign = if t.sense_max then 1. else -1. in
   let has_integer = Array.exists (fun k -> k = Milp.Integer) kinds in
   let lift (sol : Lp.solution) = sign *. sol.Lp.objective in
   if has_integer then begin
-    match Milp.solve ?max_nodes ?gap ?backend p ~kinds with
+    match Milp.solve ?max_nodes ?gap p ~kinds with
     | Milp.Optimal sol ->
       t.solution <- Some sol;
       Optimal (lift sol)
@@ -92,12 +92,7 @@ let solve ?max_nodes ?gap ?backend t =
       Truncated (Option.map lift sol)
   end
   else begin
-    let r =
-      match backend with
-      | Some Milp.Dense -> Lp_dense.solve ~validate:true p
-      | Some Milp.Revised | None -> Lp.solve ~validate:true p
-    in
-    match r with
+    match Lp.solve ~validate:true p with
     | Lp.Optimal sol ->
       t.solution <- Some sol;
       Optimal (lift sol)

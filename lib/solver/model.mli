@@ -32,12 +32,10 @@ type outcome =
       (** node or iteration budget exhausted; carries the incumbent
           objective when an integral solution was found in time *)
 
-val solve : ?max_nodes:int -> ?gap:float -> ?backend:Milp.backend -> t -> outcome
-(** [backend] (default [Milp.Revised]) picks the LP core: the
-    bounded-variable revised simplex with warm-started branch-and-bound
-    re-solves, or the dense tableau oracle ({!Lp_dense}) for differential
-    testing and benchmarking. Pure-LP models (no integer variable) are
-    validated and solved directly. *)
+val solve : ?max_nodes:int -> ?gap:float -> t -> outcome
+(** Branch-and-bound ({!Milp.solve}) over the bounded-variable revised
+    simplex with warm-started re-solves. Pure-LP models (no integer
+    variable) are validated and solved directly by {!Lp.solve}. *)
 
 val to_problem : t -> Lp.problem * Milp.kind array
 (** The assembled computational form: dense objective/rows (minimisation

@@ -110,24 +110,6 @@ let test_store_relocated_entry_is_miss () =
   Alcotest.(check (option string)) "original still hits" (Some "payload-for-a")
     (Store.find s ~tier:"seg" ~key:"a")
 
-let test_store_eviction () =
-  let s = Store.open_dir ~max_bytes:4096 (fresh_dir ()) in
-  for i = 0 to 19 do
-    Store.put s ~tier:"seg"
-      ~key:(Printf.sprintf "key-%d" i)
-      ~payload:(String.make 512 (Char.chr (Char.code 'a' + (i mod 26))))
-  done;
-  let c = Store.counters s in
-  Alcotest.(check bool) "evictions happened" true (c.Store.evictions > 0);
-  let d = Store.disk_stats s in
-  Alcotest.(check bool)
-    (Printf.sprintf "footprint %d under budget" d.Store.total_bytes)
-    true
-    (d.Store.total_bytes <= 4096);
-  (* the entry just written survives its own eviction pass *)
-  Alcotest.(check bool) "newest entry kept" true
-    (Store.find s ~tier:"seg" ~key:"key-19" <> None)
-
 let test_store_clear () =
   let s = Store.open_dir (fresh_dir ()) in
   Store.put s ~tier:"seg" ~key:"a" ~payload:"x";
@@ -295,7 +277,6 @@ let suite =
         test_store_truncated_entry_is_miss;
       Alcotest.test_case "relocated entry is a miss" `Quick
         test_store_relocated_entry_is_miss;
-      Alcotest.test_case "eviction respects budget" `Quick test_store_eviction;
       Alcotest.test_case "clear" `Quick test_store_clear;
       Alcotest.test_case "prog payload round trip" `Quick
         test_prog_payload_round_trip;

@@ -10,7 +10,6 @@ module Cfg = Cim_compiler.Cmswitch.Config
 module Segment = Cim_compiler.Segment
 module Alloc = Cim_compiler.Alloc
 module Bucket = Cim_compiler.Bucket
-module Milp = Cim_solver.Milp
 
 let sample_configs =
   [
@@ -22,14 +21,13 @@ let sample_configs =
     Cfg.(default |> with_milp_max_nodes 17);
     Cfg.(default |> with_refine false);
     Cfg.(default |> with_force_all_compute true);
-    Cfg.(default |> with_lp_backend Milp.Dense);
     Cfg.(default |> with_buckets (Some Bucket.default));
     Cfg.(default |> with_buckets (Some (Bucket.pow2 ~min_ceiling:16 ~max_ceiling:4096 ())));
     Cfg.(default |> with_buckets (Some (Bucket.explicit [ 32; 64; 128; 512 ])));
     Cfg.(
       default |> with_partition_fraction 0.75 |> with_max_segment_ops 6
       |> with_milp_max_nodes 123 |> with_refine false
-      |> with_force_all_compute true |> with_lp_backend Milp.Dense
+      |> with_force_all_compute true
       |> with_buckets (Some (Bucket.explicit [ 1; 7; 2048 ])));
   ]
 
@@ -47,12 +45,13 @@ let test_canonical_field_order_stable () =
   (* the exact default serialization is a compatibility surface: changing
      field order, float formatting, or the version tag silently invalidates
      every cache on disk, so any intentional change must bump the version
-     (v1 -> v2 added the buckets field, v2 -> v3 dropped memoize) *)
+     (v1 -> v2 added the buckets field, v2 -> v3 dropped memoize, v3 -> v4
+     dropped lp_backend) *)
   Alcotest.(check string) "default canonical"
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}"
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=none}"
     (Cfg.canonical Cfg.default);
   Alcotest.(check string) "bucketed canonical"
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:32:2048)}"
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=buckets.v1(pow2:32:2048)}"
     (Cfg.canonical Cfg.(default |> with_buckets (Some Bucket.default)))
 
 let test_canonical_excludes_execution_knobs () =
@@ -73,32 +72,41 @@ let test_of_canonical_rejects_garbage () =
   in
   reject "";
   reject "not a config";
-  (* the retired v1 and v2 tags (and any other version) are rejected
+  (* the retired v1, v2 and v3 tags (and any other version) are rejected
      wholesale *)
   reject
     "cmswitch.config.v1{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised}";
   reject
     "cmswitch.config.v2{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
-  reject "cmswitch.config.v4{partition_fraction=0x1p-1}";
-  (* missing closing brace *)
-  reject "cmswitch.config.v3{partition_fraction=0x1p-1";
-  (* missing fields *)
-  reject "cmswitch.config.v3{partition_fraction=0x1p-1}";
-  (* the retired memoize field in place of a current one *)
   reject
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
+  reject
+    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:32:2048)}";
+  reject "cmswitch.config.v5{partition_fraction=0x1p-1}";
+  (* missing closing brace *)
+  reject "cmswitch.config.v4{partition_fraction=0x1p-1";
+  (* missing fields *)
+  reject "cmswitch.config.v4{partition_fraction=0x1p-1}";
+  (* a retired field in place of a current one *)
+  reject
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;memoize=true;refine=true;force_all_compute=false;buckets=none}";
+  reject
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;lp_backend=revised;buckets=none}";
+  (* the retired lp_backend field on top of the six current ones *)
+  reject
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
   (* bad value types *)
   reject
-    "cmswitch.config.v3{partition_fraction=abc;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=none}";
+    "cmswitch.config.v4{partition_fraction=abc;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=none}";
   reject
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=cplex;buckets=none}";
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=maybe;force_all_compute=false;buckets=none}";
   (* malformed bucket policies *)
   reject
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=pow2}";
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=pow2}";
   reject
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(pow2:64:32)}";
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=buckets.v1(pow2:64:32)}";
   reject
-    "cmswitch.config.v3{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;lp_backend=revised;buckets=buckets.v1(list:64,32)}"
+    "cmswitch.config.v4{partition_fraction=0x1p-1;max_segment_ops=10;milp_max_nodes=600;refine=true;force_all_compute=false;buckets=buckets.v1(list:64,32)}"
 
 let test_options_bridge () =
   (* the flattened fields land in the right nested slots *)

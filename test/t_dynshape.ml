@@ -170,7 +170,50 @@ let test_bucket_cache_sharing_and_isolation () =
   Alcotest.(check bool) "adjacent bucket compiles a different program" true
     (md5_of_mc d <> md5_of_mc a);
   Alcotest.(check (option int)) "adjacent bucket ceiling" (Some 64)
-    d.Cmswitch.bucket_ceiling
+    d.Cmswitch.bucket_ceiling;
+  (* [cmswitch cache stats] reads each ceiling back out of the prog keys *)
+  Alcotest.(check (list (option int))) "prog keys read back their ceilings"
+    [ Some 32; Some 64 ]
+    (List.sort_uniq compare
+       (Store.fold_keys store ~tier:Ccache.prog_tier ~init:[] ~f:(fun acc key ->
+            Ccache.bucket_ceiling key :: acc)))
+
+(* the prog-key shape fragment: Ccache writes it and reads the ceiling
+   back, and the reader is total *)
+let test_prog_key_ceiling () =
+  let key ?shape graph_text =
+    Ccache.prog_key ?shape ~graph_text ~chip ~faults:None ~config:"config"
+      ~passes:"passes" ()
+  in
+  Alcotest.(check (option int)) "pow2 policy round trip" (Some 128)
+    (Ccache.bucket_ceiling
+       (key ~shape:(Ccache.shape_fragment Bucket.default ~ceil:128) "g"));
+  Alcotest.(check (option int)) "explicit policy round trip" (Some 100)
+    (Ccache.bucket_ceiling
+       (key ~shape:(Ccache.shape_fragment (Bucket.explicit [ 7; 100 ]) ~ceil:100) "g"));
+  (* the reader looks at the shape line only, not at the graph text *)
+  Alcotest.(check (option int)) "unbucketed key" None
+    (Ccache.bucket_ceiling (key "shape.v1(buckets.v1(pow2:32:2048):ceil=64)"));
+  List.iter
+    (fun shape ->
+      Alcotest.(check (option int)) ("malformed fragment " ^ shape) None
+        (Ccache.bucket_ceiling (key ~shape "g")))
+    [ ""; "shape:none"; "shape.v1()"; "shape.v1(=)"; "shape.v1(:ceil=64)";
+      "shape.v2(buckets.v1(pow2:32:2048):ceil=64)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=64";
+      "shape.v1(buckets.v1(pow2:32:2048):cei=64)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=12x)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=0)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=-4)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=064)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=0x40)";
+      "shape.v1(buckets.v1(pow2:32:2048):ceil=99999999999999999999999)" ];
+  List.iter
+    (fun k ->
+      Alcotest.(check (option int)) "not a prog key" None (Ccache.bucket_ceiling k))
+    [ ""; "shape.v1(buckets.v1(pow2:32:2048):ceil=64)";
+      "seg.v1\nchip\nalloc\nsignature\nx\nshape.v1(buckets.v1(pow2:32:2048):ceil=64)" ]
 
 let test_warm_bucketed_resolves_zero_milps () =
   with_temp_store @@ fun store ->
@@ -339,6 +382,7 @@ let suite =
       Alcotest.test_case "policy round trips" `Quick test_policy_round_trips;
       Alcotest.test_case "bucket cache sharing and isolation" `Quick
         test_bucket_cache_sharing_and_isolation;
+      Alcotest.test_case "prog key ceiling reader" `Quick test_prog_key_ceiling;
       Alcotest.test_case "warm bucketed re-solves zero MILPs" `Quick
         test_warm_bucketed_resolves_zero_milps;
       Alcotest.test_case "padded graph dominates" `Quick

@@ -3,9 +3,9 @@
    the failing pass (including a functional-sim validator closure), pass-list
    parsing and cache-key fingerprints, ISA encode/decode round trips (QCheck
    and compiled programs), decoder robustness, and the interpreter's stream
-   entry point (Isa_sim.run) differentially tested against its flow entry
-   point (Functional.run) on resnet18 and a bert-large block at jobs 1 and
-   4. *)
+   entry point (Isa_sim.run), run on the stream decoded from its bytes,
+   differentially tested against its flow entry point (Functional.run) on
+   resnet18 and a bert-large block at jobs 1 and 4. *)
 
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
@@ -434,8 +434,10 @@ let test_bracket_validation () =
 (* ---- stream entry point vs flow entry point ------------------------------- *)
 
 (* the differential contract of the lowering: running the lowered stream
-   through Isa_sim.run gives the same digest (outputs + instruction and
-   switch counters) as Functional.run on the flow, at jobs 1 and 4 *)
+   decoded from its encoded bytes through Isa_sim.run gives the same digest
+   (outputs + instruction and switch counters) as Functional.run on the
+   flow, at jobs 1 and 4. The decoded image equals the lowered one
+   ("compiled programs round trip"), so it stands for both. *)
 let test_machine_differential key () =
   let g = graph_of key in
   let r = Cmswitch.compile chip g in
@@ -446,7 +448,11 @@ let test_machine_differential key () =
       (fun (n, shape) -> (n, Tensor.rand rng shape ~lo:(-1.) ~hi:1.))
       g'.Graph.graph_inputs
   in
-  let img = Isa.of_flow r.Cmswitch.program in
+  let img =
+    match Isa.decode (Isa.encode (Isa.of_flow r.Cmswitch.program)) with
+    | Ok img -> img
+    | Error e -> Alcotest.failf "%s: encoded stream does not decode: %s" key e
+  in
   let reference =
     Functional.digest (Functional.run chip ~jobs:1 g' r.Cmswitch.program ~inputs)
   in
