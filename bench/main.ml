@@ -1,8 +1,8 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md's per-experiment index). With no argument,
-   runs e1 to e18 in order; pass experiment ids ("e3 e5") to run a subset,
-   or "solver" for the per-MILP revised-vs-dense LP table. Wall-clock
-   performance is measured by bench/perf. *)
+   runs every experiment in order; pass experiment ids ("e3 e5") to run a
+   subset, or "solver" for the per-MILP revised-vs-dense LP table.
+   Wall-clock performance is measured by bench/perf. *)
 
 let experiments =
   [

@@ -90,17 +90,53 @@ let both f = (Kernels.with_backend Kernels.Boxed f, Kernels.with_backend Kernels
 
 (* ---- float matmul -------------------------------------------------------- *)
 
+let matmul_bits_equal c =
+  let a, b = tensors_of c in
+  let boxed, big = both (fun () -> Ops.matmul a b) in
+  float_bits_equal (Tensor.data boxed) (Tensor.data big)
+
+(* The random draws keep k <= 20, inside one of the float kernel's
+   256-wide p-blocks. These fixed inputs have k > 256, so every
+   accumulator is spilled to the output and reloaded across p-blocks
+   (n = 11 covers the 8-wide tile and the remainder columns); the last is
+   big enough for the row-parallel path, which runs under a 2-worker pool. *)
+let wide_k_cases () =
+  let rand = Random.State.make [| 16 |] in
+  let case batch m k n =
+    let bsz = match batch with Some b, _ -> b | None, _ -> 1 in
+    let bbsz = match batch with Some b, true -> b | _ -> 1 in
+    let av = QCheck.Gen.generate1 ~rand (gen_values (bsz * m * k)) in
+    let bv = QCheck.Gen.generate1 ~rand (gen_values (bbsz * k * n)) in
+    { batch; m; k; n; av; bv }
+  in
+  [ (false, case (None, false) 3 600 11);
+    (false, case (Some 2, true) 3 600 11);
+    (true, case (None, false) 8 520 520) ]
+
 let matmul_differential =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"matmul: Bigarray bitwise-equals boxed oracle"
-       ~count:120
-       (QCheck.make ~print:print_mm gen_mm)
-       (fun c ->
-         let a, b = tensors_of c in
-         let boxed, big = both (fun () -> Ops.matmul a b) in
-         if not (float_bits_equal (Tensor.data boxed) (Tensor.data big)) then
-           QCheck.Test.fail_reportf "float bits diverge on %s" (print_mm c);
-         true))
+  let name, speed, property =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"matmul: Bigarray bitwise-equals boxed oracle"
+         ~count:120
+         (QCheck.make ~print:print_mm gen_mm)
+         (fun c ->
+           if not (matmul_bits_equal c) then
+             QCheck.Test.fail_reportf "float bits diverge on %s" (print_mm c);
+           true))
+  in
+  let wide () =
+    List.iter
+      (fun (pooled, c) ->
+        let same =
+          if pooled then
+            Cim_util.Pool.with_pool ~jobs:2 (fun p ->
+                Kernels.with_pool (Some p) (fun () -> matmul_bits_equal c))
+          else matmul_bits_equal c
+        in
+        if not same then Alcotest.failf "float bits diverge on %s" (print_mm c))
+      (wide_k_cases ())
+  in
+  (name, speed, fun () -> wide (); property ())
 
 (* ---- int8 matmul --------------------------------------------------------- *)
 
