@@ -84,14 +84,18 @@ let tier_mut t tier =
 let metric tier name = Metrics.counter (Printf.sprintf "cache.%s.%s" tier name)
 let metric_total name = Metrics.counter ("cache." ^ name)
 
-let bump t tier f metric_name =
+let bump ?by t tier f metric_name =
   locked t (fun () ->
       f t.total;
       f (tier_mut t tier));
-  Metrics.incr (metric_total metric_name);
-  Metrics.incr (metric tier metric_name)
+  Metrics.incr ?by (metric_total metric_name);
+  Metrics.incr ?by (metric tier metric_name)
 
 let record_hit t tier = bump t tier (fun m -> m.c_hits <- m.c_hits + 1) "hits"
+
+let unrecord_hit t tier =
+  bump ~by:(-1.) t tier (fun m -> m.c_hits <- m.c_hits - 1) "hits"
+
 let record_miss t tier = bump t tier (fun m -> m.c_misses <- m.c_misses + 1) "misses"
 
 let record_invalid t tier =
@@ -353,7 +357,9 @@ let find t ~tier ~key =
       record_miss t tier;
       None
 
+(* [find] counted the entry as a hit; rejected, it becomes an invalid miss *)
 let note_invalid t ~tier =
+  unrecord_hit t tier;
   record_invalid t tier;
   record_miss t tier
 

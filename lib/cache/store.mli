@@ -50,7 +50,8 @@ val put : t -> tier:string -> key:string -> payload:string -> unit
 val note_invalid : t -> tier:string -> unit
 (** Record a semantic-validation failure for an entry this store returned:
     the caller parsed the payload and found it stale or meaningless. Counts
-    exactly like an integrity failure. *)
+    exactly like an integrity failure: the hit {!find} counted for the
+    entry is taken back, and the lookup counts as an invalid miss. *)
 
 type counters = {
   hits : int;

@@ -227,25 +227,28 @@ let extract chip ?(partition_fraction = 0.5) (g : Graph.t) =
         (nd.id, pieces))
       stats
   in
-  (* second pass: assign uids and resolve deps from node ids to uids *)
+  (* second pass: assign uids and resolve each node's deps from node ids
+     to uids, once per node: its sub-operators share the list. Producers
+     come first in topological order, so their uids are already known. *)
   let uids_of_node = Hashtbl.create 64 in
   let next = ref 0 in
-  let all =
-    List.concat_map
-      (fun (node_id, pieces) ->
-        let pieces = List.map (fun p -> incr next; { p with uid = !next - 1 }) pieces in
-        Hashtbl.replace uids_of_node node_id (List.map (fun p -> p.uid) pieces);
-        pieces)
-      groups
-  in
   let resolve node_id =
     let dep_nodes = Option.value (Hashtbl.find_opt deps_tbl node_id) ~default:[] in
     List.concat_map
       (fun d -> Option.value (Hashtbl.find_opt uids_of_node d) ~default:[])
       dep_nodes
-    |> List.sort_uniq compare
+    |> List.sort_uniq Int.compare
   in
-  Array.of_list (List.map (fun p -> { p with deps = resolve p.node_id }) all)
+  List.concat_map
+    (fun (node_id, pieces) ->
+      let deps = resolve node_id in
+      let pieces =
+        List.map (fun p -> incr next; { p with uid = !next - 1; deps }) pieces
+      in
+      Hashtbl.replace uids_of_node node_id (List.map (fun p -> p.uid) pieces);
+      pieces)
+    groups
+  |> Array.of_list
 
 let node_cim_ancestors = cim_deps
 

@@ -78,7 +78,8 @@ let place chip ?(initial_mode = Mode.Memory) ?faults (ops : Opinfo.t array)
           | None -> initial_mode
         end)
   in
-  let coord i = Chip.coord_of_index chip i in
+  let coords = Array.init n (Chip.coord_of_index chip) in
+  let coord i = coords.(i) in
   (* producer uid -> array indices holding its output at the end of the
      previous segment (candidates for the in-place K-cache switch) *)
   let prev_mem_out : (int, int list) Hashtbl.t = Hashtbl.create 8 in
@@ -92,9 +93,10 @@ let place chip ?(initial_mode = Mode.Memory) ?faults (ops : Opinfo.t array)
          A consumer's shared input buffers are drawn from the producer's
          already-placed output pool (Eq. 6 realised in place); the MIP's
          strengthened reuse constraints guarantee the pools are large
-         enough. *)
+         enough. Each op is kept as array indices (compute, mem_in,
+         mem_out) until the segment's switches are worked out. *)
       let mem_out_pool = Hashtbl.create 8 in
-      let ops_placed =
+      let ops_idx =
         List.map
           (fun (a : Plan.op_alloc) ->
             let info = ops.(a.Plan.uid) in
@@ -133,48 +135,52 @@ let place chip ?(initial_mode = Mode.Memory) ?faults (ops : Opinfo.t array)
                     List.filteri (fun k _ -> k < r) pool)
                 plan.Plan.reuse
             in
-            let shared_in = List.sort_uniq compare shared_in in
+            let shared_in = List.sort_uniq Int.compare shared_in in
             let mem_in_extra =
               take free ~can:can_memory ~prefer:is_memory
                 (max 0 (a.Plan.mem_in - List.length shared_in))
             in
-            {
-              uid = a.Plan.uid;
-              compute = List.map coord (in_place @ compute_extra);
-              in_place = List.map coord in_place;
-              mem_in = List.map coord (List.sort compare (shared_in @ mem_in_extra));
-              mem_out = List.map coord mem_out;
-            })
+            ( a.Plan.uid, in_place, in_place @ compute_extra,
+              List.sort Int.compare (shared_in @ mem_in_extra), mem_out ))
           plan.Plan.allocs
       in
       (* realised switches: whatever assignment disagrees with the current
          mode map *)
       let to_compute = ref [] and to_memory = ref [] in
-      let claim target cs =
+      let claim target is =
         List.iter
-          (fun c ->
-            let i = Chip.index_of_coord chip c in
+          (fun i ->
             if mode.(i) <> target then begin
               (match target with
-              | Mode.Compute -> to_compute := c :: !to_compute
-              | Mode.Memory -> to_memory := c :: !to_memory);
+              | Mode.Compute -> to_compute := coord i :: !to_compute
+              | Mode.Memory -> to_memory := coord i :: !to_memory);
               mode.(i) <- target
             end)
-          cs
+          is
       in
       List.iter
-        (fun op ->
-          claim Mode.Compute op.compute;
-          claim Mode.Memory op.mem_in;
-          claim Mode.Memory op.mem_out)
-        ops_placed;
+        (fun (_, _, compute, mem_in, mem_out) ->
+          claim Mode.Compute compute;
+          claim Mode.Memory mem_in;
+          claim Mode.Memory mem_out)
+        ops_idx;
       (* the next segment sees this one's output buffers *)
       Hashtbl.reset prev_mem_out;
       List.iter
-        (fun op ->
-          Hashtbl.replace prev_mem_out op.uid
-            (List.map (Chip.index_of_coord chip) op.mem_out))
-        ops_placed;
+        (fun (uid, _, _, _, mem_out) -> Hashtbl.replace prev_mem_out uid mem_out)
+        ops_idx;
+      let ops_placed =
+        List.map
+          (fun (uid, in_place, compute, mem_in, mem_out) ->
+            {
+              uid;
+              compute = List.map coord compute;
+              in_place = List.map coord in_place;
+              mem_in = List.map coord mem_in;
+              mem_out = List.map coord mem_out;
+            })
+          ops_idx
+      in
       { plan; ops = ops_placed; to_compute = List.rev !to_compute;
         to_memory = List.rev !to_memory })
     plans

@@ -39,29 +39,29 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
         | None -> initial_mode)
   in
   let resident : int option array = Array.make n None in
-  (* a coord is usable if it is on the grid and not dead; returns its index *)
+  (* a coord is usable if it is on the grid and not dead; returns its
+     index, or -1 off the grid. [ctx] names the instruction for a
+     diagnostic; it is a thunk, so a clean program never formats it *)
   let check_array ctx c =
     match Chip.index_of_coord chip c with
     | exception Chip.Invalid_config _ ->
-      add Error "%s: array %s outside the %s grid" ctx (coord_str c)
+      add Error "%s: array %s outside the %s grid" (ctx ()) (coord_str c)
         chip.Chip.name;
-      None
+      -1
     | i ->
       (match faults with
       | Some fm when Faultmap.is_dead fm i ->
-        add Error "%s: dead array %s referenced" ctx (coord_str c)
+        add Error "%s: dead array %s referenced" (ctx ()) (coord_str c)
       | _ -> ());
-      Some i
+      i
   in
   let require m ctx cs =
     List.iter
       (fun c ->
-        match check_array ctx c with
-        | None -> ()
-        | Some i ->
-          if mode.(i) <> m then
-            add Error "%s: array %s is in %s mode, needs %s" ctx (coord_str c)
-              (Mode.to_string mode.(i)) (Mode.to_string m))
+        let i = check_array ctx c in
+        if i >= 0 && mode.(i) <> m then
+          add Error "%s: array %s is in %s mode, needs %s" (ctx ()) (coord_str c)
+            (Mode.to_string mode.(i)) (Mode.to_string m))
       cs
   in
   (* liveness: names the program defines somewhere must be defined before
@@ -77,16 +77,15 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
   let available = Hashtbl.create 64 in
   let use ctx name =
     if Hashtbl.mem defined_somewhere name && not (Hashtbl.mem available name)
-    then add Error "%s: tensor %s consumed before it is produced" ctx name
+    then add Error "%s: tensor %s consumed before it is produced" (ctx ()) name
   in
   let rec walk = function
     | Flow.Switch { target; arrays } ->
       let tgt = Mode.apply target in
       List.iter
         (fun c ->
-          match check_array "switch" c with
-          | None -> ()
-          | Some i ->
+          let i = check_array (fun () -> "switch") c in
+          if i >= 0 then begin
             let stuck =
               match faults with
               | Some fm -> begin
@@ -108,10 +107,11 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
                 (* a compute array handed back to memory loses its weights *)
                 if tgt = Mode.Memory then resident.(i) <- None
               end
-            end)
+            end
+          end)
         arrays
     | Flow.Write_weights { label; node_id; arrays; _ } ->
-      require Mode.Compute (Printf.sprintf "write %s" label) arrays;
+      require Mode.Compute (fun () -> "write " ^ label) arrays;
       List.iter
         (fun c ->
           match Chip.index_of_coord chip c with
@@ -119,13 +119,13 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
           | i -> resident.(i) <- Some node_id)
         arrays
     | Flow.Load { tensor; src; dst; _ } ->
-      use (Printf.sprintf "load %s" tensor) tensor;
+      let ctx () = "load " ^ tensor in
+      use ctx tensor;
       let arrays_of = function
         | Flow.Mem_arrays cs -> cs
         | Flow.Main_memory | Flow.Buffer -> []
       in
-      require Mode.Memory (Printf.sprintf "load %s" tensor)
-        (arrays_of src @ arrays_of dst);
+      require Mode.Memory ctx (arrays_of src @ arrays_of dst);
       (* loading data into an array overwrites whatever weights it held *)
       List.iter
         (fun c ->
@@ -134,15 +134,15 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
           | i -> resident.(i) <- None)
         (arrays_of dst)
     | Flow.Store { tensor; src; dst; _ } ->
-      use (Printf.sprintf "store %s" tensor) tensor;
+      let ctx () = "store " ^ tensor in
+      use ctx tensor;
       let arrays_of = function
         | Flow.Mem_arrays cs -> cs
         | Flow.Main_memory | Flow.Buffer -> []
       in
-      require Mode.Memory (Printf.sprintf "store %s" tensor)
-        (arrays_of src @ arrays_of dst)
+      require Mode.Memory ctx (arrays_of src @ arrays_of dst)
     | Flow.Compute { label; node_id; arrays; mem_arrays; inputs; output; _ } ->
-      let ctx = Printf.sprintf "compute %s" label in
+      let ctx () = "compute " ^ label in
       require Mode.Compute ctx arrays;
       require Mode.Memory ctx mem_arrays;
       List.iter
@@ -154,15 +154,15 @@ let run chip ?(initial_mode = Mode.Memory) ?faults (p : Flow.program) =
             | Some id when id = node_id -> ()
             | Some id ->
               add Error "%s: array %s holds node %d's weights, needs node %d's"
-                ctx (coord_str c) id node_id
+                (ctx ()) (coord_str c) id node_id
             | None ->
-              add Error "%s: array %s has no weights written" ctx (coord_str c)
+              add Error "%s: array %s has no weights written" (ctx ()) (coord_str c)
           end)
         arrays;
       List.iter (use ctx) inputs;
       Hashtbl.replace available output ()
     | Flow.Vector_op { label; inputs; output; _ } ->
-      List.iter (use (Printf.sprintf "vector %s" label)) inputs;
+      List.iter (use (fun () -> "vector " ^ label)) inputs;
       Hashtbl.replace available output ()
     | Flow.Parallel is ->
       (* code generation orders the block topologically; walk it

@@ -178,149 +178,212 @@ let pp ppf p =
 
 (* [to_string] is the program's identity: the cache compares the digest of
    a regenerated program against a stored one on every warm hit, so it is
-   on the replay path and prints a whole layer (hundreds of KB) each time.
-   It is a direct [Buffer] printer that builds no intermediate strings:
-   ints go in digit by digit, [%S] strings go through the escaper only when
-   they need it, and only the two [%.17g] floats of a compute go through
-   [Printf]. The output is byte-identical to [pp] — same escapes, line
-   breaks and two-space parallel-block indentation — and the metaop tests
-   check that on random and compiled programs. The one exception is an
-   empty program or parallel block, for which [pp] prints an indented
-   blank line; codegen emits neither. *)
+   on the replay path and prints a whole layer (up to about 1 MB) each
+   time. It prints into one byte sink per domain that lives as long as the
+   domain and is reset on every call: [digest] hashes the sink in place,
+   so a replay allocates neither the text nor any growth copy of it once
+   the sink has reached the largest program's size. Ints go in digit by
+   digit, a coordinate of a grid up to 32x32 is one blit from a table of
+   preprinted [",(x,y)"], [%S] strings go through the escaper only when
+   they need it, and the two [%.17g] floats of a compute go through the C
+   formatter that [Printf] calls. The output is byte-identical to [pp] —
+   same escapes, line breaks and two-space parallel-block indentation —
+   and the metaop tests check that on random and compiled programs. The
+   one exception is an empty program or parallel block, for which [pp]
+   prints an indented blank line; codegen emits neither. *)
 
-let rec buf_nat b n =
-  if n >= 10 then buf_nat b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+type sink = { mutable buf : Bytes.t; mutable len : int }
 
-let buf_int b n = if n >= 0 then buf_nat b n else Buffer.add_string b (string_of_int n)
+let sink_key = Domain.DLS.new_key (fun () -> { buf = Bytes.create 65536; len = 0 })
+
+let grow s n =
+  let b = Bytes.create (max (2 * Bytes.length s.buf) (s.len + n)) in
+  Bytes.blit s.buf 0 b 0 s.len;
+  s.buf <- b
+
+let[@inline] reserve s n = if s.len + n > Bytes.length s.buf then grow s n
+
+let add_char s c =
+  reserve s 1;
+  Bytes.unsafe_set s.buf s.len c;
+  s.len <- s.len + 1
+
+let add_sub s str off n =
+  reserve s n;
+  Bytes.unsafe_blit_string str off s.buf s.len n;
+  s.len <- s.len + n
+
+let add_string s str = add_sub s str 0 (String.length str)
+
+let rec add_nat s n =
+  if n >= 10 then add_nat s (n / 10);
+  add_char s (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int s n = if n >= 0 then add_nat s n else add_string s (string_of_int n)
+
+(* the C primitive behind [Printf]'s [%.17g] *)
+external format_float : string -> float -> string = "caml_format_float"
 
 (* [%S] is [String.escaped] in quotes; [String.escaped] returns its
    argument itself, unallocated, when nothing needs escaping *)
-let buf_quoted b s =
-  Buffer.add_char b '"';
-  Buffer.add_string b (String.escaped s);
-  Buffer.add_char b '"'
+let add_quoted s str =
+  add_char s '"';
+  add_string s (String.escaped str);
+  add_char s '"'
 
-let buf_coords b cs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i (c : coord) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '(';
-      buf_int b c.Chip.x;
-      Buffer.add_char b ',';
-      buf_int b c.Chip.y;
-      Buffer.add_char b ')')
-    cs;
-  Buffer.add_char b ']'
+let coord_side = 32
 
-let buf_loc b = function
-  | Main_memory -> Buffer.add_string b "main"
-  | Buffer -> Buffer.add_string b "buffer"
+let coord_text =
+  Array.init (coord_side * coord_side) (fun i ->
+      Printf.sprintf ",(%d,%d)" (i mod coord_side) (i / coord_side))
+
+(* a list's first coordinate is its table entry without the comma *)
+let add_coord s ~first (c : coord) =
+  let x = c.Chip.x and y = c.Chip.y in
+  if x >= 0 && x < coord_side && y >= 0 && y < coord_side then begin
+    let t = coord_text.((y * coord_side) + x) in
+    let off = if first then 1 else 0 in
+    add_sub s t off (String.length t - off)
+  end
+  else begin
+    if not first then add_char s ',';
+    add_char s '(';
+    add_int s x;
+    add_char s ',';
+    add_int s y;
+    add_char s ')'
+  end
+
+let rec add_coord_list s ~first = function
+  | [] -> ()
+  | c :: rest ->
+    add_coord s ~first c;
+    add_coord_list s ~first:false rest
+
+let add_coords s cs =
+  add_char s '[';
+  add_coord_list s ~first:true cs;
+  add_char s ']'
+
+let add_loc s = function
+  | Main_memory -> add_string s "main"
+  | Buffer -> add_string s "buffer"
   | Mem_arrays cs ->
-    Buffer.add_string b "arrays";
-    buf_coords b cs
+    add_string s "arrays";
+    add_coords s cs
 
-let buf_names b ns =
-  Buffer.add_char b '(';
+let add_names s ns =
+  add_char s '(';
   List.iteri
     (fun i n ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b n)
+      if i > 0 then add_string s ", ";
+      add_string s n)
     ns;
-  Buffer.add_char b ')'
+  add_char s ')'
 
 let spaces = String.make 64 ' '
 
 (* valid programs indent by at most 2; deeper nesting takes more chunks *)
-let rec buf_spaces b n =
+let rec add_spaces s n =
   let k = min n (String.length spaces) in
-  Buffer.add_substring b spaces 0 k;
-  if n > k then buf_spaces b (n - k)
+  add_sub s spaces 0 k;
+  if n > k then add_spaces s (n - k)
 
-let buf_slice b (s : slice) =
-  Buffer.add_string b ", slice=[";
-  buf_int b s.lo;
-  Buffer.add_char b ',';
-  buf_int b s.hi;
-  Buffer.add_char b ')'
+let add_slice s (sl : slice) =
+  add_string s ", slice=[";
+  add_int s sl.lo;
+  add_char s ',';
+  add_int s sl.hi;
+  add_char s ')'
 
-let buf_head b op label node_id =
-  Buffer.add_string b op;
-  buf_quoted b label;
-  Buffer.add_string b ", node=";
-  buf_int b node_id
+let add_head s op label node_id =
+  add_string s op;
+  add_quoted s label;
+  add_string s ", node=";
+  add_int s node_id
 
-let buf_move b op tensor src dst bytes =
-  Buffer.add_string b op;
-  Buffer.add_string b tensor;
-  Buffer.add_string b ", ";
-  buf_loc b src;
-  Buffer.add_string b " -> ";
-  buf_loc b dst;
-  Buffer.add_string b ", ";
-  buf_int b bytes;
-  Buffer.add_char b ')'
+let add_move s op tensor src dst bytes =
+  add_string s op;
+  add_string s tensor;
+  add_string s ", ";
+  add_loc s src;
+  add_string s " -> ";
+  add_loc s dst;
+  add_string s ", ";
+  add_int s bytes;
+  add_char s ')'
 
-let rec buf_instr b ~indent = function
+let rec add_instr s ~indent = function
   | Switch { target; arrays } ->
-    Buffer.add_string b "CM.switch(";
-    Buffer.add_string b (Cim_arch.Mode.transition_to_string target);
-    Buffer.add_string b ", ";
-    buf_coords b arrays;
-    Buffer.add_char b ')'
+    add_string s "CM.switch(";
+    add_string s (Cim_arch.Mode.transition_to_string target);
+    add_string s ", ";
+    add_coords s arrays;
+    add_char s ')'
   | Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
-    buf_head b "CIM.write(" label node_id;
-    Buffer.add_string b ", arrays=";
-    buf_coords b arrays;
-    buf_slice b slice;
-    Buffer.add_string b ", bytes=";
-    buf_int b bytes;
-    Buffer.add_string b (if in_place then ", inplace=1)" else ", inplace=0)")
-  | Load { tensor; src; dst; bytes } -> buf_move b "MEM.load(" tensor src dst bytes
-  | Store { tensor; src; dst; bytes } -> buf_move b "MEM.store(" tensor src dst bytes
+    add_head s "CIM.write(" label node_id;
+    add_string s ", arrays=";
+    add_coords s arrays;
+    add_slice s slice;
+    add_string s ", bytes=";
+    add_int s bytes;
+    add_string s (if in_place then ", inplace=1)" else ", inplace=0)")
+  | Load { tensor; src; dst; bytes } -> add_move s "MEM.load(" tensor src dst bytes
+  | Store { tensor; src; dst; bytes } -> add_move s "MEM.store(" tensor src dst bytes
   | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai } ->
-    buf_head b "CIM.compute(" label node_id;
-    Buffer.add_string b ", arrays=";
-    buf_coords b arrays;
-    Buffer.add_string b ", mem=";
-    buf_coords b mem_arrays;
-    Buffer.add_string b ", in=";
-    buf_names b inputs;
-    Buffer.add_string b ", out=(";
-    Buffer.add_string b output;
-    Buffer.add_char b ')';
-    buf_slice b slice;
-    Printf.bprintf b ", macs=%.17g, ai=%.17g)" macs ai
+    add_head s "CIM.compute(" label node_id;
+    add_string s ", arrays=";
+    add_coords s arrays;
+    add_string s ", mem=";
+    add_coords s mem_arrays;
+    add_string s ", in=";
+    add_names s inputs;
+    add_string s ", out=(";
+    add_string s output;
+    add_char s ')';
+    add_slice s slice;
+    add_string s ", macs=";
+    add_string s (format_float "%.17g" macs);
+    add_string s ", ai=";
+    add_string s (format_float "%.17g" ai);
+    add_char s ')'
   | Vector_op { label; node_id; inputs; output } ->
-    buf_head b "VEC.op(" label node_id;
-    Buffer.add_string b ", in=";
-    buf_names b inputs;
-    Buffer.add_string b ", out=(";
-    Buffer.add_string b output;
-    Buffer.add_string b "))"
+    add_head s "VEC.op(" label node_id;
+    add_string s ", in=";
+    add_names s inputs;
+    add_string s ", out=(";
+    add_string s output;
+    add_string s "))"
   | Parallel is ->
-    Buffer.add_string b "parallel {";
+    add_string s "parallel {";
     List.iter
       (fun i ->
-        Buffer.add_char b '\n';
-        buf_spaces b (indent + 2);
-        buf_instr b ~indent:(indent + 2) i)
+        add_char s '\n';
+        add_spaces s (indent + 2);
+        add_instr s ~indent:(indent + 2) i)
       is;
-    Buffer.add_char b '\n';
-    buf_spaces b indent;
-    Buffer.add_char b '}'
+    add_char s '\n';
+    add_spaces s indent;
+    add_char s '}'
 
-let to_string p =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "flow ";
-  buf_quoted b p.source;
+(* the text of [p] in this domain's sink, valid until the next call *)
+let print p =
+  let s = Domain.DLS.get sink_key in
+  s.len <- 0;
+  add_string s "flow ";
+  add_quoted s p.source;
   List.iter
     (fun i ->
-      Buffer.add_char b '\n';
-      buf_instr b ~indent:0 i)
+      add_char s '\n';
+      add_instr s ~indent:0 i)
     p.instrs;
-  Buffer.add_char b '\n';
-  Buffer.contents b
+  add_char s '\n';
+  s
 
-let digest p = Digest.to_hex (Digest.string (to_string p))
+let to_string p =
+  let s = print p in
+  Bytes.sub_string s.buf 0 s.len
+
+let digest p =
+  let s = print p in
+  Digest.to_hex (Digest.subbytes s.buf 0 s.len)

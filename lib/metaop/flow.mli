@@ -67,10 +67,19 @@ val pp : Format.formatter -> program -> unit
     against. *)
 
 val to_string : program -> string
-(** The same bytes as {!pp}, printed directly into a buffer, except that
-    an empty program or parallel block gets no blank line. This text is
-    the program's identity. *)
+(** The same bytes as {!pp}, except that an empty program or parallel
+    block gets no blank line. This text is the program's identity.
+
+    {!to_string} and {!digest} print into one byte sink per domain
+    ([Domain.DLS]), reset on every call, so concurrent calls on pool
+    workers never share one. The sink starts at 64 KiB, doubles as needed
+    and keeps its largest size for the life of the domain: 1 MiB after
+    the largest zoo program (the opt-13b decode layer at kv 2047, about
+    876 KiB of text on DynaPlasia). The printer is not re-entrant
+    within a domain; nothing it calls prints a program. [to_string]
+    returns a copy of the sink's text. *)
 
 val digest : program -> string
-(** MD5 hex of {!to_string}: the [program_md5] the compilation cache
-    stores and compares, and the CLI prints. *)
+(** MD5 hex of {!to_string}, hashed in the sink without copying the
+    text: the [program_md5] the compilation cache stores and compares on
+    every replay, and the CLI prints. *)

@@ -192,18 +192,20 @@ let test_compile_twice_hits () =
   Alcotest.(check bool) "replayed program validates" true
     (Flow.validate chip warm.Cmswitch.program = Ok ())
 
+(* the prog-tier key a default compile of [g] stores under *)
+let default_prog_key g =
+  Ccache.prog_key
+    ~graph_text:(Cim_nnir.Text.to_string g)
+    ~chip ~faults:None
+    ~config:(Cfg.canonical Cfg.default)
+    ~passes:Cim_compiler.Passes.default_fingerprint ()
+
 let test_corrupted_prog_entry_degrades_to_cold () =
   let dir = fresh_dir () in
   let g = small_graph () in
   let cold = compile_with_store (Store.open_dir dir) g in
   let s = Store.open_dir dir in
-  let key =
-    Ccache.prog_key
-      ~graph_text:(Cim_nnir.Text.to_string g)
-      ~chip ~faults:None
-      ~config:(Cfg.canonical Cfg.default)
-      ~passes:Cim_compiler.Passes.default_fingerprint ()
-  in
+  let key = default_prog_key g in
   let path = Store.entry_path s ~tier:Ccache.prog_tier ~key in
   Alcotest.(check bool) "entry exists where prog_key points" true
     (Sys.file_exists path);
@@ -213,6 +215,39 @@ let test_corrupted_prog_entry_degrades_to_cold () =
     (Store.tier_counters s Ccache.prog_tier).Store.hits;
   Alcotest.(check bool) "and is counted invalid" true
     ((Store.counters s).Store.invalid > 0);
+  Alcotest.(check string) "cold recompile, same program"
+    (Flow.to_string cold.Cmswitch.program)
+    (Flow.to_string warm.Cmswitch.program)
+
+(* a well-formed entry whose program digest is off by one hex digit passes
+   the store and the payload decoder; only the replay's [cache_compare]
+   catches it, and the compile falls back to cold *)
+let test_wrong_digest_fails_compare () =
+  let dir = fresh_dir () in
+  let g = small_graph () in
+  let cold = compile_with_store (Store.open_dir dir) g in
+  let s = Store.open_dir dir in
+  let key = default_prog_key g in
+  let p =
+    match Store.find s ~tier:Ccache.prog_tier ~key with
+    | None -> Alcotest.fail "cold compile stored no prog entry"
+    | Some payload -> (
+      match Ccache.prog_payload_of_string payload with
+      | Ok p -> p
+      | Error e -> Alcotest.failf "stored prog payload does not decode: %s" e)
+  in
+  let md5 = Bytes.of_string p.Ccache.program_md5 in
+  Bytes.set md5 0 (if Bytes.get md5 0 = '0' then '1' else '0');
+  Store.put s ~tier:Ccache.prog_tier ~key
+    ~payload:
+      (Ccache.prog_payload_to_string
+         { p with Ccache.program_md5 = Bytes.to_string md5 });
+  let s = Store.open_dir dir in
+  let warm = compile_with_store s g in
+  Alcotest.(check int) "rejected entry is no hit" 0
+    (Store.tier_counters s Ccache.prog_tier).Store.hits;
+  Alcotest.(check bool) "and is counted invalid" true
+    ((Store.tier_counters s Ccache.prog_tier).Store.invalid >= 1);
   Alcotest.(check string) "cold recompile, same program"
     (Flow.to_string cold.Cmswitch.program)
     (Flow.to_string warm.Cmswitch.program)
@@ -285,6 +320,8 @@ let suite =
       Alcotest.test_case "compile twice hits" `Quick test_compile_twice_hits;
       Alcotest.test_case "corrupted entry degrades to cold" `Quick
         test_corrupted_prog_entry_degrades_to_cold;
+      Alcotest.test_case "wrong program digest fails the replay compare" `Quick
+        test_wrong_digest_fails_compare;
       Alcotest.test_case "warm parallel matches cold serial" `Quick
         test_warm_parallel_matches_cold_serial;
       Alcotest.test_case "config change misses" `Quick test_config_change_misses;

@@ -1,7 +1,7 @@
 (* Tests for the meta-operator flow: validation of Fig. 13 programs,
-   printer/parser round trip, the identity of the Buffer printer with the
-   Format printer (on random and compiled programs), and switch
-   accounting. *)
+   printer/parser round trip, the identity of the sink printer with the
+   Format printer (on random and compiled programs), the digest, the
+   per-domain sink, and switch accounting. *)
 
 module Flow = Cim_metaop.Flow
 module Parse = Cim_metaop.Parse
@@ -11,6 +11,7 @@ module Mode = Cim_arch.Mode
 module Workload = Cim_models.Workload
 module Zoo = Cim_models.Zoo
 module Cmswitch = Cim_compiler.Cmswitch
+module Pool = Cim_util.Pool
 
 let chip = Cim_arch.Config.dynaplasia
 let c x y = { Chip.x; y }
@@ -128,7 +129,9 @@ let test_parse_errors () =
 (* random programs built from a small combinator grammar: labels and
    sources that need every [%S] escape, negative ints and ints past 2^32,
    signed zeros and subnormals, memory-array locations, empty coordinate
-   and input lists, several parallel blocks *)
+   and input lists, several parallel blocks. Coordinates mostly fall in
+   the printer's preprinted 32x32 table or on its edges (0, 31, 32, -1),
+   the rest are drawn like any other int. *)
 let labels =
   [ "k"; ""; "fc[0:40)"; "a\tb\"c"; "back\\slash"; "nl\ncr\r\b"; "\000\127\255";
     "caf\195\169"; "it's" ]
@@ -155,7 +158,10 @@ let gen_float_wide =
 let gen_program ~ints ~floats =
   let open QCheck.Gen in
   let label = oneofl labels and name = oneofl [ "a"; "b.c"; "x/y_1"; "t0" ] in
-  let coords = list_size (int_range 0 3) (map2 c ints ints) in
+  let coord_int =
+    frequency [ (4, int_range 0 31); (2, oneofl [ 0; 31; 32; -1 ]); (2, ints) ]
+  in
+  let coords = list_size (int_range 0 3) (map2 c coord_int coord_int) in
   let names = list_size (int_range 0 3) name in
   let loc =
     frequency
@@ -199,6 +205,49 @@ let prop_printer_identity =
        (gen_program ~ints:gen_int_wide ~floats:gen_float_wide))
     (fun p -> Format.asprintf "%a" Flow.pp p = Flow.to_string p)
 
+let prop_digest =
+  QCheck.Test.make ~name:"digest = MD5 of to_string on random programs" ~count:200
+    (QCheck.make ~print:Flow.to_string
+       (gen_program ~ints:gen_int_wide ~floats:gen_float_wide))
+    (fun p -> Flow.digest p = Digest.to_hex (Digest.string (Flow.to_string p)))
+
+(* the sink is reset on every call: A, then a longer B, then A again gives
+   A's text and digest both times *)
+let prop_sink_resets =
+  let gen = gen_program ~ints:gen_int_wide ~floats:gen_float_wide in
+  QCheck.Test.make ~name:"printing A, B, A gives A's text twice" ~count:100
+    (QCheck.make
+       ~print:(fun (a, b) -> Flow.to_string a ^ "\n---\n" ^ Flow.to_string b)
+       (QCheck.Gen.pair gen gen))
+    (fun (a, b) ->
+      let b = { b with Flow.instrs = b.Flow.instrs @ a.Flow.instrs } in
+      let text = Flow.to_string a and md5 = Flow.digest a in
+      let b_text = Flow.to_string b and b_md5 = Flow.digest b in
+      Flow.to_string a = text && Flow.digest a = md5
+      && b_text = Format.asprintf "%a" Flow.pp b
+      && b_md5 = Digest.to_hex (Digest.string b_text))
+
+(* one sink per domain: digests taken on two pool workers at once equal
+   the serial ones. Each task also prints a program of a few hundred KB,
+   so the workers' sinks grow while the other worker prints. *)
+let test_digest_on_pool () =
+  let rand = Random.State.make [| 25 |] in
+  let gen = gen_program ~ints:gen_int_wide ~floats:gen_float_wide in
+  let chunk () =
+    let ps = QCheck.Gen.generate ~rand ~n:8 gen in
+    let big = List.hd ps in
+    { big with Flow.instrs = List.concat (List.init 400 (fun _ -> big.Flow.instrs)) }
+    :: ps
+  in
+  let chunks = List.init 8 (fun _ -> chunk ()) in
+  let serial = List.map (List.map Flow.digest) chunks in
+  let parallel =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        List.map (fun ps -> Pool.submit pool (fun () -> List.map Flow.digest ps)) chunks
+        |> List.map Pool.await)
+  in
+  Alcotest.(check (list (list string))) "pool digests = serial digests" serial parallel
+
 (* the same identity on what the compiler emits: a CNN whole graph and a
    decoder layer whose text runs to hundreds of KB *)
 let test_printer_identity_compiled key w () =
@@ -226,6 +275,9 @@ let suite =
       Alcotest.test_case "parse errors" `Quick test_parse_errors;
       qtest prop_roundtrip_random;
       qtest prop_printer_identity;
+      qtest prop_digest;
+      qtest prop_sink_resets;
+      Alcotest.test_case "digests on a 2-worker pool" `Quick test_digest_on_pool;
       Alcotest.test_case "to_string = pp: resnet18" `Quick
         (test_printer_identity_compiled "resnet18" (Workload.prefill ~batch:1 1));
       Alcotest.test_case "to_string = pp: llama2-7b decode layer" `Quick

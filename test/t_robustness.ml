@@ -497,6 +497,38 @@ let test_check_faults () =
   Alcotest.(check bool) "stuck array switch rejected" false
     (Check.is_valid (Check.run chip ~faults:fm switch_stuck))
 
+(* the exact text of one diagnostic per context kind: switch, write,
+   load, store, compute and vector *)
+let test_check_message_per_context () =
+  let sl = { Flow.lo = 0; hi = 4 } in
+  let p =
+    { Flow.source = "contexts";
+      instrs =
+        [ Flow.Switch { target = Mode.To_compute; arrays = [ c 2 0; c 50 50 ] };
+          Flow.Write_weights
+            { label = "w"; node_id = 3; arrays = [ c 0 0 ]; slice = sl; bytes = 64;
+              in_place = false };
+          Flow.Load
+            { tensor = "y"; src = Flow.Main_memory; dst = Flow.Mem_arrays [ c 1 0 ];
+              bytes = 64 };
+          Flow.Store
+            { tensor = "x"; src = Flow.Mem_arrays [ c 2 0 ]; dst = Flow.Main_memory;
+              bytes = 64 };
+          Flow.Compute
+            { label = "m"; node_id = 0; arrays = [ c 2 0 ]; mem_arrays = [];
+              inputs = [ "x" ]; output = "y"; slice = sl; macs = 16.; ai = 1. };
+          Flow.Vector_op { label = "v"; node_id = 1; inputs = [ "z" ]; output = "q" };
+          Flow.Vector_op { label = "u"; node_id = 2; inputs = [ "y" ]; output = "z" } ] }
+  in
+  Alcotest.(check (list string)) "one diagnostic per context"
+    [ "error at instr 0: switch: array (50,50) outside the DynaPlasia grid";
+      "error at instr 1: write w: array (0,0) is in memory mode, needs compute";
+      "error at instr 2: load y: tensor y consumed before it is produced";
+      "error at instr 3: store x: array (2,0) is in compute mode, needs memory";
+      "error at instr 4: compute m: array (2,0) has no weights written";
+      "error at instr 5: vector v: tensor z consumed before it is produced" ]
+    (List.map Check.diagnostic_to_string (Check.run chip p))
+
 (* --- serving under deadlines: one-chip Fleet.run --- *)
 
 let profile =
@@ -1303,6 +1335,8 @@ let suite =
       Alcotest.test_case "check: use before def" `Quick
         test_check_catches_use_before_def;
       Alcotest.test_case "check: fault awareness" `Quick test_check_faults;
+      Alcotest.test_case "check: message per context" `Quick
+        test_check_message_per_context;
       Alcotest.test_case "serving: empty trace" `Quick test_serving_empty_trace;
       Alcotest.test_case "serving: deadline drops" `Quick test_serving_deadline_drops;
       Alcotest.test_case "serving: small-trace p95" `Quick
