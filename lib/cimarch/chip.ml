@@ -60,10 +60,11 @@ let coord_of_index t i =
   { x = i mod t.grid_cols; y = i / t.grid_cols }
 
 let index_of_coord t { x; y } =
-  let i = (y * t.grid_cols) + x in
-  if x < 0 || x >= t.grid_cols || y < 0 || i >= t.n_arrays then
-    fail "coordinate (%d,%d) out of range" x y;
-  i
+  (* bound y before multiplying: a huge y would wrap the index negative *)
+  if x < 0 || x >= t.grid_cols || y < 0 || y >= t.n_arrays
+     || (y * t.grid_cols) + x >= t.n_arrays
+  then fail "coordinate (%d,%d) out of range" x y;
+  (y * t.grid_cols) + x
 
 let all_coords t = List.init t.n_arrays (coord_of_index t)
 

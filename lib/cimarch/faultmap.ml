@@ -101,6 +101,11 @@ let usable t i ~target =
   | Some (Stuck_mode m) -> m = target
   | None | Some (Transient_switch_failure _) -> true
 
+let power_on_mode fm i =
+  match fm with
+  | Some fm -> ( match fault_at fm i with Some (Stuck_mode m) -> m | _ -> Mode.Memory)
+  | None -> Mode.Memory
+
 let transient_prob t i =
   match fault_at t i with
   | Some (Transient_switch_failure p) -> p

@@ -66,6 +66,12 @@ val usable : t -> int -> target:Mode.t -> bool
 (** The array can serve [target] mode: healthy, or stuck in exactly that
     mode. Transient switch failures do not make an array unusable. *)
 
+val power_on_mode : t option -> int -> Mode.t
+(** The mode the array at a linear index holds when the chip powers on:
+    its stuck mode, else [Memory] (a dual-mode array resets as plain
+    memory). Placement, the flow checker and the machine model all start
+    from it. *)
+
 val transient_prob : t -> int -> float
 (** The per-attempt switch-failure probability (0. for healthy arrays). *)
 

@@ -4,6 +4,7 @@ module Trace = Cim_obs.Trace
 module Metrics = Cim_obs.Metrics
 module J = Cim_obs.Json
 module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 module Isa = Cim_metaop.Isa
 
 let log_src =
@@ -295,9 +296,9 @@ let p_codegen =
     validate =
       Some
         (fun st ->
-          match Flow.validate st.env.chip (program_exn st) with
-          | Ok () -> Ok ()
-          | Error m -> Error m);
+          match Check.run st.env.chip ?faults:st.env.faults (program_exn st) with
+          | [] -> Ok ()
+          | d :: _ -> Error (Check.diagnostic_to_string d));
   }
 
 let p_check =
@@ -309,10 +310,8 @@ let p_check =
         let e = st.env in
         let diagnostics =
           Trace.with_span "flow.validate" ~cat:"compiler" (fun () ->
-              List.map Cim_metaop.Check.diagnostic_to_string
-                (Cim_metaop.Check.errors
-                   (Cim_metaop.Check.run e.chip ?faults:e.faults
-                      (program_exn st))))
+              List.map Check.diagnostic_to_string
+                (Check.run e.chip ?faults:e.faults (program_exn st)))
         in
         List.iter
           (fun d -> Log.warn (fun m -> m "flow validator: %s" d))

@@ -53,8 +53,7 @@ let take_specific pool ~can idxs =
       else false)
     idxs
 
-let place chip ?(initial_mode = Mode.Memory) ?faults (ops : Opinfo.t array)
-    (plans : Plan.seg_plan list) =
+let place chip ?faults (ops : Opinfo.t array) (plans : Plan.seg_plan list) =
   let n = chip.Chip.n_arrays in
   let usable target i =
     match faults with
@@ -67,17 +66,7 @@ let place chip ?(initial_mode = Mode.Memory) ?faults (ops : Opinfo.t array)
   let can_compute = usable Mode.Compute and can_memory = usable Mode.Memory in
   (* stuck arrays live permanently in their stuck mode; the mode map must
      say so or the switch lists would try to move them *)
-  let mode =
-    Array.init n (fun i ->
-        match faults with
-        | None -> initial_mode
-        | Some fm -> begin
-          match Faultmap.fault_at fm i with
-          | Some (Faultmap.Stuck_mode m) -> m
-          | Some Faultmap.Dead | Some (Faultmap.Transient_switch_failure _)
-          | None -> initial_mode
-        end)
-  in
+  let mode = Array.init n (Faultmap.power_on_mode faults) in
   let coords = Array.init n (Chip.coord_of_index chip) in
   let coord i = coords.(i) in
   (* producer uid -> array indices holding its output at the end of the

@@ -25,14 +25,13 @@ type seg_place = {
 }
 
 val place :
-  Cim_arch.Chip.t -> ?initial_mode:Cim_arch.Mode.t ->
-  ?faults:Cim_arch.Faultmap.t -> Opinfo.t array ->
+  Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> Opinfo.t array ->
   Plan.seg_plan list -> seg_place list
-(** [initial_mode] is the mode every array starts in (default [Memory] — a
-    dual-mode array resets as plain memory). With [faults], dead arrays are
-    never claimed and stuck arrays are only claimed for their stuck mode
-    (and start the schedule already in it, so no switch is emitted for
-    them); plans must have been solved against
+(** Every array starts in its power-on mode
+    ({!Cim_arch.Faultmap.power_on_mode}: memory, or its stuck mode). With
+    [faults], dead arrays are never claimed and stuck arrays are only
+    claimed for their stuck mode (so no switch is emitted for them); plans
+    must have been solved against
     {!Cim_arch.Faultmap.effective_chip} for capacity to suffice. Raises
     [Failure] if a segment demands more usable arrays than remain (cannot
     happen for plans solved against the matching effective chip). *)

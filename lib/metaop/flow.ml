@@ -43,90 +43,6 @@ let rec switches_of = function
 let switched_arrays p = List.concat_map switches_of p.instrs
 let count_switches p = List.length (switched_arrays p)
 
-(* --- validation --- *)
-
-let validate chip p =
-  let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  let check_coord (c : coord) =
-    try
-      ignore (Chip.index_of_coord chip c);
-      Ok ()
-    with Chip.Invalid_config m -> Error m
-  in
-  let check_coords cs =
-    List.fold_left
-      (fun acc c -> match acc with Error _ -> acc | Ok () -> check_coord c)
-      (Ok ()) cs
-  in
-  let check_slice label (s : slice) =
-    if s.lo < 0 || s.hi <= s.lo then err "%s: malformed slice [%d,%d)" label s.lo s.hi
-    else Ok ()
-  in
-  let ( >>= ) r f = match r with Error _ as e -> e | Ok () -> f () in
-  let coords_of_loc = function Mem_arrays cs -> cs | Main_memory | Buffer -> [] in
-  let rec check_instr ~in_parallel i =
-    match i with
-    | Switch { arrays; _ } -> check_coords arrays
-    | Write_weights { arrays; slice; label; _ } ->
-      check_coords arrays >>= fun () -> check_slice label slice
-    | Load { src; dst; bytes; tensor } | Store { src; dst; bytes; tensor } ->
-      check_coords (coords_of_loc src) >>= fun () ->
-      check_coords (coords_of_loc dst) >>= fun () ->
-      if bytes < 0 then err "%s: negative byte count" tensor else Ok ()
-    | Compute { arrays; mem_arrays; slice; label; macs; ai; _ } ->
-      check_coords arrays >>= fun () ->
-      check_coords mem_arrays >>= fun () ->
-      check_slice label slice >>= fun () ->
-      if macs < 0. || ai < 0. then err "%s: negative macs/ai" label
-      else begin
-        (* an array cannot be compute and memory for the same operator *)
-        let overlap = List.filter (fun c -> List.mem c mem_arrays) arrays in
-        match overlap with
-        | [] -> Ok ()
-        | c :: _ -> err "%s: array (%d,%d) in both modes" label c.Chip.x c.Chip.y
-      end
-    | Parallel is ->
-      if in_parallel then err "nested parallel block"
-      else begin
-        (* Eq. 5: within a segment an array is compute xor memory. *)
-        let compute_set = Hashtbl.create 16 and memory_set = Hashtbl.create 16 in
-        let record tbl cs = List.iter (fun c -> Hashtbl.replace tbl c ()) cs in
-        List.iter
-          (function
-            | Compute { arrays; mem_arrays; _ } ->
-              record compute_set arrays;
-              record memory_set mem_arrays
-            | Write_weights { arrays; _ } -> record compute_set arrays
-            | Load { src; dst; _ } | Store { src; dst; _ } ->
-              record memory_set (coords_of_loc src);
-              record memory_set (coords_of_loc dst)
-            | Switch _ | Vector_op _ | Parallel _ -> ())
-          is;
-        let clash =
-          Hashtbl.fold
-            (fun c () acc ->
-              match acc with
-              | Some _ -> acc
-              | None -> if Hashtbl.mem memory_set c then Some c else None)
-            compute_set None
-        in
-        match clash with
-        | Some c ->
-          err "parallel block: array (%d,%d) used in both modes" c.Chip.x c.Chip.y
-        | None ->
-          List.fold_left
-            (fun acc i ->
-              match acc with
-              | Error _ -> acc
-              | Ok () -> check_instr ~in_parallel:true i)
-            (Ok ()) is
-      end
-    | Vector_op _ -> Ok ()
-  in
-  List.fold_left
-    (fun acc i -> match acc with Error _ -> acc | Ok () -> check_instr ~in_parallel:false i)
-    (Ok ()) p.instrs
-
 (* --- printing (Fig. 13 concrete syntax) --- *)
 
 let pp_coord ppf (c : coord) = Format.fprintf ppf "(%d,%d)" c.Chip.x c.Chip.y

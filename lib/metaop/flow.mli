@@ -57,10 +57,6 @@ val switched_arrays : program -> (Cim_arch.Mode.transition * coord) list
 
 val count_switches : program -> int
 
-val validate : Cim_arch.Chip.t -> program -> (unit, string) result
-(** Structural checks: coordinates in range, no array used in both modes
-    inside one [Parallel] block, slices well-formed, no nested [Parallel]. *)
-
 val pp : Format.formatter -> program -> unit
 (** Concrete syntax (grammar of Fig. 13); parseable by {!Parse}. A
     [Format] printer, kept as the reference that {!to_string} is tested

@@ -74,8 +74,8 @@ type image = { source : string; cmds : cmd array }
 
 val of_flow : Flow.program -> image
 (** Flatten: each [Parallel] block becomes [Par_begin n; ...; Par_end].
-    Raises [Invalid_argument] on nested [Parallel] (which {!Flow.validate}
-    already forbids). *)
+    Raises [Invalid_argument] on nested [Parallel], which {!Check}
+    reports. *)
 
 val to_flow : image -> Flow.program
 (** Raise back to the meta-op level. [to_flow (of_flow p)] reproduces [p]

@@ -1,5 +1,6 @@
 module Chip = Cim_arch.Chip
 module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 module Isa = Cim_metaop.Isa
 module Graph = Cim_nnir.Graph
 module Exec = Cim_nnir.Exec
@@ -93,7 +94,7 @@ let covered cov =
 (* The interpreter: a program counter over the command FIFO, the way a
    device-side sequencer drains it. The stream must already have passed
    the entry check of [run] or [Isa_sim.run] (it raises to a flow that
-   [Flow.validate] accepts), so brackets are balanced and never nested. *)
+   [Check] accepts), so brackets are balanced and never nested. *)
 let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
     (img : Isa.image) ~inputs =
   let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
@@ -168,38 +169,20 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
         Hashtbl.replace pre_results node_id r)
       tasks
   in
-  let exec_cmd pc = function
+  let exec_cmd pc cmd =
+    Machine.exec machine cmd;
+    match cmd with
     | Isa.Par_begin count ->
       pre_eval_block ~lo:(pc + 1) ~hi:(min (pc + count) (Array.length cmds - 1))
-    | Isa.Par_end -> ()
-    | Isa.Switch { target; arrays } ->
-      List.iter (Machine.switch machine target) arrays
-    | Isa.Write_weights { node_id; arrays; slice; _ } ->
-      List.iter
-        (fun c ->
-          Machine.write_weights machine c ~node_id ~lo:slice.Flow.lo ~hi:slice.Flow.hi)
-        arrays
-    | Isa.Dma_load { tensor; dst; _ } -> begin
-      ignore (lookup tensor);
-      match dst with
-      | Flow.Mem_arrays cs ->
-        List.iter (fun c -> Machine.stage_data machine c tensor) cs
-      | Flow.Main_memory | Flow.Buffer -> ()
-    end
-    | Isa.Dma_store { src; _ } -> begin
-      match src with
-      | Flow.Mem_arrays cs -> List.iter (Machine.check_memory machine) cs
-      | Flow.Main_memory | Flow.Buffer -> ()
-    end
+    | Isa.Par_end | Isa.Switch _ | Isa.Write_weights _ | Isa.Dma_store _ -> ()
+    | Isa.Dma_load { tensor; _ } -> ignore (lookup tensor)
     | Isa.Vec { node_id; inputs; output; _ } ->
       incr vectors;
       let nd = node_of node_id in
       let ins = List.map lookup inputs in
       Hashtbl.replace env output (Exec.eval_node nd ins)
-    | Isa.Compute { node_id; arrays; mem_arrays; output; slice; _ } ->
+    | Isa.Compute { node_id; output; slice; _ } ->
       incr computes;
-      List.iter (fun c -> Machine.check_compute machine c ~node_id) arrays;
-      List.iter (Machine.check_memory machine) mem_arrays;
       let nd = node_of node_id in
       (* full-node int8 result, computed once and shared by sub-operators *)
       let result =
@@ -313,9 +296,9 @@ let execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
 
 let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
     (p : Flow.program) ~inputs =
-  (match Flow.validate chip p with
-  | Ok () -> ()
-  | Error m -> err "invalid program: %s" m);
+  (match Check.run chip ?faults p with
+  | [] -> ()
+  | d :: _ -> err "invalid program: %s" (Check.diagnostic_to_string d));
   execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend g (Isa.of_flow p)
     ~inputs
 

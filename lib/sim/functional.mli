@@ -10,9 +10,10 @@
     point for a stream that arrives as commands (e.g. decoded from bytes).
 
     Checks enforced while executing:
-    - every [COMPUTE] runs on compute-mode arrays programmed with that
-      operator's weights, and its memory operands sit in memory-mode arrays;
-    - mode switches are never redundant;
+    - the per-array rules of {!Cim_metaop.Rules}, through {!Machine}: every
+      [COMPUTE] runs on compute-mode arrays programmed with that operator's
+      weights, its memory operands sit in memory-mode arrays, and mode
+      switches are never redundant;
     - the output slices of an operator's sub-operators cover its full output
       (nothing silently missing from a partitioned matmul or grouped
       convolution). *)
@@ -35,13 +36,14 @@ val run :
   ?max_switch_retries:int -> ?jobs:int -> ?backend:Cim_tensor.Kernels.backend ->
   Cim_nnir.Graph.t -> Cim_metaop.Flow.program ->
   inputs:(string * Cim_tensor.Tensor.t) list -> report
-(** Validates the flow ({!Cim_metaop.Flow.validate}), lowers it to the
-    command stream and executes that. Requires every initializer of the
-    graph to carry values. Raises [Error] (or {!Machine.Fault}) on
-    operands the int8 path rejects (see {!quant_eval}) and on illegal
-    programs — including programs that use dead arrays, switch stuck
-    arrays, or exhaust the transient-switch retry budget of the fault model
-    (see {!Machine.create}).
+(** Checks the flow under the fault map ({!Cim_metaop.Check}, rejecting
+    any diagnostic), lowers it to the command stream and executes that.
+    Requires every initializer of the graph to carry values. Raises
+    [Error] on operands the int8 path rejects (see {!quant_eval}) and on
+    illegal programs — including programs that use dead arrays or switch
+    stuck arrays — and {!Machine.Fault} when a switch exhausts the
+    transient-switch retry budget of the fault model (see
+    {!Machine.create}).
 
     [jobs] (default {!Cim_util.Pool.default_jobs}, forced to 1 when already
     inside a pool worker) sizes the work pool the simulator runs on; each
@@ -60,9 +62,9 @@ val execute :
   inputs:(string * Cim_tensor.Tensor.t) list -> report
 (** The interpreter itself, with {!run}'s arguments and report. It trusts
     its stream: brackets must be balanced and never nested, and the stream
-    must raise to a flow that {!Cim_metaop.Flow.validate} accepts. {!run}
-    and {!Isa_sim.run} check exactly that before calling it; call one of
-    them instead. *)
+    must raise to a flow that {!Cim_metaop.Check} accepts. {!run} and
+    {!Isa_sim.run} check exactly that before calling it; call one of them
+    instead. *)
 
 val digest : report -> string
 (** MD5 hex digest over the simulated output tensors (names + IEEE-754 bit

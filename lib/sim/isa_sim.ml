@@ -1,15 +1,15 @@
-module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 module Isa = Cim_metaop.Isa
 
 let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend g (img : Isa.image)
     ~inputs =
-  (* the entry check: the stream must raise back to a flow the static
-     validator accepts (balanced brackets, coords in range, no mode
-     conflicts inside a block) before the sequencer starts *)
+  (* the entry check: the stream must raise back to a flow (balanced
+     brackets) that the static checker accepts before the sequencer
+     starts *)
   let invalid m = raise (Functional.Error ("invalid command stream: " ^ m)) in
-  (match Flow.validate chip (Isa.to_flow img) with
-  | Ok () -> ()
-  | Error m -> invalid m
+  (match Check.run chip ?faults (Isa.to_flow img) with
+  | [] -> ()
+  | d :: _ -> invalid (Check.diagnostic_to_string d)
   | exception Invalid_argument m -> invalid m);
   Functional.execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend g img
     ~inputs

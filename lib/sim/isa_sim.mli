@@ -5,8 +5,8 @@
 
     Its only logic is the entry check: the stream is raised back to a flow
     ({!Cim_metaop.Isa.to_flow}, which rejects unbalanced or miscounted
-    [PAR_BEGIN]/[PAR_END] brackets) and that flow must pass
-    {!Cim_metaop.Flow.validate}. Execution is then exactly
+    [PAR_BEGIN]/[PAR_END] brackets) and {!Cim_metaop.Check} must find
+    nothing in that flow under the fault map. Execution is then exactly
     {!Functional.run}'s, so for a stream lowered with
     {!Cim_metaop.Isa.of_flow} both produce identical {!Functional.report}s
     and {!Functional.digest} agrees bit for bit. *)
@@ -17,6 +17,7 @@ val run :
   Cim_nnir.Graph.t -> Cim_metaop.Isa.image ->
   inputs:(string * Cim_tensor.Tensor.t) list -> Functional.report
 (** Same contract as {!Functional.run}, over the command stream: raises
-    {!Functional.Error} on malformed streams (unbalanced brackets, unknown
-    tensors, coverage gaps) and {!Machine.Fault} on mode violations; the
-    report is byte-identical at any [jobs] and for either kernel backend. *)
+    {!Functional.Error} on malformed streams (unbalanced brackets, a
+    diagnostic, unknown tensors, coverage gaps) and {!Machine.Fault} when
+    transient switch retries run out; the report is byte-identical at any
+    [jobs] and for either kernel backend. *)

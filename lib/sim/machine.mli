@@ -1,24 +1,22 @@
-(** Per-array state machine for the dual-mode chip: every array's current
-    mode and contents. The functional simulator uses it to reject programs
-    that compute on arrays in the wrong mode or with stale weights, and the
-    timing simulator to count realised switches. *)
-
-type content =
-  | Empty
-  | Weights of { node_id : int; lo : int; hi : int }
-  | Data of string  (** tensor name staged in a memory-mode array *)
+(** The dual-mode chip as the functional simulator executes it: the state
+    and rules of {!Cim_metaop.Rules}, which {!Cim_metaop.Check} folds
+    statically, applied command by command. A command that breaks a rule
+    raises {!Fault} with the rule's text, so the machine faults at exactly
+    the instruction of {!Cim_metaop.Check}'s first per-array diagnostic.
+    What only execution adds is kept here: transient switch failures and
+    their retries, the switch counters the timing simulator reads, and
+    the mode-residency trace. *)
 
 type t
 
 val create :
-  Cim_arch.Chip.t -> ?initial_mode:Cim_arch.Mode.t ->
-  ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
+  Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
   ?max_switch_retries:int -> unit -> t
-(** With [faults], stuck arrays start in (and can never leave) their stuck
-    mode, dead arrays fault on any use, and transiently failing switch
-    circuits are retried up to [max_switch_retries] times (default 3; the
-    retry draw comes from [rng], default a fixed seed) before faulting.
-    Raises [Invalid_argument] on a negative retry budget. *)
+(** Every array at its power-on mode, holding no weights. With [faults],
+    transiently failing switch circuits are retried up to
+    [max_switch_retries] times (default 3; the retry draw comes from
+    [rng], default a fixed seed) before faulting. Raises
+    [Invalid_argument] on a negative retry budget. *)
 
 val retry_draws : Cim_util.Rng.t -> p:float -> max_retries:int -> int * bool
 (** The transient-failure draws of one array switch with failure
@@ -27,33 +25,23 @@ val retry_draws : Cim_util.Rng.t -> p:float -> max_retries:int -> int * bool
     [p <= 0]. {!switch} and {!Timing.run} both call it, so a timing run with
     the same rng prices exactly the retries the machine performs. *)
 
-val mode : t -> Cim_arch.Chip.coord -> Cim_arch.Mode.t
-val content : t -> Cim_arch.Chip.coord -> content
-
 exception Fault of string
-(** Raised on illegal transitions/uses; the message always names the array
-    coordinate, its current mode and the attempted operation/transition. *)
+(** A broken rule (the text names the array) or a switch that kept
+    failing transiently past the retry budget. *)
+
+val exec : t -> Cim_metaop.Isa.cmd -> unit
+(** Apply one command's per-array transitions, in the order {!Cim_metaop.Check}
+    walks them: a switch, a weight write, a load's or store's source and
+    destination arrays, a compute's arrays and then its memory operands.
+    Bracket markers and vector commands touch no array. *)
 
 val switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> unit
-(** Faults if the array is already in the target mode (a redundant switch is
-    a compiler bug: it wastes cycles), is dead or stuck, or keeps failing
-    transiently past the retry budget. Switching clears [Data] contents —
-    the scratchpad view is lost — but keeps [Weights] (the DynaPlasia cells
-    physically retain their charge across mode changes). *)
+(** One array's share of a switch command: the rule, then the retry draws
+    of a transiently failing circuit. *)
 
-val write_weights :
-  t -> Cim_arch.Chip.coord -> node_id:int -> lo:int -> hi:int -> unit
-(** Faults unless the array is in compute mode. *)
-
-val stage_data : t -> Cim_arch.Chip.coord -> string -> unit
-(** Faults unless the array is in memory mode. *)
-
-val check_compute : t -> Cim_arch.Chip.coord -> node_id:int -> unit
-(** Faults unless the array is in compute mode holding that node's
-    weights. *)
-
-val check_memory : t -> Cim_arch.Chip.coord -> unit
-(** Faults unless the array is in memory mode. *)
+val mode : t -> Cim_arch.Chip.coord -> Cim_arch.Mode.t
+val weights : t -> Cim_arch.Chip.coord -> int option
+(** The array's current mode and the node whose weights it holds. *)
 
 val switch_counts : t -> int * int
 (** (memory->compute, compute->memory) switches performed so far. *)
@@ -66,9 +54,9 @@ val flush_residency : t -> unit
 (** Emit the still-open mode-residency interval of every array that ever
     switched as trace events (no-op when {!Cim_obs.Trace} is disabled).
 
-    The machine keeps a step clock — one tick per executed meta-operator
-    effect — and, while tracing is enabled, records one complete event per
-    (array, mode) interval on the machine process's per-array tracks, so
-    [CM.switch] instructions render as mode-colored slabs in Perfetto. Call
-    this after the last instruction to close the final intervals; the
-    functional simulator does so automatically. *)
+    The machine keeps a step clock — one tick per array an executed
+    command touches — and, while tracing is enabled, records one complete
+    event per (array, mode) interval on the machine process's per-array
+    tracks, so [CM.switch] instructions render as mode-colored slabs in
+    Perfetto. Call this after the last instruction to close the final
+    intervals; the functional simulator does so automatically. *)

@@ -15,6 +15,7 @@ module Ccache = Cim_compiler.Ccache
 module Segment = Cim_compiler.Segment
 module Opinfo = Cim_compiler.Opinfo
 module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 
 let chip = Config.dynaplasia
 
@@ -190,7 +191,7 @@ let test_compile_twice_hits () =
   Alcotest.(check bool) "identical dp stats" true
     (cold.Cmswitch.dp_stats = warm.Cmswitch.dp_stats);
   Alcotest.(check bool) "replayed program validates" true
-    (Flow.validate chip warm.Cmswitch.program = Ok ())
+    (Check.is_valid (Check.run chip warm.Cmswitch.program))
 
 (* the prog-tier key a default compile of [g] stores under *)
 let default_prog_key g =

@@ -13,6 +13,7 @@ module Alloc = Cim_compiler.Alloc
 module Plan = Cim_compiler.Plan
 module Baseline = Cim_baselines.Baseline
 module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 
 let chip = Config.dynaplasia
 
@@ -34,7 +35,7 @@ let test_flows_validate () =
       let g = match e.Zoo.layer with Some f -> f w | None -> e.Zoo.build w in
       let r = Cmswitch.compile chip g in
       Alcotest.(check bool) (key ^ " flow validates") true
-        (Flow.validate chip r.Cmswitch.program = Ok ());
+        (Check.is_valid (Check.run chip r.Cmswitch.program));
       Alcotest.(check bool) (key ^ " has switches") true
         (Flow.count_switches r.Cmswitch.program > 0);
       Alcotest.(check bool) (key ^ " positive latency") true
@@ -186,7 +187,7 @@ let test_in_place_kv_switch () =
       r.Cmswitch.places;
   (* the flow still validates and the timing simulator agrees *)
   Alcotest.(check bool) "flow valid" true
-    (Flow.validate chip r.Cmswitch.program = Ok ());
+    (Check.is_valid (Check.run chip r.Cmswitch.program));
   let t = Cim_sim.Timing.run chip r.Cmswitch.program in
   let sim = t.Cim_sim.Timing.cycles.Cim_sim.Timing.total in
   let total = r.Cmswitch.schedule.Plan.total_cycles in

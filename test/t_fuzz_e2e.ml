@@ -9,6 +9,7 @@
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
 module Flow = Cim_metaop.Flow
+module Check = Cim_metaop.Check
 module Cmswitch = Cim_compiler.Cmswitch
 module Segment = Cim_compiler.Segment
 module Alloc = Cim_compiler.Alloc
@@ -82,7 +83,7 @@ let prop_compile_everywhere =
       let chip = chip_of family ~n_arrays in
       let g = Cim_models.Mlp.build ~batch ~dims () in
       let r = Cmswitch.compile chip g in
-      let flow_ok = Flow.validate chip r.Cmswitch.program = Ok () in
+      let flow_ok = Check.is_valid (Check.run chip r.Cmswitch.program) in
       let t = Timing.run chip r.Cmswitch.program in
       let total = r.Cmswitch.schedule.Plan.total_cycles in
       (* the schedule's write-back term is a conservative boundary
@@ -134,7 +135,7 @@ let prop_transformer_layers_compile_on_small_chips =
           (Cim_models.Workload.decode ~batch:1 kv) ~layer_index:0
       in
       let r = Cmswitch.compile chip g in
-      Flow.validate chip r.Cmswitch.program = Ok ()
+      Check.is_valid (Check.run chip r.Cmswitch.program)
       && r.Cmswitch.schedule.Plan.total_cycles > 0.)
 
 (* random valued graphs: dense layers, activations, residual adds and

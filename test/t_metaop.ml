@@ -41,12 +41,12 @@ let test_validate_ok () =
           ];
       ]
   in
-  Alcotest.(check bool) "valid" true (Flow.validate chip p = Ok ())
+  Alcotest.(check (list string)) "valid" []
+    (List.map Check.diagnostic_to_string (Check.run chip p))
 
 let expect_invalid name p =
-  match Flow.validate chip p with
-  | Error _ -> ()
-  | Ok () -> Alcotest.failf "%s: expected validation failure" name
+  if Check.is_valid (Check.run chip p) then
+    Alcotest.failf "%s: expected validation failure" name
 
 let test_validate_failures () =
   expect_invalid "coord out of range" (prog [ compute ~arrays:[ c 50 50 ] () ]);
@@ -62,17 +62,45 @@ let test_validate_failures () =
   expect_invalid "negative bytes"
     (prog [ Flow.Load { tensor = "x"; src = Flow.Main_memory; dst = Flow.Buffer; bytes = -1 } ])
 
-(* (5,-1) lands on index -7 of dynaplasia's 12-wide grid if y is not
-   checked: validation must reject it and Check must report it, not index
-   its per-array state out of bounds *)
-let test_negative_coord () =
-  let p = prog [ compute ~arrays:[ c 5 (-1) ] () ] in
-  expect_invalid "negative y" p;
-  let want =
-    Printf.sprintf "compute op: array (5,-1) outside the %s grid" chip.Chip.name
+(* what only the structural rules catch: each program below is clean under
+   the per-array rules walked in order, bar the one defect named *)
+let test_structural_rules () =
+  let write =
+    Flow.Write_weights
+      { label = "op"; node_id = 0; arrays = [ c 0 0 ]; slice = sl 0 4; bytes = 16;
+        in_place = false }
   in
-  Alcotest.(check bool) "check reports the coordinate" true
-    (List.exists (fun d -> d.Check.message = want) (Check.errors (Check.run chip p)))
+  let toc = Flow.Switch { target = Mode.To_compute; arrays = [ c 0 0 ] } in
+  let messages p = List.map (fun d -> d.Check.message) (Check.run chip p) in
+  Alcotest.(check (list string)) "switch, write, compute at top level" []
+    (messages (prog [ toc; write; compute () ]));
+  Alcotest.(check (list string)) "a switch inside a parallel block"
+    [ "switch inside a parallel block" ]
+    (messages (prog [ Flow.Parallel [ toc; write; compute () ] ]));
+  let signed macs ai =
+    Flow.Compute
+      { label = "op"; node_id = 0; arrays = [ c 0 0 ]; mem_arrays = []; inputs = [ "x" ];
+        output = "y"; slice = sl 0 4; macs; ai }
+  in
+  Alcotest.(check (list string)) "negative macs" [ "compute op: negative macs/ai" ]
+    (messages (prog [ toc; write; signed (-1.) 2. ]));
+  Alcotest.(check (list string)) "negative ai" [ "compute op: negative macs/ai" ]
+    (messages (prog [ toc; write; signed 100. (-0.5) ]))
+
+(* (5,-1) lands on index -7 of dynaplasia's 12-wide grid if y is not
+   checked, and a y past max_int / 12 wraps y * 12 negative: Check must
+   report both, not index its per-array state out of bounds *)
+let test_negative_coord () =
+  List.iter
+    (fun y ->
+      let p = prog [ compute ~arrays:[ c 5 y ] () ] in
+      expect_invalid (Printf.sprintf "y = %d" y) p;
+      let want =
+        Printf.sprintf "compute op: array (5,%d) outside the %s grid" y chip.Chip.name
+      in
+      Alcotest.(check bool) "check reports the coordinate" true
+        (List.exists (fun d -> d.Check.message = want) (Check.run chip p)))
+    [ -1; (max_int / 12) + 1 ]
 
 let test_switch_accounting () =
   let p =
@@ -262,6 +290,47 @@ let test_printer_identity_compiled key w () =
   Alcotest.(check bool) "to_string = pp" true (Format.asprintf "%a" Flow.pp p = text);
   Alcotest.(check bool) "parse . print = id" true (Parse.program_of_string text = p)
 
+(* Check.run is total: every mutant of a compiled program's text that the
+   parser accepts is checked without an exception. A mutant takes one to
+   three steps, each a truncation, a byte flip or a splice (a run of lines
+   copied to another place). *)
+let resnet18_text =
+  lazy
+    (let e = Option.get (Zoo.find "resnet18") in
+     let g = e.Zoo.build (Workload.prefill ~batch:1 1) in
+     Flow.to_string (Cmswitch.compile chip g).Cmswitch.program)
+
+let gen_mutant text =
+  let open QCheck.Gen in
+  let step s =
+    let n = String.length s in
+    let lines = Array.of_list (String.split_on_char '\n' s) in
+    let nl = Array.length lines in
+    let sub i k = Array.to_list (Array.sub lines i k) in
+    frequency
+      [ (1, map (fun k -> String.sub s 0 k) (int_bound n));
+        ( 2,
+          map2
+            (fun i b -> String.mapi (fun j c -> if j = i then Char.chr b else c) s)
+            (int_bound (n - 1)) (int_bound 255) );
+        ( 3,
+          let+ i = int_bound (nl - 1) and+ len = int_range 1 4 and+ j = int_bound nl in
+          String.concat "\n" (sub 0 j @ sub i (min len (nl - i)) @ sub j (nl - j)) ) ]
+  in
+  let rec go k s = if k = 0 then return s else step s >>= go (k - 1) in
+  int_range 1 3 >>= fun k -> go k text
+
+let prop_check_total =
+  QCheck.Test.make ~name:"check is total on mutated resnet18 text" ~count:300
+    (QCheck.make (QCheck.Gen.delay (fun () -> gen_mutant (Lazy.force resnet18_text))))
+    (fun text ->
+      match Parse.program_of_string text with
+      | exception Parse.Error _ -> true
+      | p -> (
+        match Check.run chip p with
+        | (_ : Check.diagnostic list) -> true
+        | exception e -> QCheck.Test.fail_reportf "Check.run raised %s" (Printexc.to_string e)))
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -269,6 +338,7 @@ let suite =
     [
       Alcotest.test_case "validate accepts good program" `Quick test_validate_ok;
       Alcotest.test_case "validate rejects bad programs" `Quick test_validate_failures;
+      Alcotest.test_case "check: structural rules" `Quick test_structural_rules;
       Alcotest.test_case "negative coordinate is a diagnostic" `Quick test_negative_coord;
       Alcotest.test_case "switch accounting" `Quick test_switch_accounting;
       Alcotest.test_case "round-trip manual program" `Quick test_roundtrip_manual;
@@ -278,6 +348,7 @@ let suite =
       qtest prop_digest;
       qtest prop_sink_resets;
       Alcotest.test_case "digests on a 2-worker pool" `Quick test_digest_on_pool;
+      qtest prop_check_total;
       Alcotest.test_case "to_string = pp: resnet18" `Quick
         (test_printer_identity_compiled "resnet18" (Workload.prefill ~batch:1 1));
       Alcotest.test_case "to_string = pp: llama2-7b decode layer" `Quick

@@ -6,7 +6,10 @@
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
 module Mode = Cim_arch.Mode
+module Faultmap = Cim_arch.Faultmap
 module Flow = Cim_metaop.Flow
+module Isa = Cim_metaop.Isa
+module Check = Cim_metaop.Check
 module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
 module Timing = Cim_sim.Timing
@@ -21,48 +24,163 @@ let c x y = { Chip.x; y }
 
 (* --- machine --- *)
 
+let sl = { Flow.lo = 0; hi = 4 }
+let switch target cs = Flow.Switch { target; arrays = cs }
+
+let write c node_id =
+  Flow.Write_weights
+    { label = "w"; node_id; arrays = [ c ]; slice = sl; bytes = 16; in_place = false }
+
+let load ~src ~dst = Flow.Load { tensor = "in"; src; dst; bytes = 4 }
+let store ~src ~dst = Flow.Store { tensor = "in"; src; dst; bytes = 4 }
+
+let compute ?(mem = []) arrays node_id =
+  Flow.Compute
+    { label = "m"; node_id; arrays; mem_arrays = mem; inputs = [ "in" ]; output = "out";
+      slice = sl; macs = 16.; ai = 1. }
+
+(* the command a top-level instruction lowers to *)
+let cmd i = (Isa.of_flow { Flow.source = "cmd"; instrs = [ i ] }).Isa.cmds.(0)
+let exec m i = Machine.exec m (cmd i)
+
+let expect_fault m what i =
+  match exec m i with
+  | exception Machine.Fault _ -> ()
+  | () -> Alcotest.fail (what ^ " must fault")
+
 let test_machine_switching () =
   let m = Machine.create chip () in
   Alcotest.(check bool) "starts in memory mode" true (Machine.mode m (c 0 0) = Mode.Memory);
-  Machine.switch m Mode.To_compute (c 0 0);
+  exec m (switch Mode.To_compute [ c 0 0 ]);
   Alcotest.(check bool) "switched" true (Machine.mode m (c 0 0) = Mode.Compute);
-  (match Machine.switch m Mode.To_compute (c 0 0) with
-  | exception Machine.Fault _ -> ()
-  | () -> Alcotest.fail "redundant switch must fault");
+  expect_fault m "redundant switch" (switch Mode.To_compute [ c 0 0 ]);
   Alcotest.(check (pair int int)) "switch counts" (1, 0) (Machine.switch_counts m)
 
 let test_machine_weights_and_data () =
   let m = Machine.create chip () in
-  (* weights into a memory-mode array: fault *)
-  (match Machine.write_weights m (c 1 0) ~node_id:0 ~lo:0 ~hi:4 with
-  | exception Machine.Fault _ -> ()
-  | () -> Alcotest.fail "weight write in memory mode must fault");
-  Machine.switch m Mode.To_compute (c 1 0);
-  Machine.write_weights m (c 1 0) ~node_id:0 ~lo:0 ~hi:4;
-  Machine.check_compute m (c 1 0) ~node_id:0;
-  (* wrong node's weights *)
-  (match Machine.check_compute m (c 1 0) ~node_id:9 with
-  | exception Machine.Fault _ -> ()
-  | () -> Alcotest.fail "stale weights must fault");
-  (* data staging needs memory mode *)
-  (match Machine.stage_data m (c 1 0) "x" with
-  | exception Machine.Fault _ -> ()
-  | () -> Alcotest.fail "stage into compute array must fault");
-  Machine.stage_data m (c 2 0) "x";
-  Machine.check_memory m (c 2 0);
-  (* switching away drops staged data but keeps weights *)
-  Machine.switch m Mode.To_compute (c 2 0);
-  Alcotest.(check bool) "data cleared" true (Machine.content m (c 2 0) = Machine.Empty);
-  Machine.switch m Mode.To_memory (c 1 0);
-  Alcotest.(check bool) "weights survive" true
-    (match Machine.content m (c 1 0) with Machine.Weights _ -> true | _ -> false)
+  let at c = Flow.Mem_arrays [ c ] in
+  expect_fault m "weight write in memory mode" (write (c 1 0) 0);
+  exec m (switch Mode.To_compute [ c 1 0 ]);
+  exec m (write (c 1 0) 0);
+  exec m (compute [ c 1 0 ] 0);
+  expect_fault m "compute with another node's weights" (compute [ c 1 0 ] 9);
+  (* every array a load or store reads from or writes to needs memory mode *)
+  expect_fault m "load into a compute array" (load ~src:Flow.Main_memory ~dst:(at (c 1 0)));
+  expect_fault m "load from a compute array" (load ~src:(at (c 1 0)) ~dst:Flow.Buffer);
+  expect_fault m "store into a compute array" (store ~src:Flow.Buffer ~dst:(at (c 1 0)));
+  expect_fault m "store from a compute array" (store ~src:(at (c 1 0)) ~dst:Flow.Main_memory);
+  expect_fault m "memory operand in a compute array" (compute ~mem:[ c 1 0 ] [ c 1 0 ] 0);
+  exec m (load ~src:Flow.Main_memory ~dst:(at (c 2 0)));
+  exec m (store ~src:(at (c 2 0)) ~dst:Flow.Main_memory);
+  (* weights survive a switch and are lost when a load writes into the
+     array: after a load and a TOC the array holds no weights *)
+  exec m (switch Mode.To_compute [ c 2 0 ]);
+  exec m (write (c 2 0) 5);
+  exec m (switch Mode.To_memory [ c 2 0 ]);
+  Alcotest.(check (option int)) "weights survive TOM" (Some 5) (Machine.weights m (c 2 0));
+  exec m (load ~src:Flow.Main_memory ~dst:(at (c 2 0)));
+  exec m (switch Mode.To_compute [ c 2 0 ]);
+  Alcotest.(check (option int)) "load then TOC: no weights" None (Machine.weights m (c 2 0));
+  expect_fault m "compute after the load" (compute [ c 2 0 ] 5);
+  exec m (switch Mode.To_memory [ c 1 0 ]);
+  Alcotest.(check (option int)) "weights survive" (Some 0) (Machine.weights m (c 1 0))
+
+(* Random top-level programs on a chip of at most 3x3 arrays: switches,
+   weight writes, loads, stores and computes over its arrays and one
+   coordinate off the grid, naming tensors the program never defines. With
+   no fault map and with a dead-and-stuck one, Check's first diagnostic is
+   at the instruction where Machine, driven through the command entry the
+   functional simulator uses, first faults, and ends with the fault's
+   text; Check finds nothing exactly when Machine runs every instruction. *)
+let gen_agreement =
+  let open QCheck.Gen in
+  let* n_arrays = int_range 1 9 in
+  let chip = Config.scaled Config.dynaplasia ~n_arrays in
+  let coord =
+    frequency
+      [ (6, map (Chip.coord_of_index chip) (int_bound (n_arrays - 1)));
+        (1, return (c chip.Chip.grid_cols 0)) ]
+  in
+  let coords = list_size (int_range 1 2) coord in
+  let node = int_bound 1 in
+  let loc =
+    frequency
+      [ (1, return Flow.Main_memory); (1, return Flow.Buffer);
+        (2, map (fun cs -> Flow.Mem_arrays cs) coords) ]
+  in
+  let instr =
+    frequency
+      [ (3, map2 switch (oneofl [ Mode.To_compute; Mode.To_memory ]) coords);
+        (2, map2 write coord node);
+        (1, map2 (fun src dst -> load ~src ~dst) loc loc);
+        (1, map2 (fun src dst -> store ~src ~dst) loc loc);
+        (2, map3 (fun mem arrays node_id -> compute ~mem arrays node_id)
+              (list_size (int_bound 1) coord) coords node) ]
+  in
+  let fault =
+    frequency
+      [ (4, return None); (2, return (Some Faultmap.Dead));
+        (1, return (Some (Faultmap.Stuck_mode Mode.Memory)));
+        (1, return (Some (Faultmap.Stuck_mode Mode.Compute))) ]
+  in
+  let* faults = list_repeat n_arrays fault in
+  let+ instrs = list_size (int_range 1 12) instr in
+  let fm =
+    Faultmap.of_list chip
+      (List.concat
+         (List.mapi
+            (fun i f -> Option.to_list (Option.map (fun f -> (Chip.coord_of_index chip i, f)) f))
+            faults))
+  in
+  (chip, fm, { Flow.source = "agree"; instrs })
+
+let machine_fault chip ?faults p =
+  let m = Machine.create chip ?faults () in
+  let cmds = (Isa.of_flow p).Isa.cmds in
+  let rec go k =
+    if k = Array.length cmds then None
+    else
+      match Machine.exec m cmds.(k) with
+      | () -> go (k + 1)
+      | exception Machine.Fault v -> Some (k, v)
+  in
+  go 0
+
+let prop_check_machine_agree =
+  let print (chip, fm, p) =
+    Format.asprintf "%s, %a@.%s" chip.Chip.name Faultmap.pp fm (Flow.to_string p)
+  in
+  let shrink (chip, fm, p) =
+    QCheck.Iter.map
+      (fun instrs -> (chip, fm, { p with Flow.instrs }))
+      (QCheck.Shrink.list p.Flow.instrs)
+  in
+  QCheck.Test.make ~name:"check and machine agree" ~count:1000
+    (QCheck.make ~print ~shrink gen_agreement)
+    (fun (chip, fm, p) ->
+      List.for_all
+        (fun faults ->
+          let check =
+            match Check.run chip ?faults p with
+            | [] -> None
+            | d :: _ -> Some (d.Check.instr, d.Check.message)
+          in
+          match (check, machine_fault chip ?faults p) with
+          | None, None -> true
+          | Some (i, msg), Some (k, v) when i = k && String.ends_with ~suffix:(": " ^ v) msg ->
+            true
+          | _, machine ->
+            let show = function None -> "runs" | Some (i, m) -> Printf.sprintf "%d: %s" i m in
+            QCheck.Test.fail_reportf "faults %b: check %s, machine %s" (faults <> None)
+              (show check) (show machine))
+        [ None; Some fm ])
 
 (* --- functional simulation of compiled models --- *)
 
 let functional_check ?(tol = 0.05) name graph inputs =
   let r = Cmswitch.compile chip graph in
   Alcotest.(check bool) (name ^ " flow valid") true
-    (Flow.validate chip r.Cmswitch.program = Ok ());
+    (Check.is_valid (Check.run chip r.Cmswitch.program));
   let rep = Functional.run chip graph r.Cmswitch.program ~inputs in
   Alcotest.(check bool)
     (Printf.sprintf "%s matches reference (rel err %.4f)" name
@@ -200,6 +318,18 @@ let test_functional_missing_slice () =
   | exception Functional.Error _ -> ()
   | _ -> Alcotest.fail "expected a coverage error"
 
+(* the entry check runs before lowering: a nested block is an Error, not
+   Isa.of_flow's Invalid_argument *)
+let test_functional_nested_block () =
+  let rng = Rng.create 27 in
+  let g = Cim_models.Mlp.build ~rng ~batch:1 ~dims:[ 8; 8 ] () in
+  let p = { Flow.source = "nested"; instrs = [ Flow.Parallel [ Flow.Parallel [] ] ] } in
+  let x = Tensor.rand rng (Shape.of_list [ 1; 8 ]) ~lo:(-1.) ~hi:1. in
+  match Functional.run chip g p ~inputs:[ ("x", x) ] with
+  | exception Functional.Error _ -> ()
+  | exception e -> Alcotest.failf "raised %s" (Printexc.to_string e)
+  | _ -> Alcotest.fail "nested block accepted"
+
 (* --- timing --- *)
 
 let test_timing_matches_schedule () =
@@ -264,6 +394,7 @@ let suite =
     [
       Alcotest.test_case "machine switching" `Quick test_machine_switching;
       Alcotest.test_case "machine weights/data" `Quick test_machine_weights_and_data;
+      QCheck_alcotest.to_alcotest prop_check_machine_agree;
       Alcotest.test_case "functional: mlp" `Quick test_functional_mlp;
       Alcotest.test_case "functional: tiny cnn" `Quick test_functional_cnn;
       Alcotest.test_case "functional: attention" `Quick test_functional_attention;
@@ -273,6 +404,8 @@ let suite =
         test_functional_rejects_broken_program;
       Alcotest.test_case "functional: missing slice detected" `Quick
         test_functional_missing_slice;
+      Alcotest.test_case "functional: nested block is an Error" `Quick
+        test_functional_nested_block;
       Alcotest.test_case "timing = schedule" `Slow test_timing_matches_schedule;
       Alcotest.test_case "timing write-back semantics" `Quick test_timing_writeback_semantics;
       Alcotest.test_case "timing empty program" `Quick test_timing_empty;
