@@ -41,7 +41,8 @@ val switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> unit
 
 val mode : t -> Cim_arch.Chip.coord -> Cim_arch.Mode.t
 val weights : t -> Cim_arch.Chip.coord -> int option
-(** The array's current mode and the node whose weights it holds. *)
+(** The array's current mode and the node whose weights it holds. Raise
+    {!Cim_arch.Chip.Invalid_config} off the grid. *)
 
 val switch_counts : t -> int * int
 (** (memory->compute, compute->memory) switches performed so far. *)
