@@ -48,8 +48,8 @@ let stuck st i =
     | _ -> None)
   | None -> None
 
-let switch st transition c =
-  let i = locate st c in
+(* the rule of a switch of the located array [i], without the transition *)
+let switch_rule st transition c i =
   let target = Mode.apply transition in
   if i < 0 then Some (unusable st c i)
   else
@@ -62,10 +62,18 @@ let switch st transition c =
       Some
         (Printf.sprintf "array %s already in %s mode" (coord_str c)
            (Mode.to_string target))
-    | None ->
-      (* the cells keep their charge: weights survive the switch *)
-      st.modes.(i) <- target;
-      None
+    | None -> None
+
+let can_switch st transition c = switch_rule st transition c (locate st c)
+
+let switch st transition c =
+  let i = locate st c in
+  match switch_rule st transition c i with
+  | None ->
+    (* the cells keep their charge: weights survive the switch *)
+    st.modes.(i) <- Mode.apply transition;
+    None
+  | violation -> violation
 
 let write st c ~node_id =
   let i = locate st c in

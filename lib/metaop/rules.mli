@@ -31,6 +31,12 @@ val weights : t -> Cim_arch.Chip.coord -> int option
     {!Cim_arch.Chip.Invalid_config} off the grid. *)
 
 val switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> string option
+
+val can_switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> string option
+(** The rule of {!switch}, leaving the state as it is. The machine model
+    draws a transiently failing circuit's retries between the two, so a
+    switch that keeps failing leaves the array in its mode. *)
+
 val write : t -> Cim_arch.Chip.coord -> node_id:int -> string option
 
 val access : t -> Cim_arch.Chip.coord -> overwrite:bool -> string option

@@ -17,8 +17,8 @@ type t = {
   mutable c2m : int;
   mutable retries : int;
   (* residency tracking for the trace: the machine's clock is one step per
-     executed meta-operator effect, and [mode_since] remembers when each
-     array entered its current mode *)
+     array a command touches, and [mode_since] remembers when each array
+     entered its current mode *)
   mutable step : int;
   mode_since : int array;
   switched : (int, unit) Hashtbl.t;
@@ -89,7 +89,7 @@ let weights t c = Rules.weights t.rules c
 let apply = function None -> () | Some violation -> raise (Fault violation)
 
 let switch t transition c =
-  apply (Rules.switch t.rules transition c);
+  apply (Rules.can_switch t.rules transition c);
   let i = Chip.index_of_coord t.chip c in
   (* a transiently failing switch circuit recovers under bounded retries;
      each failed attempt is counted so the timing simulator can charge it *)
@@ -113,6 +113,7 @@ let switch t transition c =
             (Mode.transition_to_string transition)
             (Mode.to_string (Mode.apply transition))
             attempts p));
+  apply (Rules.switch t.rules transition c);
   tick t;
   (* the slab that ends is the mode the array left *)
   emit_residency t i
@@ -127,7 +128,7 @@ let switch t transition c =
     t.c2m <- t.c2m + 1;
     Cim_obs.Metrics.incr m_c2m
 
-(* one step per array an effect touches *)
+(* one step per array a command touches *)
 let each t rule cs =
   List.iter
     (fun c ->

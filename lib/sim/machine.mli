@@ -37,7 +37,10 @@ val exec : t -> Cim_metaop.Isa.cmd -> unit
 
 val switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> unit
 (** One array's share of a switch command: the rule, then the retry draws
-    of a transiently failing circuit. *)
+    of a transiently failing circuit, then the mode change. A switch that
+    keeps failing raises {!Fault} with the array still in its mode and the
+    switch uncounted (its failed attempts are counted in
+    {!switch_retries}). *)
 
 val mode : t -> Cim_arch.Chip.coord -> Cim_arch.Mode.t
 val weights : t -> Cim_arch.Chip.coord -> int option
@@ -56,7 +59,9 @@ val flush_residency : t -> unit
     switched as trace events (no-op when {!Cim_obs.Trace} is disabled).
 
     The machine keeps a step clock — one tick per array an executed
-    command touches — and, while tracing is enabled, records one complete
+    command touches: each array a switch changes, a weight write
+    programs or a compute runs on, each memory operand of a compute, and
+    both the source and the destination arrays of a load or store — and, while tracing is enabled, records one complete
     event per (array, mode) interval on the machine process's per-array
     tracks, so [CM.switch] instructions render as mode-colored slabs in
     Perfetto. Call this after the last instruction to close the final

@@ -44,48 +44,71 @@ let test_validate_ok () =
   Alcotest.(check (list string)) "valid" []
     (List.map Check.diagnostic_to_string (Check.run chip p))
 
-let expect_invalid name p =
-  if Check.is_valid (Check.run chip p) then
-    Alcotest.failf "%s: expected validation failure" name
+let toc ?(arrays = [ c 0 0 ]) () = Flow.Switch { target = Mode.To_compute; arrays }
+
+let write ?(arrays = [ c 0 0 ]) ?(slice = sl 0 4) () =
+  Flow.Write_weights
+    { label = "op"; node_id = 0; arrays; slice; bytes = 16; in_place = false }
+
+let messages p = List.map (fun d -> d.Check.message) (Check.run chip p)
+
+(* Every program below is clean bar the one defect named (unless an array
+   is the defect, the arrays it computes on are switched to compute mode
+   and hold the node's weights), so its one diagnostic comes from the rule
+   under test. *)
+let expect_invalid name want p = Alcotest.(check (list string)) name want (messages p)
 
 let test_validate_failures () =
-  expect_invalid "coord out of range" (prog [ compute ~arrays:[ c 50 50 ] () ]);
+  expect_invalid "coord out of range"
+    [ Printf.sprintf "compute op: array (50,50) outside the %s grid" chip.Chip.name ]
+    (prog [ compute ~arrays:[ c 50 50 ] () ]);
   expect_invalid "both modes in one op"
-    (prog [ compute ~arrays:[ c 0 0 ] ~mem:[ c 0 0 ] () ]);
+    [ "compute op: array (0,0) is in compute mode, needs memory" ]
+    (prog [ toc (); write (); compute ~mem:[ c 0 0 ] () ]);
+  (* Eq. 5: with no switch inside a block, an array a block computes on
+     is still in compute mode when another op of the block reads it as
+     memory; a switch inside the block is itself the error *)
   expect_invalid "both modes in one segment"
+    [ "compute op: array (0,0) is in compute mode, needs memory" ]
     (prog
-       [ Flow.Parallel
-           [ compute ~arrays:[ c 0 0 ] ();
-             compute ~arrays:[ c 1 0 ] ~mem:[ c 0 0 ] () ] ]);
-  expect_invalid "nested parallel" (prog [ Flow.Parallel [ Flow.Parallel [] ] ]);
-  expect_invalid "malformed slice" (prog [ compute ~slice:(sl 4 4) () ]);
-  expect_invalid "negative bytes"
+       [ toc ~arrays:[ c 0 0; c 1 0 ] ();
+         write ~arrays:[ c 0 0; c 1 0 ] ();
+         Flow.Parallel [ compute (); compute ~arrays:[ c 1 0 ] ~mem:[ c 0 0 ] () ] ]);
+  expect_invalid "both modes in one segment, across a switch"
+    [ "switch inside a parallel block" ]
+    (prog
+       [ toc ~arrays:[ c 1 0 ] ();
+         write ~arrays:[ c 1 0 ] ();
+         Flow.Parallel
+           [ compute ~arrays:[ c 1 0 ] ~mem:[ c 0 0 ] (); toc (); write (); compute () ] ]);
+  expect_invalid "nested parallel" [ "nested parallel block" ]
+    (prog [ Flow.Parallel [ Flow.Parallel [] ] ]);
+  expect_invalid "malformed slice" [ "compute op: malformed slice [4,4)" ]
+    (prog [ toc (); write (); compute ~slice:(sl 4 4) () ]);
+  expect_invalid "negative slice start" [ "compute op: malformed slice [-1,4)" ]
+    (prog [ toc (); write (); compute ~slice:(sl (-1) 4) () ]);
+  expect_invalid "malformed weight slice" [ "write op: malformed slice [4,4)" ]
+    (prog [ toc (); write ~slice:(sl 4 4) (); compute () ]);
+  expect_invalid "negative bytes" [ "load x: negative byte count" ]
     (prog [ Flow.Load { tensor = "x"; src = Flow.Main_memory; dst = Flow.Buffer; bytes = -1 } ])
 
 (* what only the structural rules catch: each program below is clean under
    the per-array rules walked in order, bar the one defect named *)
 let test_structural_rules () =
-  let write =
-    Flow.Write_weights
-      { label = "op"; node_id = 0; arrays = [ c 0 0 ]; slice = sl 0 4; bytes = 16;
-        in_place = false }
-  in
-  let toc = Flow.Switch { target = Mode.To_compute; arrays = [ c 0 0 ] } in
-  let messages p = List.map (fun d -> d.Check.message) (Check.run chip p) in
   Alcotest.(check (list string)) "switch, write, compute at top level" []
-    (messages (prog [ toc; write; compute () ]));
+    (messages (prog [ toc (); write (); compute () ]));
   Alcotest.(check (list string)) "a switch inside a parallel block"
     [ "switch inside a parallel block" ]
-    (messages (prog [ Flow.Parallel [ toc; write; compute () ] ]));
+    (messages (prog [ Flow.Parallel [ toc (); write (); compute () ] ]));
   let signed macs ai =
     Flow.Compute
       { label = "op"; node_id = 0; arrays = [ c 0 0 ]; mem_arrays = []; inputs = [ "x" ];
         output = "y"; slice = sl 0 4; macs; ai }
   in
   Alcotest.(check (list string)) "negative macs" [ "compute op: negative macs/ai" ]
-    (messages (prog [ toc; write; signed (-1.) 2. ]));
+    (messages (prog [ toc (); write (); signed (-1.) 2. ]));
   Alcotest.(check (list string)) "negative ai" [ "compute op: negative macs/ai" ]
-    (messages (prog [ toc; write; signed 100. (-0.5) ]))
+    (messages (prog [ toc (); write (); signed 100. (-0.5) ]))
 
 (* (5,-1) lands on index -7 of dynaplasia's 12-wide grid if y is not
    checked, and a y past max_int / 12 wraps y * 12 negative: Check must
@@ -94,12 +117,9 @@ let test_negative_coord () =
   List.iter
     (fun y ->
       let p = prog [ compute ~arrays:[ c 5 y ] () ] in
-      expect_invalid (Printf.sprintf "y = %d" y) p;
-      let want =
-        Printf.sprintf "compute op: array (5,%d) outside the %s grid" y chip.Chip.name
-      in
-      Alcotest.(check bool) "check reports the coordinate" true
-        (List.exists (fun d -> d.Check.message = want) (Check.run chip p)))
+      expect_invalid (Printf.sprintf "y = %d" y)
+        [ Printf.sprintf "compute op: array (5,%d) outside the %s grid" y chip.Chip.name ]
+        p)
     [ -1; (max_int / 12) + 1 ]
 
 let test_switch_accounting () =

@@ -367,7 +367,13 @@ let test_machine_transient_retries () =
             ~max_switch_retries:0 ()
         in
         match Machine.switch m1 Mode.To_compute (c 0 0) with
-        | exception Machine.Fault _ -> found := true
+        | exception Machine.Fault _ ->
+          found := true;
+          (* the circuit never switched *)
+          Alcotest.(check bool) "failed switch keeps the mode" true
+            (Machine.mode m1 (c 0 0) = Mode.Memory);
+          Alcotest.(check (pair int int)) "failed switch is not counted" (0, 0)
+            (Machine.switch_counts m1)
         | () -> ()
       end
     done;
