@@ -13,11 +13,14 @@ module Check = Cim_metaop.Check
 module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
 module Timing = Cim_sim.Timing
+module Energy_sim = Cim_sim.Energy_sim
 module Cmswitch = Cim_compiler.Cmswitch
 module Plan = Cim_compiler.Plan
 module Tensor = Cim_tensor.Tensor
 module Shape = Cim_tensor.Shape
 module Rng = Cim_util.Rng
+module Workload = Cim_models.Workload
+module Zoo = Cim_models.Zoo
 
 let chip = Config.dynaplasia
 let c x y = { Chip.x; y }
@@ -389,6 +392,53 @@ let test_timing_empty () =
   Alcotest.(check (float 0.)) "empty program" 0. t.Timing.cycles.Timing.total;
   Alcotest.(check (float 0.)) "no switch share" 0. t.Timing.switch_share
 
+(* Every number the simulators price for three DynaPlasia programs, as hex
+   floats: the cycle breakdown, the energy breakdown and the EDP. A
+   refactor of the pricing walk must leave each bit where it is. *)
+let priced_pins =
+  [ ( "resnet18", Workload.prefill ~batch:1 1,
+      [ ("compute", "0x1.1b5ae071c62e2p+14"); ("switch", "0x1.1dp+8");
+        ("rewrite", "0x1.65p+13"); ("writeback", "0x0p+0");
+        ("total", "0x1.d24ee071c62e2p+14"); ("mac_uj", "0x1.224071b5240eap+5");
+        ("operand_uj", "0x1.067a7f3cf7015p+7"); ("weight_uj", "0x1.75b9a5a89b952p+4");
+        ("switch_uj", "0x1.758e219652bd4p-10"); ("static_uj", "0x1.7dffe626513f9p+0");
+        ("total_uj", "0x1.80be8af2b0e55p+7"); ("edp_uj_ms", "0x1.6f6e30f370cb9p+2") ] );
+    ( "llama2-7b", Workload.decode ~batch:1 64,
+      [ ("compute", "0x1.19326c5f5e842p+17"); ("switch", "0x1.4p+8");
+        ("rewrite", "0x1.017p+17"); ("writeback", "0x0p+0");
+        ("total", "0x1.0da1362faf421p+18"); ("mac_uj", "0x1.03b8c7315764p+2");
+        ("operand_uj", "0x1.1f1852f7f498cp+8"); ("weight_uj", "0x1.94c016052502fp+8");
+        ("switch_uj", "0x1.a36e2eb1c432dp-10"); ("static_uj", "0x1.b9c2e823872e7p+3");
+        ("total_uj", "0x1.62dae61b436fap+9"); ("edp_uj_ms", "0x1.87e73484758cfp+7") ] );
+    ( "opt-13b", Workload.decode ~batch:1 2047,
+      [ ("compute", "0x1.4864a3fb3d01dp+17"); ("switch", "0x1.ap+8");
+        ("rewrite", "0x1.613p+18"); ("writeback", "0x0p+0");
+        ("total", "0x1.02e528fecf407p+19"); ("mac_uj", "0x1.ad7f29abcaf3ep+2");
+        ("operand_uj", "0x1.a5e137d955715p+14"); ("weight_uj", "0x1.3a92a30553261p+9");
+        ("switch_uj", "0x1.10a137f38c543p-9"); ("static_uj", "0x1.a82c7fc99eed8p+4");
+        ("total_uj", "0x1.b03ab2254f9edp+14"); ("edp_uj_ms", "0x1.ca59d27eb00cfp+13") ] ) ]
+
+let test_priced_pins () =
+  List.iter
+    (fun (key, w, want) ->
+      let e = Option.get (Zoo.find key) in
+      let g = match e.Zoo.family with Zoo.Cnn -> e.Zoo.build w | _ -> (Option.get e.Zoo.layer) w in
+      let p = (Cmswitch.compile chip g).Cmswitch.program in
+      let t = Timing.run chip p and en = Energy_sim.run chip p in
+      let c = t.Timing.cycles and b = en.Energy_sim.energy in
+      let got =
+        [ ("compute", c.Timing.compute); ("switch", c.Timing.switch);
+          ("rewrite", c.Timing.rewrite); ("writeback", c.Timing.writeback);
+          ("total", c.Timing.total); ("mac_uj", b.Energy_sim.mac_uj);
+          ("operand_uj", b.Energy_sim.operand_uj); ("weight_uj", b.Energy_sim.weight_uj);
+          ("switch_uj", b.Energy_sim.switch_uj); ("static_uj", b.Energy_sim.static_uj);
+          ("total_uj", b.Energy_sim.total_uj); ("edp_uj_ms", en.Energy_sim.edp_uj_ms) ]
+      in
+      Alcotest.(check (list (pair string string)))
+        key want
+        (List.map (fun (n, v) -> (n, Printf.sprintf "%h" v)) got))
+    priced_pins
+
 let suite =
   ( "sim",
     [
@@ -409,4 +459,5 @@ let suite =
       Alcotest.test_case "timing = schedule" `Slow test_timing_matches_schedule;
       Alcotest.test_case "timing write-back semantics" `Quick test_timing_writeback_semantics;
       Alcotest.test_case "timing empty program" `Quick test_timing_empty;
+      Alcotest.test_case "priced cycles and energy pinned" `Quick test_priced_pins;
     ] )
