@@ -1,11 +1,10 @@
 (* E12 — energy efficiency. §3.2 claims dual-mode resource allocation can
    "significantly boost overall system performance and energy efficiency":
    keeping operands in on-chip memory-mode arrays avoids DRAM round-trips.
-   We price both compilers' flows with the energy model and report energy
-   and EDP. *)
+   We price both compilers' flows with the timing simulator's energy column
+   and report energy and EDP. *)
 
 open Common
-module Energy_sim = Cim_sim.Energy_sim
 module Timing = Cim_sim.Timing
 
 let chip = Config.dynaplasia
@@ -28,17 +27,15 @@ let run () =
   in
   List.iter
     (fun (key, w) ->
-      let dual = Energy_sim.run chip (flow_of Cmswitch.Config.default key w) in
-      let fixed = Energy_sim.run chip (flow_of restricted key w) in
+      let dual = Timing.run chip (flow_of Cmswitch.Config.default key w) in
+      let fixed = Timing.run chip (flow_of restricted key w) in
       Table.add_row tbl
         [ (Option.get (Zoo.find key)).Zoo.display;
-          Table.cell_f dual.Energy_sim.energy.Energy_sim.total_uj;
-          Table.cell_f fixed.Energy_sim.energy.Energy_sim.total_uj;
+          Table.cell_f dual.Timing.energy.Timing.total_uj;
+          Table.cell_f fixed.Timing.energy.Timing.total_uj;
           Table.cell_speedup
-            (fixed.Energy_sim.energy.Energy_sim.total_uj
-            /. dual.Energy_sim.energy.Energy_sim.total_uj);
-          Table.cell_speedup
-            (fixed.Energy_sim.edp_uj_ms /. dual.Energy_sim.edp_uj_ms) ])
+            (fixed.Timing.energy.Timing.total_uj /. dual.Timing.energy.Timing.total_uj);
+          Table.cell_speedup (fixed.Timing.edp_uj_ms /. dual.Timing.edp_uj_ms) ])
     [ ("mobilenetv2", Workload.prefill ~batch:1 1);
       ("resnet18", Workload.prefill ~batch:1 1);
       ("vgg16", Workload.prefill ~batch:1 1);
@@ -47,6 +44,6 @@ let run () =
       ("opt-13b", Workload.decode ~batch:1 64) ];
   Table.print tbl;
   (* detailed breakdown for one case *)
-  let dual = Energy_sim.run chip (flow_of Cmswitch.Config.default "llama2-7b"
-                                    (Workload.decode ~batch:1 64)) in
-  Format.printf "LLaMA2-7B decode block, dual-mode:@.%a@." Energy_sim.pp dual
+  let dual = Timing.run chip (flow_of Cmswitch.Config.default "llama2-7b"
+                                (Workload.decode ~batch:1 64)) in
+  Format.printf "LLaMA2-7B decode block, dual-mode:@.%a@." Timing.pp_energy dual

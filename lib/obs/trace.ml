@@ -32,7 +32,6 @@ let mutex = Mutex.create ()
 
 let pid_compiler = 1
 let pid_simulator = 2
-let pid_machine = 3
 let pid_fleet = 4
 
 (* Per-domain recording state. [buffer_key]: where pushes land (None = the

@@ -10,13 +10,11 @@
     cost nothing observable in production runs (see the self-overhead guard
     in [test/t_obs.ml]).
 
-    Four processes partition the timeline, each with its own clock:
+    Three processes partition the timeline, each with its own clock:
     - pid {!pid_compiler} — wall-clock microseconds (spans of compilation
       passes);
     - pid {!pid_simulator} — simulated cycles (timing-model segments and
-      per-array mode residency);
-    - pid {!pid_machine} — machine steps (one per executed meta-operator
-      effect, per-array mode residency from the functional machine);
+      per-array mode residency, the one trace of array modes);
     - pid {!pid_fleet} — fleet-serving cycles (per-request phase spans on
       per-chip lanes, fault/breaker instant markers).
 
@@ -51,7 +49,6 @@ val dropped_count : unit -> int
 
 val pid_compiler : int
 val pid_simulator : int
-val pid_machine : int
 val pid_fleet : int
 
 val now_us : unit -> float
@@ -104,7 +101,7 @@ val complete :
   ?cat:string -> ?args:(string * Json.t) list -> pid:int -> tid:int ->
   ts:float -> dur:float -> string -> unit
 (** A complete event with explicit coordinates — used by the simulators,
-    whose clocks are synthetic (cycles, machine steps). *)
+    whose clocks are synthetic (cycles). *)
 
 val counter : ?cat:string -> pid:int -> ts:float -> string -> (string * float) list -> unit
 (** A counter-track sample (Chrome ["C"] event). *)

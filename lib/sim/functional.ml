@@ -244,7 +244,6 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
   (* PAR_BEGIN pre-evaluates its block as one wave; the block's commands
      then issue in order and PAR_END closes it *)
   Array.iteri exec_cmd cmds;
-  Machine.flush_residency machine;
   (* every partitioned operator must have covered its full output width *)
   Hashtbl.iter
     (fun node_id cov ->

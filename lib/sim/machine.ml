@@ -5,7 +5,6 @@ module Flow = Cim_metaop.Flow
 module Isa = Cim_metaop.Isa
 module Rules = Cim_metaop.Rules
 module Rng = Cim_util.Rng
-module Trace = Cim_obs.Trace
 
 type t = {
   chip : Chip.t;
@@ -16,12 +15,6 @@ type t = {
   mutable m2c : int;
   mutable c2m : int;
   mutable retries : int;
-  (* residency tracking for the trace: the machine's clock is one step per
-     array a command touches, and [mode_since] remembers when each array
-     entered its current mode *)
-  mutable step : int;
-  mode_since : int array;
-  switched : (int, unit) Hashtbl.t;
 }
 
 let m_m2c = Cim_obs.Metrics.counter "machine.switches.m2c"
@@ -42,33 +35,7 @@ let create chip ?faults ?rng ?(max_switch_retries = 3) () =
     m2c = 0;
     c2m = 0;
     retries = 0;
-    step = 0;
-    mode_since = Array.make chip.Chip.n_arrays 0;
-    switched = Hashtbl.create 16;
   }
-
-let tick t = t.step <- t.step + 1
-
-(* one mode-colored slab on the array's track, covering [mode_since, step) *)
-let emit_residency t i mode =
-  if Trace.enabled () then begin
-    let since = t.mode_since.(i) and now = t.step in
-    if now > since then begin
-      let c = Chip.coord_of_index t.chip i in
-      Trace.name_process ~pid:Trace.pid_machine "machine (steps)";
-      Trace.name_thread ~pid:Trace.pid_machine ~tid:i
-        (Printf.sprintf "array (%d,%d)" c.Chip.x c.Chip.y);
-      Trace.complete ~cat:"residency" ~pid:Trace.pid_machine ~tid:i
-        ~ts:(float_of_int since)
-        ~dur:(float_of_int (now - since))
-        (Mode.to_string mode)
-    end
-  end
-
-let flush_residency t =
-  Hashtbl.iter
-    (fun i () -> emit_residency t i (Rules.mode t.rules (Chip.coord_of_index t.chip i)))
-    t.switched
 
 (* Transient-failure draws for one switch: each draw below [p] is a failed
    attempt, retried until success or until the attempts exceed
@@ -114,12 +81,6 @@ let switch t transition c =
             (Mode.to_string (Mode.apply transition))
             attempts p));
   apply (Rules.switch t.rules transition c);
-  tick t;
-  (* the slab that ends is the mode the array left *)
-  emit_residency t i
-    (match transition with Mode.To_compute -> Mode.Memory | Mode.To_memory -> Mode.Compute);
-  Hashtbl.replace t.switched i ();
-  t.mode_since.(i) <- t.step;
   match transition with
   | Mode.To_compute ->
     t.m2c <- t.m2c + 1;
@@ -128,13 +89,7 @@ let switch t transition c =
     t.c2m <- t.c2m + 1;
     Cim_obs.Metrics.incr m_c2m
 
-(* one step per array a command touches *)
-let each t rule cs =
-  List.iter
-    (fun c ->
-      tick t;
-      apply (rule c))
-    cs
+let each rule cs = List.iter (fun c -> apply (rule c)) cs
 
 let arrays_of = function Flow.Mem_arrays cs -> cs | Flow.Main_memory | Flow.Buffer -> []
 
@@ -143,13 +98,13 @@ let exec t (cmd : Isa.cmd) =
   match cmd with
   | Isa.Switch { target; arrays } -> List.iter (switch t target) arrays
   | Isa.Write_weights { node_id; arrays; _ } ->
-    each t (fun c -> Rules.write t.rules c ~node_id) arrays
+    each (fun c -> Rules.write t.rules c ~node_id) arrays
   | Isa.Dma_load { src; dst; _ } | Isa.Dma_store { src; dst; _ } ->
-    each t (access ~overwrite:false) (arrays_of src);
-    each t (access ~overwrite:true) (arrays_of dst)
+    each (access ~overwrite:false) (arrays_of src);
+    each (access ~overwrite:true) (arrays_of dst)
   | Isa.Compute { node_id; arrays; mem_arrays; _ } ->
-    each t (fun c -> Rules.compute t.rules c ~node_id) arrays;
-    each t (access ~overwrite:false) mem_arrays
+    each (fun c -> Rules.compute t.rules c ~node_id) arrays;
+    each (access ~overwrite:false) mem_arrays
   | Isa.Vec _ | Isa.Par_begin _ | Isa.Par_end -> ()
 
 let switch_counts t = (t.m2c, t.c2m)

@@ -4,8 +4,8 @@
     raises {!Fault} with the rule's text, so the machine faults at exactly
     the instruction of {!Cim_metaop.Check}'s first per-array diagnostic.
     What only execution adds is kept here: transient switch failures and
-    their retries, the switch counters the timing simulator reads, and
-    the mode-residency trace. *)
+    their retries, and the switch counters. The trace of array modes is
+    {!Timing}'s, on the cycle clock. *)
 
 type t
 
@@ -53,16 +53,3 @@ val switch_counts : t -> int * int
 val switch_retries : t -> int
 (** Total failed switch attempts recovered by retrying — each one costs a
     full switch latency, which the timing simulator charges. *)
-
-val flush_residency : t -> unit
-(** Emit the still-open mode-residency interval of every array that ever
-    switched as trace events (no-op when {!Cim_obs.Trace} is disabled).
-
-    The machine keeps a step clock — one tick per array an executed
-    command touches: each array a switch changes, a weight write
-    programs or a compute runs on, each memory operand of a compute, and
-    both the source and the destination arrays of a load or store — and, while tracing is enabled, records one complete
-    event per (array, mode) interval on the machine process's per-array
-    tracks, so [CM.switch] instructions render as mode-colored slabs in
-    Perfetto. Call this after the last instruction to close the final
-    intervals; the functional simulator does so automatically. *)

@@ -1,5 +1,6 @@
 module Chip = Cim_arch.Chip
 module Cost = Cim_arch.Cost
+module Energy = Cim_arch.Energy
 module Faultmap = Cim_arch.Faultmap
 module Flow = Cim_metaop.Flow
 module Rng = Cim_util.Rng
@@ -15,6 +16,15 @@ type breakdown = {
   total : float;
 }
 
+type energy = {
+  mac_uj : float;
+  operand_uj : float;
+  weight_uj : float;
+  switch_uj : float;
+  static_uj : float;
+  total_uj : float;
+}
+
 type result = {
   cycles : breakdown;
   microseconds : float;
@@ -24,6 +34,9 @@ type result = {
   switch_retries : int;
   dma_bytes : int;
   switch_share : float;
+  energy : energy;
+  edp_uj_ms : float;
+  profile : Energy.profile;
 }
 
 (* Dirty tensors living only in memory-mode arrays: name -> (arrays,
@@ -37,10 +50,16 @@ type residency = {
 
 let coords_overlap a b = List.exists (fun c -> List.mem c b) a
 
-let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
+let pj_to_uj x = x /. 1e6
+
+let run chip ?faults ?rng ?(max_switch_retries = 3) ?profile (p : Flow.program) =
   let rng = match rng with Some r -> r | None -> Rng.create 0x5117c4 in
+  let prof = match profile with Some pr -> pr | None -> Energy.for_chip chip in
   let compute = ref 0. and switch = ref 0. and rewrite = ref 0. in
   let writeback = ref 0. in
+  (* dynamic energy per event class, in picojoules *)
+  let mac_pj = ref 0. and operand_pj = ref 0. and weight_pj = ref 0. in
+  let switch_pj = ref 0. in
   let m2c = ref 0 and c2m = ref 0 in
   let dma = ref 0 in
   let retries = ref 0 in
@@ -99,47 +118,79 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
         ~ts:since ~dur:(upto -. since) (Mode.to_string mode)
     end
   in
-  let do_switch target arrays =
-    flush_overlapping arrays;
-    charge_retries target arrays;
-    let t_before = clock () in
-    let n = List.length arrays in
-    (match target with
-    | Mode.To_compute ->
-      m2c := !m2c + n;
-      switch := !switch +. Cost.switch_latency chip ~m2c:n ~c2m:0
-    | Mode.To_memory ->
-      c2m := !c2m + n;
-      switch := !switch +. Cost.switch_latency chip ~m2c:0 ~c2m:n);
-    if Trace.enabled () then begin
-      let t_after = clock () in
-      List.iter
-        (fun (c : Flow.coord) ->
-          match Chip.index_of_coord chip c with
-          | exception Chip.Invalid_config _ -> ()
-          | i ->
-            let prev, since =
-              Option.value (Hashtbl.find_opt residency i)
-                ~default:(Mode.Memory, 0.)
-            in
-            emit_residency i prev ~since ~upto:t_before;
-            Trace.complete ~cat:"switch" ~pid:Trace.pid_simulator ~tid:(i + 1)
-              ~ts:t_before ~dur:(t_after -. t_before)
-              (Printf.sprintf "switch %s" (Mode.transition_to_string target));
-            Hashtbl.replace residency i (Mode.apply target, t_after))
-        arrays
-    end
+  let trace_switch target arrays ~t_before =
+    let t_after = clock () in
+    List.iter
+      (fun (c : Flow.coord) ->
+        match Chip.index_of_coord chip c with
+        | exception Chip.Invalid_config _ -> ()
+        | i ->
+          let prev, since =
+            Option.value (Hashtbl.find_opt residency i) ~default:(Mode.Memory, 0.)
+          in
+          emit_residency i prev ~since ~upto:t_before;
+          Trace.complete ~cat:"switch" ~pid:Trace.pid_simulator ~tid:(i + 1)
+            ~ts:t_before ~dur:(t_after -. t_before)
+            (Printf.sprintf "switch %s" (Mode.transition_to_string target));
+          Hashtbl.replace residency i (Mode.apply target, t_after))
+      arrays
   in
-  let exec_top (i : Flow.instr) =
+  (* a data transfer's energy per byte at an on-chip end; main memory's end
+     is the DRAM pins *)
+  let on_chip_pj = function
+    | Flow.Mem_arrays _ -> prof.Energy.cim_read_pj_per_byte
+    | Flow.Buffer -> prof.Energy.buffer_pj_per_byte
+    | Flow.Main_memory -> 0.
+  in
+  (* A weight write or a compute is charged to its component as it comes at
+     top level. Inside a pipelined segment it extends its operator's chain
+     instead: per-operator chains run concurrently, so the segment costs its
+     slowest chain, and weight programming of distinct operators also
+     proceeds in parallel, so Eq. 2's max applies. Chains are keyed by
+     sub-operator label: sub-operators of one node run in parallel on
+     disjoint arrays, so they are separate chains. *)
+  let charge chain label ~rw ~cp =
+    match chain with
+    | None ->
+      rewrite := !rewrite +. rw;
+      compute := !compute +. cp
+    | Some chain ->
+      let r, c = Option.value (Hashtbl.find_opt chain label) ~default:(0., 0.) in
+      Hashtbl.replace chain label (r +. rw, c +. cp)
+  in
+  let rec exec chain (i : Flow.instr) =
     match i with
-    | Flow.Switch { target; arrays } -> do_switch target arrays
+    | Flow.Switch { target; arrays } ->
+      let n = List.length arrays in
+      switch_pj := !switch_pj +. (prof.Energy.switch_pj *. float_of_int n);
+      flush_overlapping arrays;
+      charge_retries target arrays;
+      let t_before = clock () in
+      (match target with
+      | Mode.To_compute ->
+        m2c := !m2c + n;
+        switch := !switch +. Cost.switch_latency chip ~m2c:n ~c2m:0
+      | Mode.To_memory ->
+        c2m := !c2m + n;
+        switch := !switch +. Cost.switch_latency chip ~m2c:0 ~c2m:n);
+      if Trace.enabled () then trace_switch target arrays ~t_before
     | Flow.Load { bytes; dst; _ } ->
+      (* data crosses the DRAM pins and lands in its destination *)
       dma := !dma + bytes;
+      operand_pj :=
+        !operand_pj
+        +. ((prof.Energy.dram_pj_per_byte +. on_chip_pj dst) *. float_of_int bytes);
       (match dst with
       | Flow.Mem_arrays cs -> flush_overlapping cs
       | Flow.Main_memory | Flow.Buffer -> ())
-    | Flow.Store { bytes; tensor; dst; _ } ->
+    | Flow.Store { bytes; tensor; src; dst } ->
       dma := !dma + bytes;
+      let dst_pj =
+        match dst with
+        | Flow.Main_memory -> prof.Energy.dram_pj_per_byte
+        | Flow.Buffer | Flow.Mem_arrays _ -> on_chip_pj dst
+      in
+      operand_pj := !operand_pj +. ((on_chip_pj src +. dst_pj) *. float_of_int bytes);
       (match dst with
       | Flow.Mem_arrays cs ->
         flush_overlapping cs;
@@ -147,65 +198,41 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
       | Flow.Main_memory | Flow.Buffer ->
         (* written back: the on-chip copy is clean now *)
         res.staged <- List.filter (fun (n, _) -> n <> tensor) res.staged)
-    | Flow.Write_weights { arrays; in_place; _ } ->
+    | Flow.Write_weights { label; arrays; bytes; in_place; _ } ->
+      weight_pj :=
+        !weight_pj +. (prof.Energy.weight_write_pj_per_byte *. float_of_int bytes);
       (* an in-place relabel (§5.3) streams nothing: free *)
       if not in_place then
-        rewrite :=
-          !rewrite +. Cost.weight_rewrite_latency chip ~max_com:(List.length arrays)
-    | Flow.Compute { macs; ai; arrays; mem_arrays; _ } ->
-      compute :=
-        !compute
-        +. Cost.op_latency chip ~ops:macs ~ai ~com:(List.length arrays)
-             ~mem:(List.length mem_arrays)
+        charge chain label ~cp:0.
+          ~rw:(Cost.weight_rewrite_latency chip ~max_com:(List.length arrays))
+    | Flow.Compute { label; macs; ai; arrays; mem_arrays; _ } ->
+      mac_pj := !mac_pj +. (prof.Energy.mac_pj *. macs);
+      (* the operator's streamed traffic (its AI denominator) moves through
+         memory arrays when it has them, the buffer otherwise *)
+      let traffic = if ai > 0. then macs /. ai else 0. in
+      let per_byte =
+        if mem_arrays <> [] then prof.Energy.cim_read_pj_per_byte
+        else prof.Energy.buffer_pj_per_byte
+      in
+      operand_pj := !operand_pj +. (per_byte *. traffic);
+      charge chain label ~rw:0.
+        ~cp:
+          (Cost.op_latency chip ~ops:macs ~ai ~com:(List.length arrays)
+             ~mem:(List.length mem_arrays))
     | Flow.Vector_op _ -> ()
+    (* a block nested in a block, which Check rejects, is not priced *)
+    | Flow.Parallel _ when Option.is_some chain -> ()
     | Flow.Parallel body ->
+      let n = !segments in
       incr segments;
       (* component snapshots bracket the segment so its measured cycle
          breakdown can be attributed back to the schedule's per-segment
          Eq. 10 prediction (see Drift) *)
       let c0 = !compute and s0 = !switch in
       let r0 = !rewrite and w0 = !writeback in
-      (* pipelined segment: per-operator chains run concurrently; the
-         segment costs its slowest chain. Weight programming of distinct
-         operators also proceeds in parallel, so Eq. 2's max applies. *)
-      (* chains are keyed by sub-operator label: sub-operators of one node
-         run in parallel on disjoint arrays, so they are separate chains *)
+      let t0 = clock () in
       let chain : (string, float * float) Hashtbl.t = Hashtbl.create 8 in
-      let bump label ~rw ~cp =
-        let r, c = Option.value (Hashtbl.find_opt chain label) ~default:(0., 0.) in
-        Hashtbl.replace chain label (r +. rw, c +. cp)
-      in
-      List.iter
-        (fun (instr : Flow.instr) ->
-          match instr with
-          | Flow.Write_weights { label; arrays; in_place; _ } ->
-            if not in_place then
-              bump label
-                ~rw:(Cost.weight_rewrite_latency chip ~max_com:(List.length arrays))
-                ~cp:0.
-          | Flow.Compute { label; macs; ai; arrays; mem_arrays; _ } ->
-            bump label ~rw:0.
-              ~cp:
-                (Cost.op_latency chip ~ops:macs ~ai ~com:(List.length arrays)
-                   ~mem:(List.length mem_arrays))
-          | Flow.Load { bytes; dst; _ } -> begin
-            dma := !dma + bytes;
-            match dst with
-            | Flow.Mem_arrays cs -> flush_overlapping cs
-            | Flow.Main_memory | Flow.Buffer -> ()
-          end
-          | Flow.Store { bytes; tensor; dst; _ } -> begin
-            dma := !dma + bytes;
-            match dst with
-            | Flow.Main_memory | Flow.Buffer ->
-              res.staged <- List.filter (fun (n, _) -> n <> tensor) res.staged
-            | Flow.Mem_arrays cs ->
-              flush_overlapping cs;
-              res.staged <- (tensor, (cs, bytes)) :: res.staged
-          end
-          | Flow.Switch { target; arrays } -> do_switch target arrays
-          | Flow.Vector_op _ | Flow.Parallel _ -> ())
-        body;
+      List.iter (exec (Some chain)) body;
       let seg_rw = Hashtbl.fold (fun _ (r, _) acc -> Float.max acc r) chain 0. in
       let seg_cp = Hashtbl.fold (fun _ (_, c) acc -> Float.max acc c) chain 0. in
       rewrite := !rewrite +. seg_rw;
@@ -218,22 +245,16 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
         { compute = !compute -. c0; switch = !switch -. s0;
           rewrite = !rewrite -. r0; writeback = !writeback -. w0;
           total = seg_total }
-        :: !seg_cycles
+        :: !seg_cycles;
+      if Trace.enabled () then begin
+        (* one span per pipelined segment on the simulator's segment track *)
+        Trace.name_thread ~pid:Trace.pid_simulator ~tid:0 "segments";
+        Trace.complete ~cat:"segment" ~pid:Trace.pid_simulator ~tid:0 ~ts:t0
+          ~dur:(clock () -. t0)
+          (Printf.sprintf "segment %d" n)
+      end
   in
-  let exec_top (i : Flow.instr) =
-    match i with
-    | Flow.Parallel _ when Trace.enabled () ->
-      (* one span per pipelined segment on the simulator's segment track *)
-      let t0 = clock () in
-      let n = !segments in
-      exec_top i;
-      Trace.name_thread ~pid:Trace.pid_simulator ~tid:0 "segments";
-      Trace.complete ~cat:"segment" ~pid:Trace.pid_simulator ~tid:0 ~ts:t0
-        ~dur:(clock () -. t0)
-        (Printf.sprintf "segment %d" n)
-    | i -> exec_top i
-  in
-  List.iter exec_top p.Flow.instrs;
+  List.iter (exec None) p.Flow.instrs;
   if Trace.enabled () then
     Hashtbl.iter
       (fun i (mode, since) -> emit_residency i mode ~since ~upto:(clock ()))
@@ -250,6 +271,14 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
   Metrics.incr ~by:(float_of_int !c2m) (Metrics.counter "sim.switches.c2m");
   Metrics.incr ~by:(float_of_int !retries) (Metrics.counter "sim.switch.retries");
   Metrics.incr ~by:(float_of_int !dma) (Metrics.counter "sim.dma.bytes");
+  (* static energy is the chip's leakage over the priced cycles *)
+  let seconds = total /. (chip.Chip.freq_mhz *. 1e6) in
+  let static_uj = prof.Energy.static_mw *. seconds *. 1e3 in
+  let mac_uj = pj_to_uj !mac_pj
+  and operand_uj = pj_to_uj !operand_pj
+  and weight_uj = pj_to_uj !weight_pj
+  and switch_uj = pj_to_uj !switch_pj in
+  let total_uj = mac_uj +. operand_uj +. weight_uj +. switch_uj +. static_uj in
   {
     cycles =
       { compute = !compute; switch = !switch; rewrite = !rewrite;
@@ -261,6 +290,9 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
     switch_retries = !retries;
     dma_bytes = !dma;
     switch_share = (if total > 0. then (!switch +. !writeback) /. total else 0.);
+    energy = { mac_uj; operand_uj; weight_uj; switch_uj; static_uj; total_uj };
+    edp_uj_ms = total_uj *. (seconds *. 1e3);
+    profile = prof;
   }
 
 let pp ppf r =
@@ -273,3 +305,12 @@ let pp ppf r =
     (snd r.switch_count) r.switch_retries
     (Cim_util.Bytesize.to_string r.dma_bytes)
     (100. *. r.switch_share)
+
+let pp_energy ppf r =
+  Format.fprintf ppf
+    "@[<v>energy (%s): %.3f uJ total@,\
+     mac %.3f | operands %.3f | weights %.3f | switch %.4f | static %.3f@,\
+     EDP %.4f uJ*ms over %.0f cycles@]"
+    r.profile.Energy.profile_name r.energy.total_uj r.energy.mac_uj
+    r.energy.operand_uj r.energy.weight_uj r.energy.switch_uj
+    r.energy.static_uj r.edp_uj_ms r.cycles.total

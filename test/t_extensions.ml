@@ -15,7 +15,7 @@ module Segment = Cim_compiler.Segment
 module Greedy = Cim_compiler.Greedy
 module Tile_sim = Cim_compiler.Tile_sim
 module Cmswitch = Cim_compiler.Cmswitch
-module Energy_sim = Cim_sim.Energy_sim
+module Timing = Cim_sim.Timing
 
 let chip = Config.dynaplasia
 
@@ -39,16 +39,16 @@ let compiled_mlp =
 
 let test_energy_sim_accounting () =
   let r = Lazy.force compiled_mlp in
-  let e = Energy_sim.run chip r.Cmswitch.program in
-  let b = e.Energy_sim.energy in
+  let t = Timing.run chip r.Cmswitch.program in
+  let b = t.Timing.energy in
   Alcotest.(check bool) "all components non-negative" true
-    (b.Energy_sim.mac_uj >= 0. && b.Energy_sim.operand_uj >= 0.
-    && b.Energy_sim.weight_uj >= 0. && b.Energy_sim.switch_uj >= 0.
-    && b.Energy_sim.static_uj > 0.);
+    (b.Timing.mac_uj >= 0. && b.Timing.operand_uj >= 0.
+    && b.Timing.weight_uj >= 0. && b.Timing.switch_uj >= 0.
+    && b.Timing.static_uj > 0.);
   Alcotest.(check (float 1e-9)) "total is the sum"
-    (b.Energy_sim.mac_uj +. b.Energy_sim.operand_uj +. b.Energy_sim.weight_uj
-    +. b.Energy_sim.switch_uj +. b.Energy_sim.static_uj)
-    b.Energy_sim.total_uj;
+    (b.Timing.mac_uj +. b.Timing.operand_uj +. b.Timing.weight_uj
+    +. b.Timing.switch_uj +. b.Timing.static_uj)
+    b.Timing.total_uj;
   (* MAC energy is exactly mac_pj * total MACs of the program *)
   let total_macs =
     let rec walk acc (i : Cim_metaop.Flow.instr) =
@@ -61,19 +61,18 @@ let test_energy_sim_accounting () =
   in
   Alcotest.(check (float 1e-9)) "mac energy"
     (Energy.edram.Energy.mac_pj *. total_macs /. 1e6)
-    b.Energy_sim.mac_uj;
+    b.Timing.mac_uj;
   Alcotest.(check bool) "EDP consistent" true
     (Float.abs
-       (e.Energy_sim.edp_uj_ms
-       -. (b.Energy_sim.total_uj *. e.Energy_sim.cycles
+       (t.Timing.edp_uj_ms
+       -. (b.Timing.total_uj *. t.Timing.cycles.Timing.total
            /. (chip.Chip.freq_mhz *. 1e3)))
-    < 1e-6 *. e.Energy_sim.edp_uj_ms)
+    < 1e-6 *. t.Timing.edp_uj_ms)
 
 let test_energy_empty_program () =
-  let e = Energy_sim.run chip { Cim_metaop.Flow.source = "empty"; instrs = [] } in
+  let t = Timing.run chip { Cim_metaop.Flow.source = "empty"; instrs = [] } in
   Alcotest.(check (float 0.)) "no dynamic energy" 0.
-    (e.Energy_sim.energy.Energy_sim.mac_uj
-    +. e.Energy_sim.energy.Energy_sim.operand_uj)
+    (t.Timing.energy.Timing.mac_uj +. t.Timing.energy.Timing.operand_uj)
 
 (* --- pipeline DES --- *)
 

@@ -13,7 +13,6 @@ module Check = Cim_metaop.Check
 module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
 module Timing = Cim_sim.Timing
-module Energy_sim = Cim_sim.Energy_sim
 module Cmswitch = Cim_compiler.Cmswitch
 module Plan = Cim_compiler.Plan
 module Tensor = Cim_tensor.Tensor
@@ -424,15 +423,15 @@ let test_priced_pins () =
       let e = Option.get (Zoo.find key) in
       let g = match e.Zoo.family with Zoo.Cnn -> e.Zoo.build w | _ -> (Option.get e.Zoo.layer) w in
       let p = (Cmswitch.compile chip g).Cmswitch.program in
-      let t = Timing.run chip p and en = Energy_sim.run chip p in
-      let c = t.Timing.cycles and b = en.Energy_sim.energy in
+      let t = Timing.run chip p in
+      let c = t.Timing.cycles and b = t.Timing.energy in
       let got =
         [ ("compute", c.Timing.compute); ("switch", c.Timing.switch);
           ("rewrite", c.Timing.rewrite); ("writeback", c.Timing.writeback);
-          ("total", c.Timing.total); ("mac_uj", b.Energy_sim.mac_uj);
-          ("operand_uj", b.Energy_sim.operand_uj); ("weight_uj", b.Energy_sim.weight_uj);
-          ("switch_uj", b.Energy_sim.switch_uj); ("static_uj", b.Energy_sim.static_uj);
-          ("total_uj", b.Energy_sim.total_uj); ("edp_uj_ms", en.Energy_sim.edp_uj_ms) ]
+          ("total", c.Timing.total); ("mac_uj", b.Timing.mac_uj);
+          ("operand_uj", b.Timing.operand_uj); ("weight_uj", b.Timing.weight_uj);
+          ("switch_uj", b.Timing.switch_uj); ("static_uj", b.Timing.static_uj);
+          ("total_uj", b.Timing.total_uj); ("edp_uj_ms", t.Timing.edp_uj_ms) ]
       in
       Alcotest.(check (list (pair string string)))
         key want
