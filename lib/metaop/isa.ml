@@ -160,10 +160,11 @@ module Enc = struct
       e.n_strings <- i + 1;
       word e i
 
-  let i64 e v =
-    let bits = Int64.of_int v in
-    word e (Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xffff_ffffL));
-    word e (Int64.to_int (Int64.logand bits 0xffff_ffffL))
+  (* a byte count as an i64, high word first *)
+  let byte_count e v =
+    if v < 0 then invalid_arg (Printf.sprintf "Isa.encode: negative byte count %d" v);
+    word e (v lsr 32);
+    word e (v land 0xffff_ffff)
 
   let f64 e v =
     let bits = Int64.bits_of_float v in
@@ -194,20 +195,20 @@ let encode_cmd e = function
     Enc.coords e arrays;
     Enc.word e (pack_i32 slice.Flow.lo);
     Enc.word e (pack_i32 slice.Flow.hi);
-    Enc.i64 e bytes;
+    Enc.byte_count e bytes;
     Enc.word e (if in_place then 1 else 0)
   | Dma_load { tensor; src; dst; bytes } ->
     Enc.word e op_dma_load;
     Enc.sidx e tensor;
     Enc.location e src;
     Enc.location e dst;
-    Enc.i64 e bytes
+    Enc.byte_count e bytes
   | Dma_store { tensor; src; dst; bytes } ->
     Enc.word e op_dma_store;
     Enc.sidx e tensor;
     Enc.location e src;
     Enc.location e dst;
-    Enc.i64 e bytes
+    Enc.byte_count e bytes
   | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
     ->
     Enc.word e op_compute;
@@ -277,11 +278,14 @@ module Dec = struct
     d.pos <- d.pos + n;
     v
 
-  let i64 d =
+  (* an i64 byte count: negative, or past [max_int], when either of the
+     high word's top two bits is set *)
+  let byte_count d =
     let hi = u32 d in
     let lo = u32 d in
-    Int64.to_int
-      (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+    if hi land 0xc000_0000 <> 0 then
+      fail "byte count at byte %d is negative or past max_int" (d.pos - 8);
+    (hi lsl 32) lor lo
 
   let f64 d =
     let hi = u32 d in
@@ -348,7 +352,7 @@ let decode_image s =
         let node_id = unpack_i32 (Dec.u32 d) in
         let arrays = coords () in
         let slice = slice () in
-        let bytes = Dec.i64 d in
+        let bytes = Dec.byte_count d in
         let in_place =
           match Dec.u32 d with
           | 0 -> false
@@ -360,12 +364,12 @@ let decode_image s =
         let tensor = str (Dec.u32 d) in
         let src = location () in
         let dst = location () in
-        Dma_load { tensor; src; dst; bytes = Dec.i64 d }
+        Dma_load { tensor; src; dst; bytes = Dec.byte_count d }
       | op when op = op_dma_store ->
         let tensor = str (Dec.u32 d) in
         let src = location () in
         let dst = location () in
-        Dma_store { tensor; src; dst; bytes = Dec.i64 d }
+        Dma_store { tensor; src; dst; bytes = Dec.byte_count d }
       | op when op = op_compute ->
         let label = str (Dec.u32 d) in
         let node_id = unpack_i32 (Dec.u32 d) in

@@ -24,9 +24,10 @@
     op  mnemonic   operand words
     1   SWITCH     target (0=TOM 1=TOC); n; n coords
     2   WRITE      label-sidx; node-id; n; n coords; slice.lo; slice.hi;
-                   bytes as i64 (hi word, lo word); in-place (0/1)
-    3   DMA_LOAD   tensor-sidx; src location; dst location; bytes as i64
-    4   DMA_STORE  tensor-sidx; src location; dst location; bytes as i64
+                   bytes as non-negative i64 (hi word, lo word);
+                   in-place (0/1)
+    3   DMA_LOAD   tensor-sidx; src location; dst location; bytes as in WRITE
+    4   DMA_STORE  tensor-sidx; src location; dst location; bytes as in WRITE
     5   COMPUTE    label-sidx; node-id; n; n coords; m; m mem coords;
                    k; k input sidxs; output sidx; slice.lo; slice.hi;
                    macs as f64 bits (hi, lo); ai as f64 bits (hi, lo)
@@ -39,7 +40,7 @@
     (0=main-memory, 1=buffer, 2=mem-arrays) where tag 2 is followed by a
     coord-list ([n; n coords]); signed 32-bit fields (node ids) use two's
     complement; 64-bit payloads (byte counts, float bits) split into
-    high word then low word. *)
+    high word then low word. A byte count is never negative. *)
 
 type coord = Cim_arch.Chip.coord
 
@@ -89,7 +90,8 @@ val encode : image -> string
 
 val decode : string -> (image, string) result
 (** Total inverse of {!encode}: every malformed input is an [Error], never
-    an exception. [decode (encode img) = Ok img]. *)
+    an exception — a byte count that decodes negative (or past [max_int])
+    among them. [decode (encode img) = Ok img]. *)
 
 val disassemble : image -> string
 (** Textual listing, one command per line: word offset, mnemonic,

@@ -1,14 +1,16 @@
 module Chip = Cim_arch.Chip
 module Mode = Cim_arch.Mode
 
-exception Error of string
+exception Bad of string
 
-let perr fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
+let perr fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
+(* a number literal keeps its text: integer slots read it exactly, float
+   slots as a float *)
 type token =
   | Tident of string
   | Tstr of string
-  | Tnum of float
+  | Tnum of string
   | Tlp | Trp | Tlb | Trb | Tlc | Trc
   | Tcomma | Teq | Tarrow
   | Teof
@@ -53,9 +55,6 @@ let lex src =
     else if is_digit c || (c = '-' && !i + 1 < n && is_digit src.[!i + 1]) then begin
       let j = ref !i in
       if src.[!j] = '-' then incr j;
-      let accept c =
-        is_digit c || c = '.' || c = 'e' || c = 'E' || c = '+' || c = '-'
-      in
       (* consume while the char continues a float literal; '+'/'-' only
          directly after an exponent marker *)
       let continue_ = ref true in
@@ -66,11 +65,8 @@ let lex src =
                 && (src.[!j - 1] = 'e' || src.[!j - 1] = 'E') then incr j
         else continue_ := false
       done;
-      ignore accept;
-      let word = String.sub src !i (!j - !i) in
-      i := !j;
-      (try emit (Tnum (float_of_string word))
-       with _ -> perr "bad number literal %S" word)
+      emit (Tnum (String.sub src !i (!j - !i)));
+      i := !j
     end
     else if is_ident c then begin
       let j = ref !i in
@@ -96,13 +92,15 @@ let ident s = match peek s with
 
 let str s = match peek s with Tstr x -> advance s; x | _ -> perr "expected string"
 
-let num s = match peek s with Tnum x -> advance s; x | _ -> perr "expected number"
+let literal s = match peek s with Tnum x -> advance s; x | _ -> perr "expected number"
+
+let num s =
+  let x = literal s in
+  match float_of_string_opt x with Some f -> f | None -> perr "bad number literal %S" x
 
 let int_ s =
-  let f = num s in
-  let r = int_of_float f in
-  if Float.abs (f -. float_of_int r) > 1e-9 then perr "expected integer";
-  r
+  let x = literal s in
+  match int_of_string_opt x with Some n -> n | None -> perr "expected an integer, got %S" x
 
 let coord s =
   expect s Tlp "'('";
@@ -260,7 +258,7 @@ let rec instr s =
   | Tident w -> perr "unknown operator %S" w
   | _ -> perr "expected an instruction"
 
-let program_of_string src =
+let program src =
   let s = { toks = lex src } in
   (match peek s with
   | Tident "flow" -> advance s
@@ -270,3 +268,5 @@ let program_of_string src =
     match peek s with Teof -> List.rev acc | _ -> go (instr s :: acc)
   in
   { Flow.source; instrs = go [] }
+
+let program_of_string src = match program src with p -> Ok p | exception Bad m -> Error m

@@ -160,19 +160,26 @@ let test_roundtrip_manual () =
       ]
   in
   Alcotest.(check bool) "roundtrip equal" true
-    (Parse.program_of_string (Flow.to_string p) = p)
+    (Parse.program_of_string (Flow.to_string p) = Ok p)
 
 let test_parse_errors () =
   let bad s =
     match Parse.program_of_string s with
-    | exception Parse.Error _ -> ()
-    | _ -> Alcotest.failf "expected parse error: %s" s
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "expected parse error: %s" s
   in
   bad "";
   bad "flow \"x\" CM.switch(SIDEWAYS, [(0,0)])";
   bad "flow \"x\" BOGUS.op(1)";
   bad "flow \"x\" CM.switch(TOM, [(0,0)";
-  bad "flow \"\\999\""
+  bad "flow \"\\999\"";
+  (* an integer field takes an exact int literal, nothing a float reads *)
+  List.iter
+    (fun x -> bad (Printf.sprintf "flow \"x\" CM.switch(TOC, [(%s,0)])" x))
+    [ "1.5"; "1e3"; "1e400"; "4611686018427387904"; "1e" ];
+  Alcotest.(check bool) "int past 2^53 read exactly" true
+    (Parse.program_of_string "flow \"x\" CM.switch(TOC, [(9007199254740993,0)])"
+    = Ok { Flow.source = "x"; instrs = [ toc ~arrays:[ c 9007199254740993 0 ] () ] })
 
 (* random programs built from a small combinator grammar: labels and
    sources that need every [%S] escape, negative ints and ints past 2^32,
@@ -196,10 +203,12 @@ let gen_float =
       [ (6, float_range 0. 1e6);
         (2, oneofl [ -0.; 5e-324; 2.2250738585072009e-308; 1e300; -1.5; 0.1 ]) ])
 
-(* past what the parser reads back as an equal program: ints no float
-   holds exactly, and floats [=] cannot compare or the lexer cannot read *)
-let gen_int_wide = QCheck.Gen.(frequency [ (8, gen_int); (1, oneofl [ max_int; min_int ]) ])
+(* every int, including those no float holds exactly *)
+let gen_int_wide =
+  QCheck.Gen.(frequency [ (8, gen_int); (1, oneofl [ max_int; min_int; (1 lsl 53) + 1 ]) ])
 
+(* past what the parser reads back as an equal program: floats [=] cannot
+   compare or the lexer cannot read *)
 let gen_float_wide =
   QCheck.Gen.(frequency [ (8, gen_float); (1, oneofl [ nan; infinity; neg_infinity ]) ])
 
@@ -244,8 +253,8 @@ let gen_program ~ints ~floats =
 
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"parse . print = id on random programs" ~count:200
-    (QCheck.make ~print:Flow.to_string (gen_program ~ints:gen_int ~floats:gen_float))
-    (fun p -> Parse.program_of_string (Flow.to_string p) = p)
+    (QCheck.make ~print:Flow.to_string (gen_program ~ints:gen_int_wide ~floats:gen_float))
+    (fun p -> Parse.program_of_string (Flow.to_string p) = Ok p)
 
 let prop_printer_identity =
   QCheck.Test.make ~name:"to_string = pp on random programs" ~count:300
@@ -308,7 +317,7 @@ let test_printer_identity_compiled key w () =
   let p = (Cmswitch.compile chip g).Cmswitch.program in
   let text = Flow.to_string p in
   Alcotest.(check bool) "to_string = pp" true (Format.asprintf "%a" Flow.pp p = text);
-  Alcotest.(check bool) "parse . print = id" true (Parse.program_of_string text = p)
+  Alcotest.(check bool) "parse . print = id" true (Parse.program_of_string text = Ok p)
 
 (* Check.run is total: every mutant of a compiled program's text that the
    parser accepts is checked without an exception. A mutant takes one to
@@ -345,8 +354,8 @@ let prop_check_total =
     (QCheck.make (QCheck.Gen.delay (fun () -> gen_mutant (Lazy.force resnet18_text))))
     (fun text ->
       match Parse.program_of_string text with
-      | exception Parse.Error _ -> true
-      | p -> (
+      | Error _ -> true
+      | Ok p -> (
         match Check.run chip p with
         | (_ : Check.diagnostic list) -> true
         | exception e -> QCheck.Test.fail_reportf "Check.run raised %s" (Printexc.to_string e)))

@@ -374,6 +374,15 @@ let prop_encode_decode =
     (QCheck.make gen_image)
     (fun img -> Isa.decode (Isa.encode img) = Ok img)
 
+(* one command of each kind that carries a byte count *)
+let byte_count_cmds bytes =
+  let sl = { Flow.lo = 0; hi = 4 } and at = [ { Chip.x = 0; y = 0 } ] in
+  [ ( "WRITE",
+      Isa.Write_weights
+        { label = "w"; node_id = 0; arrays = at; slice = sl; bytes; in_place = false } );
+    ("DMA_LOAD", Isa.Dma_load { tensor = "t"; src = Flow.Main_memory; dst = Flow.Buffer; bytes });
+    ("DMA_STORE", Isa.Dma_store { tensor = "t"; src = Flow.Buffer; dst = Flow.Main_memory; bytes }) ]
+
 let test_compiled_round_trips () =
   List.iter
     (fun key ->
@@ -389,7 +398,14 @@ let test_compiled_round_trips () =
       | Error m -> Alcotest.failf "%s: decode failed: %s" key m);
       Alcotest.(check bool) (key ^ ": non-trivial stream") true
         (Isa.cmd_count img > 0 && Isa.word_count img > Isa.cmd_count img))
-    [ "resnet18"; "bert-large" ]
+    [ "resnet18"; "bert-large" ];
+  (* a negative byte count cannot be encoded *)
+  List.iter
+    (fun (what, cmd) ->
+      match Isa.encode { Isa.source = "neg"; cmds = [| cmd |] } with
+      | _ -> Alcotest.failf "encode accepted a %s of -5 bytes" what
+      | exception Invalid_argument _ -> ())
+    (byte_count_cmds (-5))
 
 let test_decoder_robustness () =
   let reject what s =
@@ -414,7 +430,17 @@ let test_decoder_robustness () =
   (* unknown opcode: corrupt the version word *)
   let b = Bytes.of_string bytes in
   Bytes.set b 4 '\xff';
-  reject "bad version" (Bytes.to_string b)
+  reject "bad version" (Bytes.to_string b);
+  (* a byte count whose high word has its sign bit set decodes negative:
+     an Error. WRITE ends in the count's two words and the in-place flag,
+     a DMA command in the count's two words. *)
+  List.iter
+    (fun (what, cmd) ->
+      let b = Bytes.of_string (Isa.encode { Isa.source = "neg"; cmds = [| cmd |] }) in
+      let tail = match cmd with Isa.Write_weights _ -> 12 | _ -> 8 in
+      Bytes.set_int32_le b (Bytes.length b - tail) 0xffff_ffffl;
+      reject (what ^ " with a negative byte count") (Bytes.to_string b))
+    (byte_count_cmds 5)
 
 let test_bracket_validation () =
   (match Isa.to_flow { Isa.source = "x"; cmds = [| Isa.Par_end |] } with
