@@ -52,9 +52,9 @@ let coords_overlap a b = List.exists (fun c -> List.mem c b) a
 
 let pj_to_uj x = x /. 1e6
 
-let run chip ?faults ?rng ?(max_switch_retries = 3) ?profile (p : Flow.program) =
+let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
   let rng = match rng with Some r -> r | None -> Rng.create 0x5117c4 in
-  let prof = match profile with Some pr -> pr | None -> Energy.for_chip chip in
+  let prof = Energy.for_chip chip in
   let compute = ref 0. and switch = ref 0. and rewrite = ref 0. in
   let writeback = ref 0. in
   (* dynamic energy per event class, in picojoules *)
@@ -66,8 +66,8 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) ?profile (p : Flow.program) 
   let segments = ref 0 in
   let seg_cycles = ref [] in
   let res = { staged = [] } in
-  (* each failed transient switch attempt burns one single-array switch
-     latency before the retry; the draws are Machine.switch's own *)
+  (* each failed transient switch attempt burns one single-array switch's
+     latency and energy before the retry; the draws are Machine.switch's own *)
   let charge_retries target arrays =
     match faults with
     | None -> ()
@@ -84,6 +84,7 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) ?profile (p : Flow.program) 
       in
       if attempts > 0 then begin
         retries := !retries + attempts;
+        switch_pj := !switch_pj +. (prof.Energy.switch_pj *. float_of_int attempts);
         let per_attempt =
           match target with
           | Cim_arch.Mode.To_compute -> Cost.switch_latency chip ~m2c:1 ~c2m:0

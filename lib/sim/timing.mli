@@ -66,15 +66,15 @@ type result = {
 
 val run :
   Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
-  ?max_switch_retries:int -> ?profile:Cim_arch.Energy.profile ->
-  Cim_metaop.Flow.program -> result
+  ?max_switch_retries:int -> Cim_metaop.Flow.program -> result
 (** With [faults], every switch of a transiently failing array draws retry
     attempts from [rng] (default a fixed seed, matching
-    {!Machine.create}) and charges each failed attempt. Energy counts each
-    [Compute]'s MACs and AI-implied operand traffic, loads and stores by
-    their ends, weight writes by bytes and switches by arrays, priced with
-    [profile] (default {!Cim_arch.Energy.for_chip}); the static term uses
-    the walk's own cycle total. A block nested in a block, which
+    {!Machine.create}) and charges each failed attempt one single-array
+    switch, in cycles and in energy. Energy counts each [Compute]'s MACs
+    and AI-implied operand traffic, loads and stores by their ends, weight
+    writes by bytes and switches by array switch attempts, priced with the
+    chip's {!Cim_arch.Energy.for_chip} profile; the static term uses the
+    walk's own cycle total. A block nested in a block, which
     {!Cim_metaop.Check} rejects, is not priced. *)
 
 val pp : Format.formatter -> result -> unit

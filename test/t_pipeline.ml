@@ -431,15 +431,19 @@ let test_decoder_robustness () =
   let b = Bytes.of_string bytes in
   Bytes.set b 4 '\xff';
   reject "bad version" (Bytes.to_string b);
-  (* a byte count whose high word has its sign bit set decodes negative:
-     an Error. WRITE ends in the count's two words and the in-place flag,
-     a DMA command in the count's two words. *)
+  (* a byte count whose high word has its sign bit set decodes negative,
+     one whose high word is 0x4000_0000 is past max_int: both an Error.
+     WRITE ends in the count's two words and the in-place flag, a DMA
+     command in the count's two words. *)
   List.iter
     (fun (what, cmd) ->
-      let b = Bytes.of_string (Isa.encode { Isa.source = "neg"; cmds = [| cmd |] }) in
-      let tail = match cmd with Isa.Write_weights _ -> 12 | _ -> 8 in
-      Bytes.set_int32_le b (Bytes.length b - tail) 0xffff_ffffl;
-      reject (what ^ " with a negative byte count") (Bytes.to_string b))
+      List.iter
+        (fun (hi, kind) ->
+          let b = Bytes.of_string (Isa.encode { Isa.source = "neg"; cmds = [| cmd |] }) in
+          let tail = match cmd with Isa.Write_weights _ -> 12 | _ -> 8 in
+          Bytes.set_int32_le b (Bytes.length b - tail) hi;
+          reject (Printf.sprintf "%s with a %s byte count" what kind) (Bytes.to_string b))
+        [ (0xffff_ffffl, "negative"); (0x4000_0000l, "past-max_int") ])
     (byte_count_cmds 5)
 
 let test_bracket_validation () =

@@ -396,7 +396,16 @@ let test_timing_charges_retries () =
   Alcotest.(check int) "clean run retries nothing" 0 clean.Timing.switch_retries;
   Alcotest.(check bool) "retries counted" true (faulty.Timing.switch_retries > 0);
   Alcotest.(check bool) "retries cost cycles" true
-    (faulty.Timing.cycles.Timing.switch > clean.Timing.cycles.Timing.switch)
+    (faulty.Timing.cycles.Timing.switch > clean.Timing.cycles.Timing.switch);
+  (* a failed attempt costs one array switch's energy, like a switch *)
+  let switch_uj attempts =
+    faulty.Timing.profile.Cim_arch.Energy.switch_pj *. float_of_int attempts /. 1e6
+  in
+  Alcotest.(check (float 0.)) "clean switch energy: one per array"
+    (switch_uj (List.length coords)) clean.Timing.energy.Timing.switch_uj;
+  Alcotest.(check (float 1e-15)) "retries cost switch energy"
+    (switch_uj (List.length coords + faulty.Timing.switch_retries))
+    faulty.Timing.energy.Timing.switch_uj
 
 (* the timing simulator prices exactly the retries the machine performs:
    both take their draws from Machine.retry_draws in switch order *)
