@@ -407,6 +407,35 @@ let test_compiled_round_trips () =
       | exception Invalid_argument _ -> ())
     (byte_count_cmds (-5))
 
+(* The CMSI bytes and listing of three compiled programs, pinned: MD5 of
+   the encoded stream and of the disassembly, and the command, word and
+   byte counts. Any change to the codec or the listing format moves one. *)
+let cmsi_pins =
+  [ ( "resnet18", Workload.prefill ~batch:1 1,
+      ("4fe9862e78a1b79d3e3ee502c57ae649", "3e417ee5b5183c8505c70457f086a622", 226, 4820, 21094) );
+    ( "llama2-7b", Workload.decode ~batch:1 64,
+      ("a4d8931e27df6233b1a2f631202d7dba", "af908ded403e0e811728777fb388d1f3", 2202, 58230, 242629) );
+    ( "bert-large", Workload.prefill ~batch:1 16,
+      ("2bdb3e9a6943d4d3b6306f546f515d2f", "556098b898565b56b4f627baa5649787", 202, 5581, 23774) ) ]
+
+let test_cmsi_pins () =
+  List.iter
+    (fun (key, w, (enc, listing, cmds, words, nbytes)) ->
+      let mc =
+        Cmswitch.compile_model ~config:Cfg.(default |> with_jobs 1) chip
+          (Option.get (Zoo.find key)) w
+      in
+      let r = Option.get (match mc.Cmswitch.whole with Some r -> Some r | None -> mc.Cmswitch.layer) in
+      let img = Isa.of_flow r.Cmswitch.program in
+      let bytes = Isa.encode img in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check (pair (pair string string) (pair (pair int int) int)))
+        key
+        ((enc, listing), ((cmds, words), nbytes))
+        ( (md5 bytes, md5 (Isa.disassemble img)),
+          ((Isa.cmd_count img, Isa.word_count img), String.length bytes) ))
+    cmsi_pins
+
 let test_decoder_robustness () =
   let reject what s =
     match Isa.decode s with
@@ -541,6 +570,7 @@ let suite =
       qtest prop_encode_decode;
       Alcotest.test_case "compiled programs round trip" `Quick
         test_compiled_round_trips;
+      Alcotest.test_case "CMSI bytes and listings pinned" `Quick test_cmsi_pins;
       Alcotest.test_case "decoder robustness" `Quick test_decoder_robustness;
       Alcotest.test_case "bracket validation" `Quick test_bracket_validation;
       Alcotest.test_case "machine sim = functional sim: resnet18" `Quick
