@@ -1034,22 +1034,22 @@ let do_disasm chip key batch seq kv common =
       Printf.eprintf "nothing to disassemble for %s\n" e.Zoo.display;
       exit 1
   in
-  let img = Cim_metaop.Isa.of_flow r.Cmswitch.program in
-  let bytes = Cim_metaop.Isa.encode img in
+  let p = r.Cmswitch.program in
+  let bytes = Cim_metaop.Isa.encode p in
   (match Cim_metaop.Isa.decode bytes with
-  | Ok img' when img' = img -> ()
+  | Ok p' when p' = p -> ()
   | Ok _ ->
-    Printf.eprintf "ISA round trip: decoded image differs from encoder input\n";
+    Printf.eprintf "ISA round trip: decoded program differs from encoder input\n";
     exit 1
   | Error m ->
     Printf.eprintf "ISA round trip failed: %s\n" m;
     exit 1);
   Printf.eprintf "%s; round trip ok: %d commands, %d words, %d bytes\n%!"
     scope
-    (Cim_metaop.Isa.cmd_count img)
-    (Cim_metaop.Isa.word_count img)
+    (Cim_metaop.Isa.cmd_count p)
+    (Cim_metaop.Isa.word_count p)
     (String.length bytes);
-  print_string (Cim_metaop.Isa.disassemble img);
+  print_string (Cim_metaop.Isa.disassemble p);
   finish_common common ~store
 
 let list_cmd =
@@ -1088,10 +1088,10 @@ let disasm_cmd =
   Cmd.v
     (Cmd.info "disasm"
        ~doc:
-         "Compile a model, lower the meta-operator flow onto the MMIO \
-          command-stream ISA ($(b,--passes default,lower_isa) territory) \
-          and print the disassembly; stdout carries only the listing. The \
-          image is round-tripped through the binary encoding first — any \
+         "Compile a model, encode the meta-operator flow as its MMIO \
+          command stream ($(b,--passes default,lower_isa) territory) and \
+          print the disassembly; stdout carries only the listing. The \
+          bytes are decoded first and must give back the program — any \
           mismatch is a non-zero exit.")
     Term.(const do_disasm $ chip_arg $ model_arg $ batch_arg $ seq_arg $ kv_arg
           $ common_term)

@@ -488,20 +488,14 @@ let compile_robust ?(config = Config.default) chip graph =
     (fun o -> o.rc_result)
     (descend ~cfg:config [ (0, config) ] chip graph)
 
-let recompile ?(config = Config.default) ?budget_seconds ?(start_level = 0)
-    chip graph =
+let recompile ?(config = Config.default) ?budget_seconds chip graph =
   (match budget_seconds with
   | Some b when (not (Float.is_finite b)) || b < 0. ->
     invalid_arg "Cmswitch.recompile: budget_seconds must be non-negative"
   | _ -> ());
-  if start_level < 0 || start_level > serial_level then
-    invalid_arg
-      (Printf.sprintf "Cmswitch.recompile: start_level %d outside [0, %d]"
-         start_level serial_level);
-  let levels =
-    List.filter (fun (lvl, _) -> lvl >= start_level) (recompile_ladder config)
+  let outcome =
+    descend ?budget_seconds ~cfg:config (recompile_ladder config) chip graph
   in
-  let outcome = descend ?budget_seconds ~cfg:config levels chip graph in
   Result.iter (fun o -> Degrade.count_recompile ~level:o.rc_level) outcome;
   outcome
 

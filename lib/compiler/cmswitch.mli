@@ -173,9 +173,8 @@ type recompile_outcome = {
 }
 
 val recompile :
-  ?config:Config.t -> ?budget_seconds:float -> ?start_level:int ->
-  Cim_arch.Chip.t -> Cim_nnir.Graph.t ->
-  (recompile_outcome, Degrade.report) Stdlib.result
+  ?config:Config.t -> ?budget_seconds:float -> Cim_arch.Chip.t ->
+  Cim_nnir.Graph.t -> (recompile_outcome, Degrade.report) Stdlib.result
 (** The reusable recompile-around-faults entry point for runtime serving:
     compile under [config] (put the current fault map in [config.faults]),
     descending a fixed degradation ladder until some level yields a plan.
@@ -190,12 +189,11 @@ val recompile :
     {e a} plan now, not the best one. Note that a wall-clock budget can
     make the {e chosen level} timing-dependent; leave it [None] (the
     default) where the byte-identical determinism contract matters, e.g.
-    under {!Cim_sim.Fleet}'s plan prefetch. [start_level] (default 0)
-    skips the expensive levels up front. Never raises on a graph the
+    under {!Cim_sim.Fleet}'s plan prefetch. Never raises on a graph the
     compiler rejects: [Error report] when even serial compilation cannot
     fit the graph on the remaining arrays, with one diagnostic per failed
     level. Raises [Invalid_argument] only for a negative or non-finite
-    [budget_seconds] or a [start_level] outside [0, 3]. Emits
+    [budget_seconds]. Emits
     [compile.recompile.total] / [compile.recompile.level<N>] counters on
     success. *)
 

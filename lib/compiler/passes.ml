@@ -30,7 +30,7 @@ type state = {
   places : Placement.seg_place list option;
   schedule : Plan.schedule option;
   program : Flow.program option;
-  isa : Isa.image option;
+  isa : string option;
   diagnostics : string list option;
 }
 
@@ -80,7 +80,7 @@ let schedule_exn st =
   match st.schedule with Some s -> s | None -> missing "schedule" "schedule"
 let program_exn st =
   match st.program with Some p -> p | None -> missing "program" "codegen"
-let isa_exn st = match st.isa with Some i -> i | None -> missing "ISA image" "lower_isa"
+let isa_exn st = match st.isa with Some i -> i | None -> missing "ISA bytes" "lower_isa"
 let diagnostics_exn st =
   match st.diagnostics with Some d -> d | None -> missing "diagnostics" "check"
 
@@ -328,29 +328,22 @@ let p_check =
 let p_lower_isa =
   {
     name = "lower_isa";
-    describe = "lower the flow onto the MMIO command-stream ISA";
+    describe = "encode the flow as its MMIO command stream (CMSI bytes)";
     run =
       (fun st ->
         let isa =
           Trace.with_span "lower_isa" ~cat:"compiler" (fun () ->
-              Isa.of_flow (program_exn st))
+              Isa.encode (program_exn st))
         in
         { st with isa = Some isa });
     validate =
       Some
         (fun st ->
-          let img = isa_exn st in
-          (* encode -> decode must reproduce the image, and raising back to
-             the meta-op level must reproduce the program byte for byte *)
-          match Isa.decode (Isa.encode img) with
-          | Error e -> Error ("encode/decode round trip failed: " ^ e)
-          | Ok img' ->
-            if img' <> img then Error "decoded image differs from encoder input"
-            else if
-              Flow.to_string (Isa.to_flow img)
-              <> Flow.to_string (program_exn st)
-            then Error "to_flow does not reproduce the lowered program"
-            else Ok ());
+          (* the bytes must decode to the program they encode *)
+          match Isa.decode (isa_exn st) with
+          | Error e -> Error ("the encoded stream does not decode: " ^ e)
+          | Ok p when p = program_exn st -> Ok ()
+          | Ok _ -> Error "the decoded program differs from the encoded one");
   }
 
 let registry =
@@ -457,11 +450,11 @@ let describe_state st =
     line "program: %d instrs, %d bytes, md5=%s" (List.length p.Flow.instrs)
       (String.length (Flow.to_string p))
       (Flow.digest p));
-  (match st.isa with
-  | None -> line "isa: <none>"
-  | Some img ->
-    line "isa: %d commands, %d bytes encoded" (Array.length img.Isa.cmds)
-      (String.length (Isa.encode img)));
+  (match (st.isa, st.program) with
+  | Some bytes, Some p ->
+    line "isa: %d commands, %d bytes encoded" (Isa.cmd_count p)
+      (String.length bytes)
+  | _ -> line "isa: <none>");
   (match st.diagnostics with
   | None -> line "diagnostics: <not checked>"
   | Some [] -> line "diagnostics: clean"

@@ -40,7 +40,7 @@ type state = {
   places : Placement.seg_place list option;    (** place *)
   schedule : Plan.schedule option;             (** schedule *)
   program : Cim_metaop.Flow.program option;    (** codegen *)
-  isa : Cim_metaop.Isa.image option;           (** lower_isa *)
+  isa : string option;   (** lower_isa: the program's CMSI bytes *)
   diagnostics : string list option;            (** check *)
 }
 
@@ -84,7 +84,7 @@ val dp_stats_exn : state -> Segment.stats
 val places_exn : state -> Placement.seg_place list
 val schedule_exn : state -> Plan.schedule
 val program_exn : state -> Cim_metaop.Flow.program
-val isa_exn : state -> Cim_metaop.Isa.image
+val isa_exn : state -> string
 val diagnostics_exn : state -> string list
 
 val segs_tile : m:int -> Plan.seg_plan list -> bool
@@ -125,10 +125,11 @@ val p_check : pass
     ["flow.validate"]. *)
 
 val p_lower_isa : pass
-(** Lower the meta-operator program onto the MMIO command-stream ISA
-    ({!Cim_metaop.Isa}): command FIFO words + DMA descriptors, parallel
-    blocks flattened between PAR_BEGIN/PAR_END markers. Not in the
-    default pipeline; append with [--passes default,lower_isa]. Emits
+(** Encode the meta-operator program as its CMSI command stream
+    ({!Cim_metaop.Isa.encode}): command FIFO words + DMA descriptors,
+    each parallel block between PAR_BEGIN/PAR_END markers. Its validator
+    decodes the bytes and requires the program back. Not in the default
+    pipeline; append with [--passes default,lower_isa]. Emits
     ["lower_isa"]. *)
 
 val registry : pass list
@@ -148,7 +149,7 @@ val serial_pipeline : pass list
 val parse_list : string -> (pass list, string) result
 (** Parse a [--passes] spec: comma-separated pass names; the token
     [default] expands to {!default_pipeline} in place (so
-    ["default,lower_isa"] appends the ISA lowering). Unknown names are an
+    ["default,lower_isa"] appends the CMSI encoding). Unknown names are an
     [Error] listing the registry. *)
 
 val fingerprint : pass list -> string

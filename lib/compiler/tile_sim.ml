@@ -1,5 +1,4 @@
 module Chip = Cim_arch.Chip
-module Cost = Cim_arch.Cost
 
 type event = {
   uid : int;
@@ -10,7 +9,7 @@ type event = {
 }
 
 let simulate chip (ops : Opinfo.t array) (plan : Plan.seg_plan)
-    ?(tiles = 8) ?(include_setup = false) () =
+    ?(tiles = 8) () =
   if tiles <= 0 then invalid_arg "Tile_sim.simulate: tiles must be positive";
   let allocs = Array.of_list plan.Plan.allocs in
   let n = Array.length allocs in
@@ -20,14 +19,6 @@ let simulate chip (ops : Opinfo.t array) (plan : Plan.seg_plan)
     Array.map
       (fun (a : Plan.op_alloc) ->
         Alloc.op_latency chip ops.(a.Plan.uid) a /. float_of_int tiles)
-      allocs
-  in
-  let setup =
-    Array.map
-      (fun (a : Plan.op_alloc) ->
-        if include_setup then
-          Cost.weight_rewrite_latency chip ~max_com:a.Plan.com
-        else 0.)
       allocs
   in
   (* finish.(i) holds the completion time of operator i's latest tile *)
@@ -45,8 +36,7 @@ let simulate chip (ops : Opinfo.t array) (plan : Plan.seg_plan)
             | Some _ | None -> acc)
           0. ops.(uid).Opinfo.deps
       in
-      let self_ready = if tile = 0 then setup.(i) else finish.(i) in
-      let t_start = Float.max dep_ready self_ready in
+      let t_start = Float.max dep_ready finish.(i) in
       let t_finish = t_start +. per_tile.(i) in
       finish.(i) <- t_finish;
       makespan := Float.max !makespan t_finish;
@@ -56,7 +46,9 @@ let simulate chip (ops : Opinfo.t array) (plan : Plan.seg_plan)
   done;
   (!makespan, List.rev !events)
 
-let gantt ?(width = 64) events =
+let width = 64
+
+let gantt events =
   match events with
   | [] -> "(empty)\n"
   | _ ->

@@ -21,12 +21,11 @@ type event = {
 
 val simulate :
   Cim_arch.Chip.t -> Opinfo.t array -> Plan.seg_plan -> ?tiles:int ->
-  ?include_setup:bool -> unit -> float * event list
+  unit -> float * event list
 (** [simulate chip ops plan ()] returns the segment makespan in cycles and
-    the per-(operator, tile) events. [tiles] defaults to 8;
-    [include_setup] (default false) charges each operator's Eq. 2 weight
-    programming before its first tile. The makespan is always >= the Eq. 9
-    approximation ([plan.intra_cycles] when setup is off). *)
+    the per-(operator, tile) events. [tiles] defaults to 8. Weight
+    programming (Eq. 2) is not charged. The makespan is always >= the
+    Eq. 9 approximation [plan.intra_cycles]. *)
 
-val gantt : ?width:int -> event list -> string
-(** ASCII timeline, one row per operator. *)
+val gantt : event list -> string
+(** ASCII timeline, one row per operator, 64 columns wide. *)

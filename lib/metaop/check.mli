@@ -1,8 +1,8 @@
 (** Static validation of meta-operator flow programs: the one entry check
     of the toolchain. The compiler's check pass, the codegen pass's
-    validator and both simulator entry points ([Functional.run],
-    [Isa_sim.run]) reject a program on any diagnostic. It checks that the
-    program makes sense executed front to back:
+    validator and the simulator's entry point ([Functional.run]) reject a
+    program on any diagnostic. It checks that the program makes sense
+    executed front to back:
 
     - {b structure}: every array coordinate is on the grid, slices are
       well formed ([0 <= lo < hi]), byte counts, macs and ai are

@@ -2,35 +2,6 @@ module Mode = Cim_arch.Mode
 
 type coord = Cim_arch.Chip.coord
 
-type cmd =
-  | Switch of { target : Mode.transition; arrays : coord list }
-  | Write_weights of {
-      label : string;
-      node_id : int;
-      arrays : coord list;
-      slice : Flow.slice;
-      bytes : int;
-      in_place : bool;
-    }
-  | Dma_load of { tensor : string; src : Flow.location; dst : Flow.location; bytes : int }
-  | Dma_store of { tensor : string; src : Flow.location; dst : Flow.location; bytes : int }
-  | Compute of {
-      label : string;
-      node_id : int;
-      arrays : coord list;
-      mem_arrays : coord list;
-      inputs : string list;
-      output : string;
-      slice : Flow.slice;
-      macs : float;
-      ai : float;
-    }
-  | Vec of { label : string; node_id : int; inputs : string list; output : string }
-  | Par_begin of int
-  | Par_end
-
-type image = { source : string; cmds : cmd array }
-
 let op_switch = 1
 let op_write = 2
 let op_dma_load = 3
@@ -39,73 +10,6 @@ let op_compute = 5
 let op_vec = 6
 let op_par_begin = 7
 let op_par_end = 8
-
-(* ---- flow <-> command stream -------------------------------------------- *)
-
-let rec cmds_of_instr acc (i : Flow.instr) =
-  match i with
-  | Flow.Switch { target; arrays } -> Switch { target; arrays } :: acc
-  | Flow.Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
-    Write_weights { label; node_id; arrays; slice; bytes; in_place } :: acc
-  | Flow.Load { tensor; src; dst; bytes } ->
-    Dma_load { tensor; src; dst; bytes } :: acc
-  | Flow.Store { tensor; src; dst; bytes } ->
-    Dma_store { tensor; src; dst; bytes } :: acc
-  | Flow.Compute
-      { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai } ->
-    Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
-    :: acc
-  | Flow.Vector_op { label; node_id; inputs; output } ->
-    Vec { label; node_id; inputs; output } :: acc
-  | Flow.Parallel body ->
-    if
-      List.exists
-        (function Flow.Parallel _ -> true | _ -> false)
-        body
-    then invalid_arg "Isa.of_flow: nested Parallel block";
-    let inner = List.fold_left cmds_of_instr [] body in
-    Par_end :: (inner @ (Par_begin (List.length body) :: acc))
-
-let of_flow (p : Flow.program) =
-  let rev = List.fold_left cmds_of_instr [] p.Flow.instrs in
-  { source = p.Flow.source; cmds = Array.of_list (List.rev rev) }
-
-let instr_of_cmd = function
-  | Switch { target; arrays } -> Flow.Switch { target; arrays }
-  | Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
-    Flow.Write_weights { label; node_id; arrays; slice; bytes; in_place }
-  | Dma_load { tensor; src; dst; bytes } -> Flow.Load { tensor; src; dst; bytes }
-  | Dma_store { tensor; src; dst; bytes } -> Flow.Store { tensor; src; dst; bytes }
-  | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
-    ->
-    Flow.Compute
-      { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
-  | Vec { label; node_id; inputs; output } ->
-    Flow.Vector_op { label; node_id; inputs; output }
-  | Par_begin _ | Par_end -> invalid_arg "Isa.to_flow: stray bracket marker"
-
-let to_flow (img : image) =
-  let n = Array.length img.cmds in
-  let rec walk i acc =
-    if i >= n then (List.rev acc, i)
-    else
-      match img.cmds.(i) with
-      | Par_end -> (List.rev acc, i)
-      | Par_begin expect ->
-        let body, j = walk (i + 1) [] in
-        if j >= n || img.cmds.(j) <> Par_end then
-          invalid_arg "Isa.to_flow: PAR_BEGIN without matching PAR_END";
-        if List.length body <> expect then
-          invalid_arg
-            (Printf.sprintf
-               "Isa.to_flow: PAR_BEGIN announces %d commands, block has %d"
-               expect (List.length body));
-        walk (j + 1) (Flow.Parallel body :: acc)
-      | c -> walk (i + 1) (instr_of_cmd c :: acc)
-  in
-  let instrs, stopped = walk 0 [] in
-  if stopped <> n then invalid_arg "Isa.to_flow: PAR_END without PAR_BEGIN";
-  { Flow.source = img.source; instrs }
 
 (* ---- encoder ------------------------------------------------------------- *)
 
@@ -183,12 +87,14 @@ module Enc = struct
       coords e cs
 end
 
-let encode_cmd e = function
-  | Switch { target; arrays } ->
+(* one instruction; a [Parallel] block is its PAR_BEGIN, its body and its
+   PAR_END, and may not hold another block *)
+let rec encode_instr ~nested e = function
+  | Flow.Switch { target; arrays } ->
     Enc.word e op_switch;
     Enc.word e (match target with Mode.To_memory -> 0 | Mode.To_compute -> 1);
     Enc.coords e arrays
-  | Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
+  | Flow.Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
     Enc.word e op_write;
     Enc.sidx e label;
     Enc.word e (pack_i32 node_id);
@@ -197,19 +103,19 @@ let encode_cmd e = function
     Enc.word e (pack_i32 slice.Flow.hi);
     Enc.byte_count e bytes;
     Enc.word e (if in_place then 1 else 0)
-  | Dma_load { tensor; src; dst; bytes } ->
+  | Flow.Load { tensor; src; dst; bytes } ->
     Enc.word e op_dma_load;
     Enc.sidx e tensor;
     Enc.location e src;
     Enc.location e dst;
     Enc.byte_count e bytes
-  | Dma_store { tensor; src; dst; bytes } ->
+  | Flow.Store { tensor; src; dst; bytes } ->
     Enc.word e op_dma_store;
     Enc.sidx e tensor;
     Enc.location e src;
     Enc.location e dst;
     Enc.byte_count e bytes
-  | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
+  | Flow.Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
     ->
     Enc.word e op_compute;
     Enc.sidx e label;
@@ -223,29 +129,31 @@ let encode_cmd e = function
     Enc.word e (pack_i32 slice.Flow.hi);
     Enc.f64 e macs;
     Enc.f64 e ai
-  | Vec { label; node_id; inputs; output } ->
+  | Flow.Vector_op { label; node_id; inputs; output } ->
     Enc.word e op_vec;
     Enc.sidx e label;
     Enc.word e (pack_i32 node_id);
     Enc.word e (List.length inputs);
     List.iter (Enc.sidx e) inputs;
     Enc.sidx e output
-  | Par_begin n ->
+  | Flow.Parallel body ->
+    if nested then invalid_arg "Isa.encode: nested Parallel block";
     Enc.word e op_par_begin;
-    Enc.word e n
-  | Par_end -> Enc.word e op_par_end
+    Enc.word e (List.length body);
+    List.iter (encode_instr ~nested:true e) body;
+    Enc.word e op_par_end
 
 let magic = "CMSI"
 let version = 1
 
-let encode (img : image) =
+let encode (p : Flow.program) =
   let e = Enc.create () in
-  Array.iter (encode_cmd e) img.cmds;
+  List.iter (encode_instr ~nested:false e) p.Flow.instrs;
   let out = Buffer.create (Buffer.length e.Enc.buf + 256) in
   Buffer.add_string out magic;
   Buffer.add_int32_le out (Int32.of_int version);
-  Buffer.add_int32_le out (Int32.of_int (String.length img.source));
-  Buffer.add_string out img.source;
+  Buffer.add_int32_le out (Int32.of_int (String.length p.Flow.source));
+  Buffer.add_string out p.Flow.source;
   Buffer.add_int32_le out (Int32.of_int e.Enc.n_strings);
   List.iter
     (fun s ->
@@ -294,7 +202,7 @@ module Dec = struct
       (Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
 end
 
-let decode_image s =
+let decode_program s =
   let d = { Dec.s; pos = 0 } in
   if String.length s < 4 || String.sub s 0 4 <> magic then
     Dec.fail "bad magic (want %S)" magic;
@@ -310,8 +218,7 @@ let decode_image s =
     table.(i)
   in
   let n_words = Dec.u32 d in
-  let words_end = d.Dec.pos + (4 * n_words) in
-  if words_end <> String.length s then
+  if d.Dec.pos + (4 * n_words) <> String.length s then
     Dec.fail "command stream length mismatch (%d words declared)" n_words;
   let coords () =
     let n = Dec.u32 d in
@@ -335,92 +242,120 @@ let decode_image s =
     if n > n_words then Dec.fail "absurd string-list count %d" n;
     List.init n (fun _ -> str (Dec.u32 d))
   in
-  let cmds = ref [] in
-  while d.Dec.pos < words_end do
-    let c =
-      match Dec.u32 d with
-      | op when op = op_switch ->
-        let target =
-          match Dec.u32 d with
-          | 0 -> Mode.To_memory
-          | 1 -> Mode.To_compute
-          | t -> Dec.fail "unknown switch target %d" t
-        in
-        Switch { target; arrays = coords () }
-      | op when op = op_write ->
-        let label = str (Dec.u32 d) in
-        let node_id = unpack_i32 (Dec.u32 d) in
-        let arrays = coords () in
-        let slice = slice () in
-        let bytes = Dec.byte_count d in
-        let in_place =
-          match Dec.u32 d with
-          | 0 -> false
-          | 1 -> true
-          | t -> Dec.fail "bad in-place flag %d" t
-        in
-        Write_weights { label; node_id; arrays; slice; bytes; in_place }
-      | op when op = op_dma_load ->
-        let tensor = str (Dec.u32 d) in
-        let src = location () in
-        let dst = location () in
-        Dma_load { tensor; src; dst; bytes = Dec.byte_count d }
-      | op when op = op_dma_store ->
-        let tensor = str (Dec.u32 d) in
-        let src = location () in
-        let dst = location () in
-        Dma_store { tensor; src; dst; bytes = Dec.byte_count d }
-      | op when op = op_compute ->
-        let label = str (Dec.u32 d) in
-        let node_id = unpack_i32 (Dec.u32 d) in
-        let arrays = coords () in
-        let mem_arrays = coords () in
-        let inputs = strings () in
-        let output = str (Dec.u32 d) in
-        let slice = slice () in
-        let macs = Dec.f64 d in
-        let ai = Dec.f64 d in
-        Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
-      | op when op = op_vec ->
-        let label = str (Dec.u32 d) in
-        let node_id = unpack_i32 (Dec.u32 d) in
-        let inputs = strings () in
-        Vec { label; node_id; inputs; output = str (Dec.u32 d) }
-      | op when op = op_par_begin -> Par_begin (Dec.u32 d)
-      | op when op = op_par_end -> Par_end
-      | op -> Dec.fail "unknown opcode %d at byte %d" op (d.Dec.pos - 4)
-    in
-    if d.Dec.pos > words_end then Dec.fail "command overruns declared stream";
-    cmds := c :: !cmds
+  (* [top] holds the program's instructions so far, reversed; [block] the
+     open PAR_BEGIN's byte offset, announced count and body, reversed *)
+  let top = ref [] and block = ref None in
+  let push i =
+    match !block with
+    | None -> top := i :: !top
+    | Some (at, n, body) -> block := Some (at, n, i :: body)
+  in
+  while d.Dec.pos < String.length s do
+    let at = d.Dec.pos in
+    match Dec.u32 d with
+    | op when op = op_switch ->
+      let target =
+        match Dec.u32 d with
+        | 0 -> Mode.To_memory
+        | 1 -> Mode.To_compute
+        | t -> Dec.fail "unknown switch target %d" t
+      in
+      push (Flow.Switch { target; arrays = coords () })
+    | op when op = op_write ->
+      let label = str (Dec.u32 d) in
+      let node_id = unpack_i32 (Dec.u32 d) in
+      let arrays = coords () in
+      let slice = slice () in
+      let bytes = Dec.byte_count d in
+      let in_place =
+        match Dec.u32 d with
+        | 0 -> false
+        | 1 -> true
+        | t -> Dec.fail "bad in-place flag %d" t
+      in
+      push (Flow.Write_weights { label; node_id; arrays; slice; bytes; in_place })
+    | op when op = op_dma_load ->
+      let tensor = str (Dec.u32 d) in
+      let src = location () in
+      let dst = location () in
+      push (Flow.Load { tensor; src; dst; bytes = Dec.byte_count d })
+    | op when op = op_dma_store ->
+      let tensor = str (Dec.u32 d) in
+      let src = location () in
+      let dst = location () in
+      push (Flow.Store { tensor; src; dst; bytes = Dec.byte_count d })
+    | op when op = op_compute ->
+      let label = str (Dec.u32 d) in
+      let node_id = unpack_i32 (Dec.u32 d) in
+      let arrays = coords () in
+      let mem_arrays = coords () in
+      let inputs = strings () in
+      let output = str (Dec.u32 d) in
+      let slice = slice () in
+      let macs = Dec.f64 d in
+      let ai = Dec.f64 d in
+      push
+        (Flow.Compute
+           { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai })
+    | op when op = op_vec ->
+      let label = str (Dec.u32 d) in
+      let node_id = unpack_i32 (Dec.u32 d) in
+      let inputs = strings () in
+      push (Flow.Vector_op { label; node_id; inputs; output = str (Dec.u32 d) })
+    | op when op = op_par_begin -> (
+      let n = Dec.u32 d in
+      match !block with
+      | Some (open_at, _, _) ->
+        Dec.fail "PAR_BEGIN at byte %d inside the block opened at byte %d" at
+          open_at
+      | None -> block := Some (at, n, []))
+    | op when op = op_par_end -> (
+      match !block with
+      | None -> Dec.fail "PAR_END at byte %d without PAR_BEGIN" at
+      | Some (open_at, n, body) ->
+        let len = List.length body in
+        if len <> n then
+          Dec.fail "PAR_BEGIN at byte %d announces %d commands, block has %d"
+            open_at n len;
+        block := None;
+        top := Flow.Parallel (List.rev body) :: !top)
+    | op -> Dec.fail "unknown opcode %d at byte %d" op at
   done;
-  { source; cmds = Array.of_list (List.rev !cmds) }
+  (match !block with
+  | Some (open_at, _, _) -> Dec.fail "PAR_BEGIN at byte %d is never closed" open_at
+  | None -> ());
+  { Flow.source; instrs = List.rev !top }
 
 let decode s =
-  match decode_image s with
-  | img -> Ok img
+  match decode_program s with
+  | p -> Ok p
   | exception Bad m -> Error m
 
 (* ---- disassembler -------------------------------------------------------- *)
 
-let words_of_cmd c =
-  (* mirror of the encoder, counting only *)
-  let loc_words = function
-    | Flow.Main_memory | Flow.Buffer -> 1
-    | Flow.Mem_arrays cs -> 2 + List.length cs
-  in
-  match c with
-  | Switch { arrays; _ } -> 3 + List.length arrays
-  | Write_weights { arrays; _ } -> 9 + List.length arrays
-  | Dma_load { src; dst; _ } | Dma_store { src; dst; _ } ->
-    4 + loc_words src + loc_words dst
-  | Compute { arrays; mem_arrays; inputs; _ } ->
-    13 + List.length arrays + List.length mem_arrays + List.length inputs
-  | Vec { inputs; _ } -> 5 + List.length inputs
-  | Par_begin _ -> 2
-  | Par_end -> 1
+let loc_words = function
+  | Flow.Main_memory | Flow.Buffer -> 1
+  | Flow.Mem_arrays cs -> 2 + List.length cs
 
-let word_count img = Array.fold_left (fun n c -> n + words_of_cmd c) 0 img.cmds
-let cmd_count img = Array.length img.cmds
+(* mirror of the encoder, counting only *)
+let rec words_of_instr = function
+  | Flow.Switch { arrays; _ } -> 3 + List.length arrays
+  | Flow.Write_weights { arrays; _ } -> 9 + List.length arrays
+  | Flow.Load { src; dst; _ } | Flow.Store { src; dst; _ } ->
+    4 + loc_words src + loc_words dst
+  | Flow.Compute { arrays; mem_arrays; inputs; _ } ->
+    13 + List.length arrays + List.length mem_arrays + List.length inputs
+  | Flow.Vector_op { inputs; _ } -> 5 + List.length inputs
+  | Flow.Parallel body ->
+    List.fold_left (fun n i -> n + words_of_instr i) 3 body
+
+let rec cmds_of_instr = function
+  | Flow.Parallel body -> List.fold_left (fun n i -> n + cmds_of_instr i) 2 body
+  | _ -> 1
+
+let sum f (p : Flow.program) = List.fold_left (fun n i -> n + f i) 0 p.Flow.instrs
+let word_count = sum words_of_instr
+let cmd_count = sum cmds_of_instr
 
 let coords_str cs =
   "["
@@ -436,42 +371,54 @@ let loc_str = function
   | Flow.Buffer -> "buf"
   | Flow.Mem_arrays cs -> "mem" ^ coords_str cs
 
+(* the listing line of one command; a block's PAR_BEGIN line, its body's
+   and its PAR_END's are written by [disassemble] *)
 let cmd_str = function
-  | Switch { target; arrays } ->
+  | Flow.Switch { target; arrays } ->
     Printf.sprintf "SWITCH     %s %s"
       (Mode.transition_to_string target)
       (coords_str arrays)
-  | Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
+  | Flow.Write_weights { label; node_id; arrays; slice; bytes; in_place } ->
     Printf.sprintf "WRITE      %s node=%d %s slice=[%d,%d) bytes=%d%s" label
       node_id (coords_str arrays) slice.Flow.lo slice.Flow.hi bytes
       (if in_place then " in-place" else "")
-  | Dma_load { tensor; src; dst; bytes } ->
+  | Flow.Load { tensor; src; dst; bytes } ->
     Printf.sprintf "DMA_LOAD   %s %s -> %s bytes=%d" tensor (loc_str src)
       (loc_str dst) bytes
-  | Dma_store { tensor; src; dst; bytes } ->
+  | Flow.Store { tensor; src; dst; bytes } ->
     Printf.sprintf "DMA_STORE  %s %s -> %s bytes=%d" tensor (loc_str src)
       (loc_str dst) bytes
-  | Compute { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai }
-    ->
+  | Flow.Compute
+      { label; node_id; arrays; mem_arrays; inputs; output; slice; macs; ai } ->
     Printf.sprintf
       "COMPUTE    %s node=%d %s mem=%s in=[%s] out=%s slice=[%d,%d) macs=%h ai=%h"
       label node_id (coords_str arrays) (coords_str mem_arrays)
       (String.concat "," inputs) output slice.Flow.lo slice.Flow.hi macs ai
-  | Vec { label; node_id; inputs; output } ->
+  | Flow.Vector_op { label; node_id; inputs; output } ->
     Printf.sprintf "VEC        %s node=%d in=[%s] out=%s" label node_id
       (String.concat "," inputs) output
-  | Par_begin n -> Printf.sprintf "PAR_BEGIN  %d" n
-  | Par_end -> "PAR_END"
+  | Flow.Parallel body -> Printf.sprintf "PAR_BEGIN  %d" (List.length body)
 
-let disassemble img =
+let disassemble (p : Flow.program) =
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf "; source: %s  (%d commands, %d words)\n" img.source
-       (cmd_count img) (word_count img));
+    (Printf.sprintf "; source: %s  (%d commands, %d words)\n" p.Flow.source
+       (cmd_count p) (word_count p));
   let off = ref 0 in
-  Array.iter
-    (fun c ->
-      Buffer.add_string b (Printf.sprintf "%06x  %s\n" !off (cmd_str c));
-      off := !off + words_of_cmd c)
-    img.cmds;
+  let line s words =
+    Buffer.add_string b (Printf.sprintf "%06x  %s\n" !off s);
+    off := !off + words
+  in
+  let rec emit i =
+    match i with
+    | Flow.Parallel body ->
+      line (cmd_str i) 2;
+      List.iter emit body;
+      line "PAR_END" 1
+    | _ -> line (cmd_str i) (words_of_instr i)
+  in
+  List.iter emit p.Flow.instrs;
   Buffer.contents b
+
+(* kept only for bench/perf *)
+let of_flow (p : Flow.program) = p

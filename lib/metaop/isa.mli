@@ -1,9 +1,11 @@
-(** The lowered MMIO command-stream ISA: the second backend behind the
-    nanopass seams. A {!Flow.program} flattens onto a linear command FIFO —
-    mode switches and compute issues become command words, [Load]/[Store]
-    become DMA descriptors, and [Parallel] blocks become
-    [PAR_BEGIN]/[PAR_END] bracket markers — the shape of a register-level
-    accelerator driver feeding a memory-mapped queue.
+(** CMSI, the binary wire format of a {!Flow.program}: the MMIO command
+    stream a register-level accelerator driver feeds a memory-mapped queue.
+    Each instruction is one command — mode switches and compute issues
+    become command words, [Load]/[Store] become DMA descriptors — and a
+    [Parallel] block is its [PAR_BEGIN n] command, its [n] body commands
+    and a [PAR_END]. There is no second instruction type: {!encode} writes
+    a flow and {!decode} reads one back, and the decoder is the one place
+    that validates a stream from outside.
 
     Binary format (everything little-endian):
 
@@ -42,61 +44,31 @@
     complement; 64-bit payloads (byte counts, float bits) split into
     high word then low word. A byte count is never negative. *)
 
-type coord = Cim_arch.Chip.coord
-
-type cmd =
-  | Switch of { target : Cim_arch.Mode.transition; arrays : coord list }
-  | Write_weights of {
-      label : string;
-      node_id : int;
-      arrays : coord list;
-      slice : Flow.slice;
-      bytes : int;
-      in_place : bool;
-    }
-  | Dma_load of { tensor : string; src : Flow.location; dst : Flow.location; bytes : int }
-  | Dma_store of { tensor : string; src : Flow.location; dst : Flow.location; bytes : int }
-  | Compute of {
-      label : string;
-      node_id : int;
-      arrays : coord list;
-      mem_arrays : coord list;
-      inputs : string list;
-      output : string;
-      slice : Flow.slice;
-      macs : float;
-      ai : float;
-    }
-  | Vec of { label : string; node_id : int; inputs : string list; output : string }
-  | Par_begin of int  (** number of commands inside the bracketed block *)
-  | Par_end
-
-type image = { source : string; cmds : cmd array }
-
-val of_flow : Flow.program -> image
-(** Flatten: each [Parallel] block becomes [Par_begin n; ...; Par_end].
-    Raises [Invalid_argument] on nested [Parallel], which {!Check}
-    reports. *)
-
-val to_flow : image -> Flow.program
-(** Raise back to the meta-op level. [to_flow (of_flow p)] reproduces [p]
-    exactly, so {!Flow.to_string} of both is byte-identical. Raises
-    [Invalid_argument] on unbalanced bracket markers. *)
-
-val encode : image -> string
-(** Serialise to the binary format above. Raises [Invalid_argument] when a
+val encode : Flow.program -> string
+(** Serialise to the binary format above. Raises [Invalid_argument] on a
+    [Parallel] block nested in another (which {!Check} reports) and when a
     field cannot be represented (coord out of 16-bit range, negative byte
     count). *)
 
-val decode : string -> (image, string) result
+val decode : string -> (Flow.program, string) result
 (** Total inverse of {!encode}: every malformed input is an [Error], never
-    an exception — a byte count that decodes negative (or past [max_int])
-    among them. [decode (encode img) = Ok img]. *)
+    an exception. That includes a byte count that decodes negative (or
+    past [max_int]) and the four bracket errors: a [PAR_END] with no open
+    block, a [PAR_BEGIN] never closed, a [PAR_BEGIN] count that differs
+    from its block's length and a [PAR_BEGIN] inside a block.
+    [decode (encode p) = Ok p]. *)
 
-val disassemble : image -> string
-(** Textual listing, one command per line: word offset, mnemonic,
-    operands. Stable format (CI diffs round trips through it). *)
+val disassemble : Flow.program -> string
+(** Textual listing of the encoded stream, one command per line: word
+    offset, mnemonic, operands. Stable format (CI pins resnet18's). *)
 
-val cmd_count : image -> int
-val word_count : image -> int
+val cmd_count : Flow.program -> int
+(** Commands in the stream: one per instruction outside and inside
+    blocks, plus a [PAR_BEGIN] and a [PAR_END] per [Parallel] block. *)
+
+val word_count : Flow.program -> int
 (** Command words only (header and string table excluded). *)
+
+val of_flow : Flow.program -> Flow.program
+(** The identity. Kept only because bench/perf calls it; the next change
+    to bench/perf deletes it. *)

@@ -1,7 +1,6 @@
 module Chip = Cim_arch.Chip
 module Flow = Cim_metaop.Flow
 module Check = Cim_metaop.Check
-module Isa = Cim_metaop.Isa
 module Graph = Cim_nnir.Graph
 module Exec = Cim_nnir.Exec
 module Attr = Cim_nnir.Attr
@@ -91,12 +90,12 @@ let covered cov =
   in
   match merged with [ (0, hi) ] -> hi >= cov.width | _ -> false
 
-(* The interpreter: a program counter over the command FIFO, the way a
-   device-side sequencer drains it. The stream must already have passed
-   the entry check of [run] or [Isa_sim.run] (it raises to a flow that
-   [Check] accepts), so brackets are balanced and never nested. *)
+(* The interpreter walks the program's instructions in order, the order a
+   device-side sequencer drains the encoded command stream in. It trusts
+   its program: [run] has already had [Check] accept it, so no block is
+   nested in another. *)
 let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
-    (img : Isa.image) ~inputs =
+    (p : Flow.program) ~inputs =
   let env : (string, Tensor.t) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun (n, t) -> Hashtbl.replace env n t) inputs;
   List.iter
@@ -117,45 +116,44 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
   let node_results : (int, Tensor.t) Hashtbl.t = Hashtbl.create 32 in
   let coverages : (int, coverage) Hashtbl.t = Hashtbl.create 32 in
   let computes = ref 0 and vectors = ref 0 in
-  let cmds = img.Isa.cmds in
-  (* Wave pre-evaluation: before a [PAR_BEGIN] block issues, evaluate its
+  (* Wave pre-evaluation: before a [Parallel] block issues, evaluate its
      pending CIM nodes concurrently — one task per distinct node whose
-     inputs are all available in [env] and not written by any command of
-     this block (an op chained on a vector output inside the block must
+     inputs are all available in [env] and not written by any instruction
+     of this block (an op chained on a vector output inside the block must
      wait for the in-order issue). Inputs are snapshotted on the submitting
      domain before any task runs, tasks never touch [env] or the machine,
      and results (or exceptions) merge in submission order, so outputs,
      stats and error points are byte-identical to a serial run at any job
      count. *)
   let pre_results : (int, (Tensor.t, exn) result) Hashtbl.t = Hashtbl.create 32 in
-  let pre_eval_block ~lo ~hi =
+  let pre_eval_block body =
     let written = Hashtbl.create 16 in
-    for i = lo to hi do
-      match cmds.(i) with
-      | Isa.Vec { output; _ } | Isa.Compute { output; _ } ->
-        Hashtbl.replace written output ()
-      | _ -> ()
-    done;
+    List.iter
+      (function
+        | Flow.Vector_op { output; _ } | Flow.Compute { output; _ } ->
+          Hashtbl.replace written output ()
+        | _ -> ())
+      body;
     let seen = Hashtbl.create 16 in
     let pending = ref [] in
-    for i = lo to hi do
-      match cmds.(i) with
-      | Isa.Compute { node_id; _ }
-        when (not (Hashtbl.mem node_results node_id))
-             && (not (Hashtbl.mem pre_results node_id))
-             && not (Hashtbl.mem seen node_id) -> begin
-        Hashtbl.replace seen node_id ();
-        match Graph.find_node g node_id with
-        | exception Graph.Invalid _ -> ()
-        | nd ->
-          if
-            List.for_all
-              (fun nm -> Hashtbl.mem env nm && not (Hashtbl.mem written nm))
-              nd.Graph.inputs
-          then pending := (node_id, nd) :: !pending
-      end
-      | _ -> ()
-    done;
+    List.iter
+      (function
+        | Flow.Compute { node_id; _ }
+          when (not (Hashtbl.mem node_results node_id))
+               && (not (Hashtbl.mem pre_results node_id))
+               && not (Hashtbl.mem seen node_id) -> begin
+          Hashtbl.replace seen node_id ();
+          match Graph.find_node g node_id with
+          | exception Graph.Invalid _ -> ()
+          | nd ->
+            if
+              List.for_all
+                (fun nm -> Hashtbl.mem env nm && not (Hashtbl.mem written nm))
+                nd.Graph.inputs
+            then pending := (node_id, nd) :: !pending
+        end
+        | _ -> ())
+      body;
     let tasks =
       List.rev_map
         (fun (node_id, (nd : Graph.node)) ->
@@ -169,19 +167,21 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
         Hashtbl.replace pre_results node_id r)
       tasks
   in
-  let exec_cmd pc cmd =
-    Machine.exec machine cmd;
-    match cmd with
-    | Isa.Par_begin count ->
-      pre_eval_block ~lo:(pc + 1) ~hi:(min (pc + count) (Array.length cmds - 1))
-    | Isa.Par_end | Isa.Switch _ | Isa.Write_weights _ | Isa.Dma_store _ -> ()
-    | Isa.Dma_load { tensor; _ } -> ignore (lookup tensor)
-    | Isa.Vec { node_id; inputs; output; _ } ->
+  let rec exec instr =
+    Machine.exec machine instr;
+    match instr with
+    | Flow.Parallel body ->
+      (* the block's wave is pre-evaluated, then its body issues in order *)
+      pre_eval_block body;
+      List.iter exec body
+    | Flow.Switch _ | Flow.Write_weights _ | Flow.Store _ -> ()
+    | Flow.Load { tensor; _ } -> ignore (lookup tensor)
+    | Flow.Vector_op { node_id; inputs; output; _ } ->
       incr vectors;
       let nd = node_of node_id in
       let ins = List.map lookup inputs in
       Hashtbl.replace env output (Exec.eval_node nd ins)
-    | Isa.Compute { node_id; output; slice; _ } ->
+    | Flow.Compute { node_id; output; slice = { Flow.lo; hi }; _ } ->
       incr computes;
       let nd = node_of node_id in
       (* full-node int8 result, computed once and shared by sub-operators *)
@@ -210,6 +210,9 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
         | _ -> (Shape.rank shape - 1, 1)
       in
       let width = Shape.dim shape axis / groups in
+      if lo < 0 || lo >= hi || hi > width then
+        err "node %d: slice [%d,%d) is not inside its output width %d" node_id
+          lo hi width;
       let cov =
         match Hashtbl.find_opt coverages node_id with
         | Some c -> c
@@ -218,7 +221,7 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
           Hashtbl.replace coverages node_id c;
           c
       in
-      cov.intervals <- (slice.Flow.lo, min width slice.Flow.hi) :: cov.intervals;
+      cov.intervals <- (lo, hi) :: cov.intervals;
       (* publish the slice into the (possibly partial) output tensor *)
       let out =
         match Hashtbl.find_opt env output with
@@ -235,15 +238,12 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
       done;
       let outer = Tensor.numel result / (width * !inner) in
       let rd = Tensor.data result and od = Tensor.data out in
-      let lo = slice.Flow.lo and hi = min width slice.Flow.hi in
       for o = 0 to outer - 1 do
         let base = o * width * !inner in
         Array.blit rd (base + (lo * !inner)) od (base + (lo * !inner)) ((hi - lo) * !inner)
       done
   in
-  (* PAR_BEGIN pre-evaluates its block as one wave; the block's commands
-     then issue in order and PAR_END closes it *)
-  Array.iteri exec_cmd cmds;
+  List.iter exec p.Flow.instrs;
   (* every partitioned operator must have covered its full output width *)
   Hashtbl.iter
     (fun node_id cov ->
@@ -278,8 +278,11 @@ let interpret pool chip ?faults ?rng ?max_switch_retries (g : Graph.t)
     switch_retries = Machine.switch_retries machine;
   }
 
-let execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
-    (img : Isa.image) ~inputs =
+let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
+    (p : Flow.program) ~inputs =
+  (match Check.run chip ?faults p with
+  | [] -> ()
+  | d :: _ -> err "invalid program: %s" (Check.diagnostic_to_string d));
   (* from inside a pool worker (e.g. a fleet prefetch task) degrade to
      serial instead of multiplying domains *)
   let jobs =
@@ -290,16 +293,7 @@ let execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
   Pool.with_pool ~name:"funcsim" ~jobs (fun pool ->
       Kernels.with_pool (Some pool) (fun () ->
           Kernels.with_backend backend (fun () ->
-              interpret pool chip ?faults ?rng ?max_switch_retries g img
-                ~inputs)))
-
-let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
-    (p : Flow.program) ~inputs =
-  (match Check.run chip ?faults p with
-  | [] -> ()
-  | d :: _ -> err "invalid program: %s" (Check.diagnostic_to_string d));
-  execute chip ?faults ?rng ?max_switch_retries ?jobs ?backend g (Isa.of_flow p)
-    ~inputs
+              interpret pool chip ?faults ?rng ?max_switch_retries g p ~inputs)))
 
 let digest r =
   let buf = Buffer.create 4096 in

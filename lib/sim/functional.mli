@@ -3,20 +3,19 @@
     and diffs the results against the float reference executor — the role
     the CIM-MLC functional simulator + PyTorch comparison plays in §5.1.
 
-    There is one interpreter, and it runs the lowered MMIO command stream
-    ({!Cim_metaop.Isa.image}): a program counter over the command FIFO, the
-    way a device-side sequencer drains it. {!run} lowers a meta-operator
-    flow with {!Cim_metaop.Isa.of_flow} first; {!Isa_sim.run} is the entry
-    point for a stream that arrives as commands (e.g. decoded from bytes).
+    There is one interpreter and one entry point, {!run}. It walks the
+    meta-operator flow instruction by instruction, the order a device-side
+    sequencer drains its encoded command stream ({!Cim_metaop.Isa}) in; a
+    stream that arrives as bytes is decoded to a flow first.
 
     Checks enforced while executing:
     - the per-array rules of {!Cim_metaop.Rules}, through {!Machine}: every
-      [COMPUTE] runs on compute-mode arrays programmed with that operator's
+      [Compute] runs on compute-mode arrays programmed with that operator's
       weights, its memory operands sit in memory-mode arrays, and mode
       switches are never redundant;
-    - the output slices of an operator's sub-operators cover its full output
-      (nothing silently missing from a partitioned matmul or grouped
-      convolution). *)
+    - every sub-operator's output slice lies inside its operator's output
+      width, and the slices cover all of it (nothing silently missing from
+      a partitioned matmul or grouped convolution). *)
 
 type report = {
   outputs : (string * Cim_tensor.Tensor.t) list;   (** simulated, int8 path *)
@@ -37,34 +36,24 @@ val run :
   Cim_nnir.Graph.t -> Cim_metaop.Flow.program ->
   inputs:(string * Cim_tensor.Tensor.t) list -> report
 (** Checks the flow under the fault map ({!Cim_metaop.Check}, rejecting
-    any diagnostic), lowers it to the command stream and executes that.
-    Requires every initializer of the graph to carry values. Raises
-    [Error] on operands the int8 path rejects (see {!quant_eval}) and on
-    illegal programs — including programs that use dead arrays or switch
-    stuck arrays — and {!Machine.Fault} when a switch exhausts the
+    any diagnostic) and interprets it. Requires every initializer of the
+    graph to carry values. Raises [Error] on operands the int8 path
+    rejects (see {!quant_eval}) and on illegal programs — including
+    programs that use dead arrays or switch stuck arrays, and a slice
+    outside its operator's output width, which {!Cim_metaop.Check} cannot
+    see — and {!Machine.Fault} when a switch exhausts the
     transient-switch retry budget of the fault model (see
     {!Machine.create}).
 
     [jobs] (default {!Cim_util.Pool.default_jobs}, forced to 1 when already
     inside a pool worker) sizes the work pool the simulator runs on; each
-    [PAR_BEGIN] block's independent CIM nodes are pre-evaluated concurrently
+    [Parallel] block's independent CIM nodes are pre-evaluated concurrently
     and the row-parallel {!Cim_tensor.Kernels} split large matmuls across
     the same pool. [backend] (default {!Cim_tensor.Kernels.backend}) picks
     the kernel engine for the run. Under the determinism contract the
     report — outputs, errors, instruction counts, switch stats — is
     byte-identical at any [jobs] and for either backend; {!digest} is the
     cheap way to assert that. *)
-
-val execute :
-  Cim_arch.Chip.t -> ?faults:Cim_arch.Faultmap.t -> ?rng:Cim_util.Rng.t ->
-  ?max_switch_retries:int -> ?jobs:int -> ?backend:Cim_tensor.Kernels.backend ->
-  Cim_nnir.Graph.t -> Cim_metaop.Isa.image ->
-  inputs:(string * Cim_tensor.Tensor.t) list -> report
-(** The interpreter itself, with {!run}'s arguments and report. It trusts
-    its stream: brackets must be balanced and never nested, and the stream
-    must raise to a flow that {!Cim_metaop.Check} accepts. {!run} and
-    {!Isa_sim.run} check exactly that before calling it; call one of them
-    instead. *)
 
 val digest : report -> string
 (** MD5 hex digest over the simulated output tensors (names + IEEE-754 bit

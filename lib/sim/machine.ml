@@ -2,7 +2,6 @@ module Chip = Cim_arch.Chip
 module Mode = Cim_arch.Mode
 module Faultmap = Cim_arch.Faultmap
 module Flow = Cim_metaop.Flow
-module Isa = Cim_metaop.Isa
 module Rules = Cim_metaop.Rules
 module Rng = Cim_util.Rng
 
@@ -93,19 +92,19 @@ let each rule cs = List.iter (fun c -> apply (rule c)) cs
 
 let arrays_of = function Flow.Mem_arrays cs -> cs | Flow.Main_memory | Flow.Buffer -> []
 
-let exec t (cmd : Isa.cmd) =
+let exec t (instr : Flow.instr) =
   let access ~overwrite c = Rules.access t.rules c ~overwrite in
-  match cmd with
-  | Isa.Switch { target; arrays } -> List.iter (switch t target) arrays
-  | Isa.Write_weights { node_id; arrays; _ } ->
+  match instr with
+  | Flow.Switch { target; arrays } -> List.iter (switch t target) arrays
+  | Flow.Write_weights { node_id; arrays; _ } ->
     each (fun c -> Rules.write t.rules c ~node_id) arrays
-  | Isa.Dma_load { src; dst; _ } | Isa.Dma_store { src; dst; _ } ->
+  | Flow.Load { src; dst; _ } | Flow.Store { src; dst; _ } ->
     each (access ~overwrite:false) (arrays_of src);
     each (access ~overwrite:true) (arrays_of dst)
-  | Isa.Compute { node_id; arrays; mem_arrays; _ } ->
+  | Flow.Compute { node_id; arrays; mem_arrays; _ } ->
     each (fun c -> Rules.compute t.rules c ~node_id) arrays;
     each (access ~overwrite:false) mem_arrays
-  | Isa.Vec _ | Isa.Par_begin _ | Isa.Par_end -> ()
+  | Flow.Vector_op _ | Flow.Parallel _ -> ()
 
 let switch_counts t = (t.m2c, t.c2m)
 let switch_retries t = t.retries

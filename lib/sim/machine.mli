@@ -1,8 +1,9 @@
 (** The dual-mode chip as the functional simulator executes it: the state
     and rules of {!Cim_metaop.Rules}, which {!Cim_metaop.Check} folds
-    statically, applied command by command. A command that breaks a rule
-    raises {!Fault} with the rule's text, so the machine faults at exactly
-    the instruction of {!Cim_metaop.Check}'s first per-array diagnostic.
+    statically, applied instruction by instruction. An instruction that
+    breaks a rule raises {!Fault} with the rule's text, so the machine
+    faults at exactly the instruction of {!Cim_metaop.Check}'s first
+    per-array diagnostic.
     What only execution adds is kept here: transient switch failures and
     their retries, and the switch counters. The trace of array modes is
     {!Timing}'s, on the cycle clock. *)
@@ -29,11 +30,13 @@ exception Fault of string
 (** A broken rule (the text names the array) or a switch that kept
     failing transiently past the retry budget. *)
 
-val exec : t -> Cim_metaop.Isa.cmd -> unit
-(** Apply one command's per-array transitions, in the order {!Cim_metaop.Check}
-    walks them: a switch, a weight write, a load's or store's source and
-    destination arrays, a compute's arrays and then its memory operands.
-    Bracket markers and vector commands touch no array. *)
+val exec : t -> Cim_metaop.Flow.instr -> unit
+(** Apply one instruction's per-array transitions, in the order
+    {!Cim_metaop.Check} walks them: a switch, a weight write, a load's or
+    store's source and destination arrays, a compute's arrays and then its
+    memory operands. A vector op touches no array, and neither does a
+    [Parallel] block itself: its body is issued instruction by
+    instruction. *)
 
 val switch : t -> Cim_arch.Mode.transition -> Cim_arch.Chip.coord -> unit
 (** One array's share of a switch command: the rule, then the retry draws

@@ -10,7 +10,6 @@ let m_refactor = Cim_obs.Metrics.counter "solver.simplex.refactorizations"
 type t = {
   m : int;
   binv : float array array; (* row-major m x m, current B^-1 *)
-  refactor_every : int;
   mutable updates : int;
 }
 
@@ -21,15 +20,16 @@ let identity_into binv m =
     r.(i) <- 1.
   done
 
-let create ?(refactor_every = 64) m =
+let refactor_every = 64
+
+let create m =
   if m < 0 then invalid_arg "Basis.create: negative dimension";
-  if refactor_every < 1 then invalid_arg "Basis.create: refactor_every < 1";
   let binv = Array.make_matrix m m 0. in
   (* make_matrix already zeroed the rows; only the diagonal needs writing *)
   for i = 0 to m - 1 do
     binv.(i).(i) <- 1.
   done;
-  { m; binv; refactor_every; updates = 0 }
+  { m; binv; updates = 0 }
 
 let reset t =
   identity_into t.binv t.m;
@@ -91,7 +91,7 @@ let pivot t ~row:r ~w =
   t.updates <- t.updates + 1
 
 let updates_since_refactor t = t.updates
-let needs_refactor t = t.updates >= t.refactor_every
+let needs_refactor t = t.updates >= refactor_every
 
 let export t = Array.map Array.copy t.binv
 

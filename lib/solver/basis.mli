@@ -6,10 +6,9 @@
 
 type t
 
-val create : ?refactor_every:int -> int -> t
+val create : int -> t
 (** [create m] starts as the identity (the all-slack basis) on an [m]-row
-    system. [refactor_every] bounds the number of product-form updates
-    between refactorizations (default 64). *)
+    system. *)
 
 val dim : t -> int
 
@@ -48,7 +47,8 @@ val pivot : t -> row:int -> w:float array -> unit
 val updates_since_refactor : t -> int
 
 val needs_refactor : t -> bool
-(** True once [refactor_every] product-form updates have accumulated. *)
+(** True once 64 product-form updates have accumulated since the last
+    refactorization. *)
 
 val refactor : t -> col:(int -> float array) -> order:int array -> bool
 (** Rebuild [B^-1] from scratch by inverting the matrix whose [i]-th

@@ -134,7 +134,7 @@ let rc_tighten ~kinds ~basis ~reduced ~root_obj ~incumbent_obj lower upper =
       reduced
 
 let solve ?(eps = 1e-6) ?(max_nodes = 100_000) ?(gap = 1e-6)
-    ?(backend = Revised) ?max_lp_iters (p : Lp.problem) ~kinds =
+    ?(backend = Revised) (p : Lp.problem) ~kinds =
   if Array.length kinds <> p.Lp.n_vars then
     raise (Lp.Ill_formed "Milp.solve: kinds length mismatch");
   (* validate once at the root; every node re-solve below skips the scan *)
@@ -144,9 +144,8 @@ let solve ?(eps = 1e-6) ?(max_nodes = 100_000) ?(gap = 1e-6)
   let prep = match backend with Revised -> Some (Lp.prepare p) | Dense -> None in
   let relax ?warm (lower, upper) =
     match prep with
-    | Some q -> Lp.solve_prepared ?max_iters:max_lp_iters ?warm q ~lower ~upper
-    | None ->
-      (Lp_dense.solve ?max_iters:max_lp_iters { p with Lp.lower; upper }, None)
+    | Some q -> Lp.solve_prepared ?warm q ~lower ~upper
+    | None -> (Lp_dense.solve { p with Lp.lower; upper }, None)
   in
   let incumbent = ref None in
   let better (s : Lp.solution) =

@@ -36,14 +36,12 @@ type result =
 
 val solve :
   ?eps:float -> ?max_nodes:int -> ?gap:float -> ?backend:backend ->
-  ?max_lp_iters:int -> Lp.problem -> kinds:kind array ->
-  result
+  Lp.problem -> kinds:kind array -> result
 (** [eps] is the integrality tolerance (default 1e-6); [max_nodes] bounds
     the branch-and-bound tree (default 100_000); [gap] is the relative
-    optimality gap below which branches are pruned (default 1e-6);
-    [max_lp_iters] caps each relaxation's simplex iterations (solver
-    default otherwise) — exceeding it truncates the search to
-    [Node_limit] rather than raising. The root relaxation is rounded and
+    optimality gap below which branches are pruned (default 1e-6). A
+    relaxation that exceeds the LP solver's iteration cap truncates the
+    search to [Node_limit] rather than raising. The root relaxation is rounded and
     re-solved to seed the incumbent, so pruning is effective from the
     first node. Maximisation, like {!Lp.solve}. Integer variables must
     have finite bounds or bounds implied by constraints; branching

@@ -56,16 +56,3 @@ let rand rng shape ~lo ~hi =
 let randn rng shape ~mu ~sigma =
   let n = Shape.numel shape in
   { shape; data = Array.init n (fun _ -> Cim_util.Rng.gaussian rng ~mu ~sigma) }
-
-let to_string ?(max_elems = 16) t =
-  let n = numel t in
-  let shown = min n max_elems in
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Shape.to_string t.shape ^ " [");
-  for i = 0 to shown - 1 do
-    if i > 0 then Buffer.add_string buf "; ";
-    Buffer.add_string buf (Printf.sprintf "%g" t.data.(i))
-  done;
-  if shown < n then Buffer.add_string buf "; ...";
-  Buffer.add_string buf "]";
-  Buffer.contents buf

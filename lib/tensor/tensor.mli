@@ -44,5 +44,3 @@ val max_abs_diff : t -> t -> float
 
 val rand : Cim_util.Rng.t -> Shape.t -> lo:float -> hi:float -> t
 val randn : Cim_util.Rng.t -> Shape.t -> mu:float -> sigma:float -> t
-
-val to_string : ?max_elems:int -> t -> string

@@ -1,11 +1,11 @@
-(* The nanopass pass manager and the lowered MMIO command-stream backend:
-   pipeline-as-data equivalence with the driver, per-pass validators naming
-   the failing pass (including a functional-sim validator closure), pass-list
-   parsing and cache-key fingerprints, ISA encode/decode round trips (QCheck
-   and compiled programs), decoder robustness, and the interpreter's stream
-   entry point (Isa_sim.run), run on the stream decoded from its bytes,
-   differentially tested against its flow entry point (Functional.run) on
-   resnet18 and a bert-large block at jobs 1 and 4. *)
+(* The nanopass pass manager and CMSI, the flow's MMIO command-stream
+   encoding: pipeline-as-data equivalence with the driver, per-pass
+   validators naming the failing pass (including a functional-sim validator
+   closure), pass-list parsing and cache-key fingerprints, encode/decode
+   round trips (QCheck and compiled programs), pinned bytes and listings,
+   decoder robustness and bracket validation, and the simulator run on the
+   program decoded from its bytes, differentially tested against the
+   compiled program on resnet18 and a bert-large block at jobs 1 and 4. *)
 
 module Chip = Cim_arch.Chip
 module Config = Cim_arch.Config
@@ -309,18 +309,18 @@ let gen_float =
     map2 (fun m e -> float_of_int m *. (2. ** float_of_int e))
       (int_range (-1000000) 1000000) (int_range (-20) 40))
 
-let gen_cmd =
+let gen_instr =
   QCheck.Gen.(
     frequency
       [ ( 2,
           map2
-            (fun t arrays -> Isa.Switch { target = t; arrays })
+            (fun t arrays -> Flow.Switch { target = t; arrays })
             (oneofl [ Mode.To_compute; Mode.To_memory ])
             (list_size (int_range 1 5) gen_coord) );
         ( 2,
           map
             (fun (((label, node_id), (arrays, (lo, w))), (bytes, in_place)) ->
-              Isa.Write_weights
+              Flow.Write_weights
                 { label; node_id; arrays; slice = { Flow.lo; hi = lo + w };
                   bytes; in_place })
             (pair
@@ -331,18 +331,18 @@ let gen_cmd =
         ( 2,
           map
             (fun (tensor, (src, (dst, bytes))) ->
-              Isa.Dma_load { tensor; src; dst; bytes })
+              Flow.Load { tensor; src; dst; bytes })
             (pair gen_name (pair gen_location (pair gen_location gen_bytes))) );
         ( 2,
           map
             (fun (tensor, (src, (dst, bytes))) ->
-              Isa.Dma_store { tensor; src; dst; bytes })
+              Flow.Store { tensor; src; dst; bytes })
             (pair gen_name (pair gen_location (pair gen_location gen_bytes))) );
         ( 3,
           map
             (fun (((label, node_id), (arrays, mem_arrays)),
                   ((inputs, output), ((lo, w), (macs, ai)))) ->
-              Isa.Compute
+              Flow.Compute
                 { label; node_id; arrays; mem_arrays; inputs; output;
                   slice = { Flow.lo; hi = lo + w }; macs; ai })
             (pair
@@ -356,56 +356,56 @@ let gen_cmd =
         ( 2,
           map
             (fun ((label, node_id), (inputs, output)) ->
-              Isa.Vec { label; node_id; inputs; output })
+              Flow.Vector_op { label; node_id; inputs; output })
             (pair (pair gen_name (int_range (-3) 100000))
-               (pair (list_size (int_range 0 4) gen_name) gen_name)) );
-        (1, map (fun n -> Isa.Par_begin n) (int_range 0 40));
-        (1, return Isa.Par_end) ])
+               (pair (list_size (int_range 0 4) gen_name) gen_name)) ) ])
 
-let gen_image =
+(* well-formed programs: top-level instructions and Parallel blocks (empty
+   ones too) of instructions; about half the programs hold no block *)
+let gen_program =
   QCheck.Gen.(
+    let block = map (fun is -> Flow.Parallel is) (list_size (int_range 0 6) gen_instr) in
+    let* blocks = bool in
+    let item = if blocks then frequency [ (4, gen_instr); (1, block) ] else gen_instr in
     map2
-      (fun source cmds -> { Isa.source; cmds = Array.of_list cmds })
+      (fun source instrs -> { Flow.source; instrs })
       gen_name
-      (list_size (int_range 0 24) gen_cmd))
+      (list_size (int_range 0 24) item))
 
 let prop_encode_decode =
   QCheck.Test.make ~name:"decode . encode = id on random images" ~count:300
-    (QCheck.make gen_image)
-    (fun img -> Isa.decode (Isa.encode img) = Ok img)
+    (QCheck.make ~print:Flow.to_string gen_program)
+    (fun p -> Isa.decode (Isa.encode p) = Ok p)
 
-(* one command of each kind that carries a byte count *)
-let byte_count_cmds bytes =
+(* one instruction of each kind that carries a byte count *)
+let byte_count_instrs bytes =
   let sl = { Flow.lo = 0; hi = 4 } and at = [ { Chip.x = 0; y = 0 } ] in
   [ ( "WRITE",
-      Isa.Write_weights
+      Flow.Write_weights
         { label = "w"; node_id = 0; arrays = at; slice = sl; bytes; in_place = false } );
-    ("DMA_LOAD", Isa.Dma_load { tensor = "t"; src = Flow.Main_memory; dst = Flow.Buffer; bytes });
-    ("DMA_STORE", Isa.Dma_store { tensor = "t"; src = Flow.Buffer; dst = Flow.Main_memory; bytes }) ]
+    ("DMA_LOAD", Flow.Load { tensor = "t"; src = Flow.Main_memory; dst = Flow.Buffer; bytes });
+    ("DMA_STORE", Flow.Store { tensor = "t"; src = Flow.Buffer; dst = Flow.Main_memory; bytes }) ]
+
+let one i = { Flow.source = "neg"; instrs = [ i ] }
 
 let test_compiled_round_trips () =
   List.iter
     (fun key ->
       let g = graph_of key in
-      let r = Cmswitch.compile chip g in
-      let img = Isa.of_flow r.Cmswitch.program in
-      Alcotest.(check string) (key ^ ": to_flow . of_flow = id")
-        (Flow.to_string r.Cmswitch.program)
-        (Flow.to_string (Isa.to_flow img));
-      (match Isa.decode (Isa.encode img) with
-      | Ok img' ->
-        Alcotest.(check bool) (key ^ ": decode . encode = id") true (img' = img)
+      let p = (Cmswitch.compile chip g).Cmswitch.program in
+      (match Isa.decode (Isa.encode p) with
+      | Ok p' -> Alcotest.(check bool) (key ^ ": decode . encode = id") true (p' = p)
       | Error m -> Alcotest.failf "%s: decode failed: %s" key m);
       Alcotest.(check bool) (key ^ ": non-trivial stream") true
-        (Isa.cmd_count img > 0 && Isa.word_count img > Isa.cmd_count img))
+        (Isa.cmd_count p > 0 && Isa.word_count p > Isa.cmd_count p))
     [ "resnet18"; "bert-large" ];
   (* a negative byte count cannot be encoded *)
   List.iter
-    (fun (what, cmd) ->
-      match Isa.encode { Isa.source = "neg"; cmds = [| cmd |] } with
+    (fun (what, i) ->
+      match Isa.encode (one i) with
       | _ -> Alcotest.failf "encode accepted a %s of -5 bytes" what
       | exception Invalid_argument _ -> ())
-    (byte_count_cmds (-5))
+    (byte_count_instrs (-5))
 
 (* The CMSI bytes and listing of three compiled programs, pinned: MD5 of
    the encoded stream and of the disassembly, and the command, word and
@@ -426,14 +426,14 @@ let test_cmsi_pins () =
           (Option.get (Zoo.find key)) w
       in
       let r = Option.get (match mc.Cmswitch.whole with Some r -> Some r | None -> mc.Cmswitch.layer) in
-      let img = Isa.of_flow r.Cmswitch.program in
-      let bytes = Isa.encode img in
+      let p = r.Cmswitch.program in
+      let bytes = Isa.encode p in
       let md5 s = Digest.to_hex (Digest.string s) in
       Alcotest.(check (pair (pair string string) (pair (pair int int) int)))
         key
         ((enc, listing), ((cmds, words), nbytes))
-        ( (md5 bytes, md5 (Isa.disassemble img)),
-          ((Isa.cmd_count img, Isa.word_count img), String.length bytes) ))
+        ( (md5 bytes, md5 (Isa.disassemble p)),
+          ((Isa.cmd_count p, Isa.word_count p), String.length bytes) ))
     cmsi_pins
 
 let test_decoder_robustness () =
@@ -447,7 +447,7 @@ let test_decoder_robustness () =
   reject "truncated header" "CMSI\x01";
   let g = graph_of "bert-large" in
   let r = Cmswitch.compile chip g in
-  let bytes = Isa.encode (Isa.of_flow r.Cmswitch.program) in
+  let bytes = Isa.encode r.Cmswitch.program in
   (* every proper prefix must be an Error, never an exception *)
   List.iter
     (fun frac ->
@@ -456,7 +456,7 @@ let test_decoder_robustness () =
         (Printf.sprintf "truncation at %d%%" frac)
         (String.sub bytes 0 n))
     [ 10; 50; 99 ];
-  (* unknown opcode: corrupt the version word *)
+  (* an unsupported version: corrupt the version word *)
   let b = Bytes.of_string bytes in
   Bytes.set b 4 '\xff';
   reject "bad version" (Bytes.to_string b);
@@ -465,38 +465,56 @@ let test_decoder_robustness () =
      WRITE ends in the count's two words and the in-place flag, a DMA
      command in the count's two words. *)
   List.iter
-    (fun (what, cmd) ->
+    (fun (what, i) ->
       List.iter
         (fun (hi, kind) ->
-          let b = Bytes.of_string (Isa.encode { Isa.source = "neg"; cmds = [| cmd |] }) in
-          let tail = match cmd with Isa.Write_weights _ -> 12 | _ -> 8 in
+          let b = Bytes.of_string (Isa.encode (one i)) in
+          let tail = match i with Flow.Write_weights _ -> 12 | _ -> 8 in
           Bytes.set_int32_le b (Bytes.length b - tail) hi;
           reject (Printf.sprintf "%s with a %s byte count" what kind) (Bytes.to_string b))
         [ (0xffff_ffffl, "negative"); (0x4000_0000l, "past-max_int") ])
-    (byte_count_cmds 5)
+    (byte_count_instrs 5)
+
+(* a CMSI stream of the given command words: version 1, an empty source
+   name and an empty string table *)
+let stream words =
+  let b = Buffer.create 64 in
+  List.iter
+    (fun w -> Buffer.add_int32_le b (Int32.of_int w))
+    ([ 1; 0; 0; List.length words ] @ words);
+  "CMSI" ^ Buffer.contents b
 
 let test_bracket_validation () =
-  (match Isa.to_flow { Isa.source = "x"; cmds = [| Isa.Par_end |] } with
-  | _ -> Alcotest.fail "stray PAR_END accepted"
-  | exception Invalid_argument _ -> ());
-  (match Isa.to_flow { Isa.source = "x"; cmds = [| Isa.Par_begin 1 |] } with
-  | _ -> Alcotest.fail "unterminated PAR_BEGIN accepted"
-  | exception Invalid_argument _ -> ());
+  (* SWITCH to compute mode on array (0,0): four words *)
+  let sw = [ 1; 1; 1; 0 ] and par_begin n = [ 7; n ] and par_end = [ 8 ] in
+  let switch = Flow.Switch { target = Mode.To_compute; arrays = [ { Chip.x = 0; y = 0 } ] } in
+  Alcotest.(check bool) "a well-formed block decodes" true
+    (Isa.decode (stream (par_begin 1 @ sw @ par_end))
+     = Ok { Flow.source = ""; instrs = [ Flow.Parallel [ switch ] ] });
+  List.iter
+    (fun (what, words, says) ->
+      match Isa.decode (stream words) with
+      | Error m -> Alcotest.(check bool) (what ^ ": " ^ m) true (contains m says)
+      | Ok _ -> Alcotest.failf "decoder accepted %s" what)
+    [ ("a stray PAR_END", sw @ par_end, "without PAR_BEGIN");
+      ("an unclosed PAR_BEGIN", par_begin 1 @ sw, "never closed");
+      ("a PAR_BEGIN count above its block's length", par_begin 2 @ sw @ par_end, "announces 2");
+      ("a PAR_BEGIN count below its block's length", par_begin 0 @ sw @ par_end, "announces 0");
+      ("a PAR_BEGIN inside a block", par_begin 1 @ par_begin 0 @ par_end @ par_end,
+       "inside the block") ];
   let nested =
     { Flow.source = "n";
       instrs = [ Flow.Parallel [ Flow.Parallel [] ] ] }
   in
-  match Isa.of_flow nested with
-  | _ -> Alcotest.fail "nested Parallel accepted"
+  match Isa.encode nested with
+  | _ -> Alcotest.fail "nested Parallel encoded"
   | exception Invalid_argument _ -> ()
 
-(* ---- stream entry point vs flow entry point ------------------------------- *)
+(* ---- the simulator on decoded programs ------------------------------------ *)
 
-(* the differential contract of the lowering: running the lowered stream
-   decoded from its encoded bytes through Isa_sim.run gives the same digest
-   (outputs + instruction and switch counters) as Functional.run on the
-   flow, at jobs 1 and 4. The decoded image equals the lowered one
-   ("compiled programs round trip"), so it stands for both. *)
+(* the differential contract of the encoding: running the program decoded
+   from its bytes gives the same digest (outputs + instruction and switch
+   counters) at jobs 1 and 4 as the compiled program at jobs 1. *)
 let test_machine_differential key () =
   let g = graph_of key in
   let r = Cmswitch.compile chip g in
@@ -507,16 +525,16 @@ let test_machine_differential key () =
       (fun (n, shape) -> (n, Tensor.rand rng shape ~lo:(-1.) ~hi:1.))
       g'.Graph.graph_inputs
   in
-  let img =
-    match Isa.decode (Isa.encode (Isa.of_flow r.Cmswitch.program)) with
-    | Ok img -> img
+  let decoded =
+    match Isa.decode (Isa.encode r.Cmswitch.program) with
+    | Ok p -> p
     | Error e -> Alcotest.failf "%s: encoded stream does not decode: %s" key e
   in
   let reference =
     Functional.digest (Functional.run chip ~jobs:1 g' r.Cmswitch.program ~inputs)
   in
   let isa_d jobs =
-    Functional.digest (Isa_sim.run chip ~jobs g' img ~inputs)
+    Functional.digest (Isa_sim.run chip ~jobs g' decoded ~inputs)
   in
   Alcotest.(check string) (key ^ ": machine sim = functional sim (jobs=1)")
     reference (isa_d 1);
@@ -535,13 +553,10 @@ let test_machine_rejects_corrupt_stream () =
       (fun (n, shape) -> (n, Tensor.rand rng shape ~lo:(-1.) ~hi:1.))
       g'.Graph.graph_inputs
   in
-  let img = Isa.of_flow r.Cmswitch.program in
-  (* drop the leading SWITCH command: every compute now runs on arrays in
-     the wrong mode, which the static raise-and-validate step or the
-     machine model must reject *)
-  let corrupt =
-    { img with Isa.cmds = Array.sub img.Isa.cmds 1 (Array.length img.Isa.cmds - 1) }
-  in
+  let p = r.Cmswitch.program in
+  (* drop the leading SWITCH: every compute now runs on arrays in the
+     wrong mode, which the entry check or the machine model must reject *)
+  let corrupt = { p with Flow.instrs = List.tl p.Flow.instrs } in
   match Isa_sim.run chip ~jobs:1 g' corrupt ~inputs with
   | _ -> Alcotest.fail "corrupt command stream accepted"
   | exception Functional.Error _ -> ()

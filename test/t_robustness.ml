@@ -795,18 +795,6 @@ let test_recompile_budget_jumps_to_serial () =
          o.Cmswitch.rc_result.Cmswitch.degradation.Degrade.events)
   | Error _ -> Alcotest.fail "the serial level must still produce a plan"
 
-let test_recompile_start_level () =
-  (match Cmswitch.recompile ~start_level:2 chip (small_mlp ()) with
-  | Ok o ->
-    Alcotest.(check bool) "starts at the requested level" true
-      (o.Cmswitch.rc_level >= 2)
-  | Error _ -> Alcotest.fail "the near-greedy level must plan a small MLP");
-  match Cmswitch.recompile ~start_level:9 chip (small_mlp ()) with
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool) "bad start_level rejected" true
-      (contains msg "start_level")
-  | _ -> Alcotest.fail "start_level 9 accepted"
-
 let test_recompile_all_dead () =
   let all_dead =
     Faultmap.of_list chip
@@ -1367,8 +1355,6 @@ let suite =
         test_recompile_healthy_level0;
       Alcotest.test_case "recompile: spent budget goes serial" `Quick
         test_recompile_budget_jumps_to_serial;
-      Alcotest.test_case "recompile: start level" `Quick
-        test_recompile_start_level;
       Alcotest.test_case "recompile: all dead errors" `Quick
         test_recompile_all_dead;
       Alcotest.test_case "fleet: schedule codec" `Quick

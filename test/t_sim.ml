@@ -8,7 +8,6 @@ module Config = Cim_arch.Config
 module Mode = Cim_arch.Mode
 module Faultmap = Cim_arch.Faultmap
 module Flow = Cim_metaop.Flow
-module Isa = Cim_metaop.Isa
 module Check = Cim_metaop.Check
 module Machine = Cim_sim.Machine
 module Functional = Cim_sim.Functional
@@ -41,9 +40,7 @@ let compute ?(mem = []) arrays node_id =
     { label = "m"; node_id; arrays; mem_arrays = mem; inputs = [ "in" ]; output = "out";
       slice = sl; macs = 16.; ai = 1. }
 
-(* the command a top-level instruction lowers to *)
-let cmd i = (Isa.of_flow { Flow.source = "cmd"; instrs = [ i ] }).Isa.cmds.(0)
-let exec m i = Machine.exec m (cmd i)
+let exec = Machine.exec
 
 let expect_fault m what i =
   match exec m i with
@@ -91,8 +88,8 @@ let test_machine_weights_and_data () =
    weight writes, loads, stores and computes over its arrays and one
    coordinate off the grid, naming tensors the program never defines. With
    no fault map and with a dead-and-stuck one, Check's first diagnostic is
-   at the instruction where Machine, driven through the command entry the
-   functional simulator uses, first faults, and ends with the fault's
+   at the instruction where Machine, driven through the instruction entry
+   the functional simulator uses, first faults, and ends with the fault's
    text; Check finds nothing exactly when Machine runs every instruction. *)
 let gen_agreement =
   let open QCheck.Gen in
@@ -138,15 +135,14 @@ let gen_agreement =
 
 let machine_fault chip ?faults p =
   let m = Machine.create chip ?faults () in
-  let cmds = (Isa.of_flow p).Isa.cmds in
-  let rec go k =
-    if k = Array.length cmds then None
-    else
-      match Machine.exec m cmds.(k) with
-      | () -> go (k + 1)
-      | exception Machine.Fault v -> Some (k, v)
+  let rec go k = function
+    | [] -> None
+    | i :: rest -> (
+      match Machine.exec m i with
+      | () -> go (k + 1) rest
+      | exception Machine.Fault v -> Some (k, v))
   in
-  go 0
+  go 0 p.Flow.instrs
 
 let prop_check_machine_agree =
   let print (chip, fm, p) =
@@ -320,8 +316,42 @@ let test_functional_missing_slice () =
   | exception Functional.Error _ -> ()
   | _ -> Alcotest.fail "expected a coverage error"
 
-(* the entry check runs before lowering: a nested block is an Error, not
-   Isa.of_flow's Invalid_argument *)
+(* A compute slice outside its node's output width, past it or overhanging
+   it, is an Error naming the node and the slice, not an exception of the
+   copy and not a silent clip. Check cannot reject it: it does not see the
+   graph. *)
+let test_functional_slice_outside_width () =
+  let rng = Rng.create 22 in
+  let g = Cim_models.Cnn.tiny_cnn ~rng ~batch:2 () in
+  let x = Tensor.rand rng (Shape.of_list [ 2; 2; 8; 8 ]) ~lo:(-1.) ~hi:1. in
+  let p = (Cmswitch.compile chip g).Cmswitch.program in
+  let first = ref None in
+  let rec move slice = function
+    | Flow.Compute c when !first = None ->
+      first := Some (c.node_id, c.slice);
+      Flow.Compute { c with slice }
+    | Flow.Parallel is -> Flow.Parallel (List.map (move slice) is)
+    | i -> i
+  in
+  List.iter
+    (fun (lo, hi) ->
+      first := None;
+      let moved = { p with Flow.instrs = List.map (move { Flow.lo; hi }) p.Flow.instrs } in
+      Alcotest.(check (option (pair int (pair int int)))) "node 0's [0,4) moved"
+        (Some (0, (0, 4)))
+        (Option.map (fun (n, sl) -> (n, (sl.Flow.lo, sl.Flow.hi))) !first);
+      Alcotest.(check bool) "Check accepts the move" true
+        (Check.is_valid (Check.run chip moved));
+      let want = Printf.sprintf "node 0: slice [%d,%d)" lo hi in
+      match Functional.run chip g moved ~inputs:[ ("image", x) ] with
+      | exception Functional.Error m ->
+        Alcotest.(check bool) (m ^ " names " ^ want) true (String.starts_with ~prefix:want m)
+      | exception e -> Alcotest.failf "[%d,%d) raised %s" lo hi (Printexc.to_string e)
+      | _ -> Alcotest.failf "slice [%d,%d) accepted" lo hi)
+    [ (5, 6); (0, 5); (0, 1000) ]
+
+(* the entry check runs before the interpreter: a nested block is an
+   Error *)
 let test_functional_nested_block () =
   let rng = Rng.create 27 in
   let g = Cim_models.Mlp.build ~rng ~batch:1 ~dims:[ 8; 8 ] () in
@@ -453,6 +483,8 @@ let suite =
         test_functional_rejects_broken_program;
       Alcotest.test_case "functional: missing slice detected" `Quick
         test_functional_missing_slice;
+      Alcotest.test_case "functional: slice outside its output width" `Quick
+        test_functional_slice_outside_width;
       Alcotest.test_case "functional: nested block is an Error" `Quick
         test_functional_nested_block;
       Alcotest.test_case "timing = schedule" `Slow test_timing_matches_schedule;
