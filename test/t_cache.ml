@@ -302,6 +302,54 @@ let test_seg_tier_skips_resolves () =
     ((Store.tier_counters s2 Ccache.seg_tier).Store.hits > 0);
   Alcotest.(check bool) "identical segmentation" true (plans1 = plans2)
 
+(* Every window the DP solves is stored under a seg key that embeds the
+   window's signature, so the sorted keys of a cold compile pin every
+   signature byte and the set of windows solved. The graphs are the
+   compile-time experiment's (t_parallel's [graph_of]); [jobs] is left at
+   its default so both the serial and the pooled solve paths are
+   covered. *)
+let seg_keys_cases =
+  [ ("resnet18", Config.dynaplasia, "resnet18", Fun.id, 184,
+     "377b0f41fff893a4520db75d89bafbbf", None);
+    ("bert-large", Config.dynaplasia, "bert-large", Fun.id, 40,
+     "5aa9830d4fb63fe0b9d5e9be857d347d", None);
+    ("llama2-7b", Config.dynaplasia, "llama2-7b", Fun.id, 60,
+     "e2c912df3eefbb8ad31f94cdcc329fdc", None);
+    ("resnet18, 3-op windows", Config.dynaplasia, "resnet18",
+     Cfg.with_max_segment_ops 3, 114, "fe13e663d39996d56b5963f5ed1d81fb",
+     Some (114, 76, 228, 38));
+    ("prime bert-large, 16-op windows", Config.prime, "bert-large",
+     Cfg.with_max_segment_ops 16, 64, "e5839810016df1fc845768c30aafe9a7",
+     Some (64, 8, 72, 0)) ]
+
+let seg_keys_graph key =
+  let e = Option.get (Zoo.find key) in
+  match e.Zoo.family with
+  | Zoo.Cnn -> e.Zoo.build (Workload.prefill ~batch:1 1)
+  | Zoo.Encoder_only -> (Option.get e.Zoo.layer) (Workload.prefill ~batch:1 64)
+  | Zoo.Decoder_only -> (Option.get e.Zoo.layer) (Workload.decode ~batch:1 64)
+
+let test_seg_keys_pinned (_, chip, model, tweak, n, md5, stats) () =
+  let store = Store.open_dir (fresh_dir ()) in
+  let cfg = Cfg.(default |> tweak |> with_cache (Some store)) in
+  let r = Cmswitch.compile ~config:cfg chip (seg_keys_graph model) in
+  let keys =
+    List.rev
+      (Store.fold_keys store ~tier:Ccache.seg_tier ~init:[] ~f:(fun acc k ->
+           k :: acc))
+  in
+  Alcotest.(check int) "seg-tier entries" n (List.length keys);
+  Alcotest.(check string) "md5 of the sorted seg keys" md5
+    (Digest.to_hex (Digest.string (String.concat "\000" keys)));
+  Option.iter
+    (fun (solves, hits, cands, pruned) ->
+      let s = r.Cmswitch.dp_stats in
+      Alcotest.(check (list int)) "dp stats: solves/hits/candidates/pruned"
+        [ solves; hits; cands; pruned ]
+        [ s.Segment.mip_solves; s.Segment.mip_cache_hits; s.Segment.candidates;
+          s.Segment.pruned_infeasible ])
+    stats
+
 let suite =
   ( "cache",
     [
@@ -328,4 +376,9 @@ let suite =
       Alcotest.test_case "config change misses" `Quick test_config_change_misses;
       Alcotest.test_case "seg tier skips re-solves" `Quick
         test_seg_tier_skips_resolves;
-    ] )
+    ]
+    @ List.map
+        (fun ((name, _, _, _, _, _, _) as case) ->
+          Alcotest.test_case ("seg keys pinned: " ^ name) `Quick
+            (test_seg_keys_pinned case))
+        seg_keys_cases )

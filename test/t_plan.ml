@@ -65,6 +65,74 @@ let test_boundary_bytes () =
   (* [0,2]: op2 has no consumer -> graph output, still boundary *)
   Alcotest.(check int) "tail boundary" 300 (Plan.boundary_bytes ctx ~lo:0 ~hi:2)
 
+(* Random operator tables built from runs of operators that hold one deps
+   list: within a shared run every operator holds the same physical list,
+   as [Opinfo.extract] gives a node's sub-operators; otherwise each holds
+   its own equal copy. A run is (length, deps, shared). *)
+let gen_runs =
+  QCheck.Gen.(
+    int_range 1 24 >>= fun n ->
+    let rec runs start =
+      if start >= n then return []
+      else
+        int_range 1 (n - start) >>= fun len ->
+        list_size (int_bound 4) (int_bound (n - 1)) >>= fun deps ->
+        bool >>= fun shared ->
+        runs (start + len) >|= fun rest -> (len, deps, shared) :: rest
+    in
+    runs 0)
+
+let ops_of_runs runs =
+  let uid = ref 0 in
+  List.concat_map
+    (fun (len, deps, shared) ->
+      List.init len (fun _ ->
+          let deps = if shared then deps else List.map Fun.id deps in
+          incr uid;
+          op ~uid:(!uid - 1) ~deps ~out_bytes:(1 + (37 * !uid mod 101))))
+    runs
+  |> Array.of_list
+
+let print_runs runs =
+  String.concat "; "
+    (List.map
+       (fun (len, deps, shared) ->
+         Printf.sprintf "%dx[%s]%s" len
+           (String.concat "," (List.map string_of_int deps))
+           (if shared then " shared" else ""))
+       runs)
+
+(* the definition, read straight off the operator table *)
+let oracle_boundary_bytes (ops : Opinfo.t array) ~lo ~hi =
+  let readers i =
+    List.filter (fun (o : Opinfo.t) -> List.mem i o.Opinfo.deps)
+      (Array.to_list ops)
+  in
+  let acc = ref 0 in
+  for i = lo to hi do
+    let rs = readers i in
+    if rs = [] || List.exists (fun (o : Opinfo.t) -> o.Opinfo.uid > hi) rs
+    then acc := !acc + ops.(i).Opinfo.out_bytes
+  done;
+  !acc
+
+let prop_boundary_bytes_oracle =
+  QCheck.Test.make ~name:"boundary bytes match the oracle on every window"
+    ~count:300
+    (QCheck.make ~print:print_runs gen_runs)
+    (fun runs ->
+      let ops = ops_of_runs runs in
+      let ctx = Plan.make_ctx ops in
+      let n = Array.length ops in
+      let ok = ref true in
+      for lo = 0 to n - 1 do
+        for hi = lo to n - 1 do
+          if Plan.boundary_bytes ctx ~lo ~hi <> oracle_boundary_bytes ops ~lo ~hi
+          then ok := false
+        done
+      done;
+      !ok)
+
 let test_inter_cold_start () =
   let ctx = Plan.make_ctx ops in
   let cur = seg ~lo:0 ~hi:0 [ alloc ~com:4 0 ] in
@@ -129,6 +197,7 @@ let suite =
     [
       Alcotest.test_case "allocation accounting" `Quick test_alloc_accounting;
       Alcotest.test_case "boundary bytes" `Quick test_boundary_bytes;
+      QCheck_alcotest.to_alcotest prop_boundary_bytes_oracle;
       Alcotest.test_case "inter-cost: cold start" `Quick test_inter_cold_start;
       Alcotest.test_case "inter-cost: switch estimate (Eq. 1)" `Quick test_inter_switch_estimate;
       Alcotest.test_case "inter-cost: write-back cases" `Quick test_inter_writeback;
