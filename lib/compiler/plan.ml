@@ -41,12 +41,17 @@ type ctx = {
   last_consumer : int array; (* max uid consuming op i; -1 when none *)
 }
 
+(* [Opinfo.extract] gives a node's sub-operators one shared deps list, so a
+   run of consecutive operators holding the same list (physically) is
+   folded once, at its last uid: the run's latest consumer of each dep. *)
 let make_ctx (ops : Opinfo.t array) =
   let n = Array.length ops in
   let last = Array.make n (-1) in
   for j = 0 to n - 1 do
-    List.iter (fun d -> if d >= 0 && d < n then last.(d) <- max last.(d) j)
-      ops.(j).Opinfo.deps
+    let deps = ops.(j).Opinfo.deps in
+    if j = n - 1 || ops.(j + 1).Opinfo.deps != deps then
+      List.iter (fun d -> if d >= 0 && d < n then last.(d) <- max last.(d) j)
+        deps
   done;
   { ctx_ops = ops; last_consumer = last }
 

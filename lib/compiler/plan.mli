@@ -53,7 +53,11 @@ val inter_segment_cost :
       buffers that the next segment's input buffers cannot absorb in place;
     - [switch]: Eq. 1 with switch counts estimated from the mode totals
       (the placement pass later realises them exactly);
-    - [rewrite]: Eq. 2. *)
+    - [rewrite]: Eq. 2.
+
+    [cur] is read only through totals that do not depend on its position,
+    so a plan solved for an identical window elsewhere prices the same
+    before and after {!shift}. *)
 
 val boundary_bytes : ctx -> lo:int -> hi:int -> int
 (** Output bytes of operators in [lo, hi] consumed after [hi] (or by the

@@ -20,23 +20,60 @@ type stats = {
   pruned_infeasible : int;
 }
 
-(* Structural signature of a segment: identical windows (same per-op cost
-   constants and same internal dependency pattern) have identical MIP
-   solutions, so transformer layers hit the cache. Byte-exact constants go
-   into the key. *)
-let signature (ops : Opinfo.t array) ~lo ~hi =
-  let buf = Buffer.create 128 in
-  for i = lo to hi do
+(* The window signature keys the memo and the seg tier: two windows with
+   equal signatures have the same MILP, so identical transformer blocks
+   solve once. Per operator it holds the cost constants ([%h] floats, so
+   byte-exact), each dependency inside the window as its distance back
+   ("d<i-d>,"), in deps order, and a closing '|'.
+
+   The pieces are built once per run, not once per window: each operator's
+   constants fragment, and its deps fewer than [max_segment_ops] positions
+   back (no window is longer), each with its text. A window [lo, hi]
+   concatenates them and keeps the deps at or after [lo]. The sub-operators
+   of one node are consecutive, hold one physical deps list and mostly
+   equal constants, so a fragment is formatted once per run of equal
+   operators and a deps list is scanned in full once per run holding it. *)
+type pieces = {
+  consts : string array;
+  near_deps : (int * string) list array;
+}
+
+let same_consts (a : Opinfo.t) (b : Opinfo.t) =
+  let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  same_bits a.macs b.macs && same_bits a.ai b.ai
+  && a.min_compute_arrays = b.min_compute_arrays && a.in_bytes = b.in_bytes
+  && a.out_bytes = b.out_bytes && a.weight_bytes = b.weight_bytes
+
+let pieces ~max_segment_ops (ops : Opinfo.t array) =
+  let n = Array.length ops in
+  let consts = Array.make n "" and near_deps = Array.make n [] in
+  let recent = ref [] in  (* the run's deps that any of its windows can hold *)
+  for i = 0 to n - 1 do
     let op = ops.(i) in
-    Buffer.add_string buf
-      (Printf.sprintf "%h:%h:%d:%d:%d:%d;" op.Opinfo.macs op.Opinfo.ai
-         op.Opinfo.min_compute_arrays op.Opinfo.in_bytes op.Opinfo.out_bytes
-         op.Opinfo.weight_bytes);
+    consts.(i) <-
+      (if i > 0 && same_consts ops.(i - 1) op then consts.(i - 1)
+       else
+         Printf.sprintf "%h:%h:%d:%d:%d:%d;" op.macs op.ai
+           op.min_compute_arrays op.in_bytes op.out_bytes op.weight_bytes);
+    if i = 0 || ops.(i - 1).deps != op.deps then
+      recent := List.filter (fun d -> d > i - max_segment_ops) op.deps;
+    near_deps.(i) <-
+      List.filter_map
+        (fun d ->
+          if d > i - max_segment_ops && d < i then
+            Some (d, Printf.sprintf "d%d," (i - d))
+          else None)
+        !recent
+  done;
+  { consts; near_deps }
+
+let signature buf p ~lo ~hi =
+  Buffer.clear buf;
+  for i = lo to hi do
+    Buffer.add_string buf p.consts.(i);
     List.iter
-      (fun d ->
-        if d >= lo && d < i then
-          Buffer.add_string buf (Printf.sprintf "d%d," (i - d)))
-      op.Opinfo.deps;
+      (fun (d, text) -> if d >= lo then Buffer.add_string buf text)
+      p.near_deps.(i);
     Buffer.add_char buf '|'
   done;
   Buffer.contents buf
@@ -84,6 +121,8 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
       (Printf.sprintf "Segment.run: jobs must be >= 1, got %d" options.jobs);
   let m = Array.length ops in
   let ctx = Plan.make_ctx ops in
+  let pieces = pieces ~max_segment_ops:options.max_segment_ops ops in
+  let sig_buf = Buffer.create 1024 in
   let modes = modes options.alloc in
   let cache_mutex = Mutex.create () in
   let cache_find mode signature =
@@ -177,6 +216,9 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
        exceeds CIM-MLC's *)
     let main = track m in
     let compute_only = if List.length modes > 1 then Some (track m) else None in
+    (* [plan] may have been solved for an identical window elsewhere: the
+       inter-segment cost reads it only through position-free totals, so it
+       is priced as found and re-anchored at [lo] only when it wins *)
     let relax t ~lo ~j plan =
       if t.best.(lo) < infinity then begin
         let prev = match t.path.(lo) with [] -> None | p :: _ -> Some p in
@@ -184,7 +226,7 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
         let cost = t.best.(lo) +. plan.Plan.intra_cycles +. Plan.inter_total ic in
         if cost < t.best.(j + 1) then begin
           t.best.(j + 1) <- cost;
-          t.path.(j + 1) <- plan :: t.path.(lo)
+          t.path.(j + 1) <- Plan.shift ~lo plan :: t.path.(lo)
         end
       end
     in
@@ -209,35 +251,36 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
           decr i
         end
       done;
-      (* i descending from j; per window, the modes in order *)
-      let keyed =
+      (* i descending from j; per window, the modes in order. Each (window,
+         mode) is looked up once, in the memo tables and then the
+         persistent tier: memo-resident windows cost no solve. (Windows of
+         one frontier differ in length, so they never share a signature.)
+         The tables are filled by the solving task under their lock. *)
+      let looked_up =
         List.concat_map
           (fun lo ->
-            let sg = signature ops ~lo ~hi:j in
-            List.map (fun mode -> (lo, mode, sg)) modes)
+            let sg = signature sig_buf pieces ~lo ~hi:j in
+            List.map
+              (fun mode ->
+                let found =
+                  match cache_find mode sg with
+                  | Some _ as hit -> hit
+                  | None -> persist_find ~lo ~hi:j mode sg
+                in
+                incr (if Option.is_none found then solves else hits);
+                (lo, mode, sg, found))
+              modes)
           (List.rev !candidates)
       in
-      (* consult the memo tables before enqueue: memo-resident windows
-         cost no solve. (Windows of one frontier differ in length, so
-         they never share a signature.) The tables are filled by the
-         solving task under their lock. *)
-      let to_solve =
-        List.filter
-          (fun (lo, mode, sg) ->
-            let hit =
-              cache_find mode sg <> None
-              || persist_find ~lo ~hi:j mode sg <> None
-            in
-            incr (if hit then hits else solves);
-            not hit)
-          keyed
-      in
       let results =
-        let task (lo, mode, sg) =
+        let task (lo, mode, sg, _) =
           let s = solve_window mode ~lo ~hi:j in
           cache_store mode sg s.plan;
           persist_put mode sg s.plan;
           s
+        in
+        let to_solve =
+          List.filter (fun (_, _, _, found) -> Option.is_none found) looked_up
         in
         match pool with
         | None -> List.map task to_solve
@@ -252,20 +295,29 @@ let run ?(options = default_options) ?on_stage chip (ops : Opinfo.t array) =
           | None -> ()
           | Some f -> List.iter f s.events)
         results;
-      (* serial DP fold over the frontier, same order as the serial scan *)
-      List.iter
-        (fun (lo, mode, sg) ->
-          match Option.join (cache_find mode sg) with
-          | None -> ()
-          | Some plan -> (
-            (* re-anchor a plan solved for an identical window here *)
-            let plan = Plan.shift ~lo plan in
-            relax main ~lo ~j plan;
-            match compute_only with
-            | Some t when mode.alloc.Alloc.force_all_compute ->
-              relax t ~lo ~j plan
-            | _ -> ()))
-        keyed;
+      (* serial DP fold over the frontier, same order as the serial scan;
+         the solved windows' plans come back in submission order *)
+      let rec fold looked_up results =
+        match looked_up with
+        | [] -> ()
+        | (lo, mode, _, found) :: rest ->
+          let plan, results =
+            match found, results with
+            | Some plan, _ -> (plan, results)
+            | None, s :: results -> (s.plan, results)
+            | None, [] -> assert false
+          in
+          Option.iter
+            (fun plan ->
+              relax main ~lo ~j plan;
+              match compute_only with
+              | Some t when mode.alloc.Alloc.force_all_compute ->
+                relax t ~lo ~j plan
+              | _ -> ())
+            plan;
+          fold rest results
+      in
+      fold looked_up results;
       Option.iter
         (fun t ->
           if t.best.(j + 1) < main.best.(j + 1) then begin

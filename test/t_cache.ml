@@ -305,9 +305,8 @@ let test_seg_tier_skips_resolves () =
 (* Every window the DP solves is stored under a seg key that embeds the
    window's signature, so the sorted keys of a cold compile pin every
    signature byte and the set of windows solved. The graphs are the
-   compile-time experiment's (t_parallel's [graph_of]); [jobs] is left at
-   its default so both the serial and the pooled solve paths are
-   covered. *)
+   compile-time experiment's; [jobs] is left at its default so both the
+   serial and the pooled solve paths are covered. *)
 let seg_keys_cases =
   [ ("resnet18", Config.dynaplasia, "resnet18", Fun.id, 184,
      "377b0f41fff893a4520db75d89bafbbf", None);
@@ -322,17 +321,10 @@ let seg_keys_cases =
      Cfg.with_max_segment_ops 16, 64, "e5839810016df1fc845768c30aafe9a7",
      Some (64, 8, 72, 0)) ]
 
-let seg_keys_graph key =
-  let e = Option.get (Zoo.find key) in
-  match e.Zoo.family with
-  | Zoo.Cnn -> e.Zoo.build (Workload.prefill ~batch:1 1)
-  | Zoo.Encoder_only -> (Option.get e.Zoo.layer) (Workload.prefill ~batch:1 64)
-  | Zoo.Decoder_only -> (Option.get e.Zoo.layer) (Workload.decode ~batch:1 64)
-
 let test_seg_keys_pinned (_, chip, model, tweak, n, md5, stats) () =
   let store = Store.open_dir (fresh_dir ()) in
   let cfg = Cfg.(default |> tweak |> with_cache (Some store)) in
-  let r = Cmswitch.compile ~config:cfg chip (seg_keys_graph model) in
+  let r = Cmswitch.compile ~config:cfg chip (T_parallel.graph_of model) in
   let keys =
     List.rev
       (Store.fold_keys store ~tier:Ccache.seg_tier ~init:[] ~f:(fun acc k ->
