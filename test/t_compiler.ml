@@ -404,6 +404,56 @@ let test_placement_switch_economy () =
       (List.length second.Placement.to_compute + List.length second.Placement.to_memory)
   | _ -> Alcotest.fail "expected two placements"
 
+(* One compile per placement path, pinned by program digest at the default
+   [jobs]: an in-place K-cache claim beside shared input buffers (llama2-7b
+   at kv 2000), dead and stuck arrays on both chips, and shared inputs with
+   takes that fall back to the other mode (mobilenetv2). *)
+let test_placement_programs_pinned () =
+  let module Cmswitch = Cim_compiler.Cmswitch in
+  let module Faultmap = Cim_arch.Faultmap in
+  let inject chip = Some (Faultmap.inject chip ~seed:7 ~dead_rate:0.05 ~stuck_rate:0.05 ()) in
+  let prime = Config.prime in
+  List.iter
+    (fun (name, chip, faults, g, want) ->
+      let config = Ccfg.(default |> with_faults faults) in
+      let r = Cmswitch.compile ~config chip (Lazy.force g) in
+      Alcotest.(check string) name want (Cim_metaop.Flow.digest r.Cmswitch.program))
+    [
+      ("llama2-7b decode kv 2000", chip, None,
+       lazy (graph_of "llama2-7b" (Workload.decode ~batch:1 2000)),
+       "a68f34402fe4b308286f02bd5e4e4395");
+      ("opt-13b decode kv 131, faulted", chip, inject chip,
+       lazy (graph_of "opt-13b" (Workload.decode ~batch:1 131)),
+       "f1ee69ffd5d36c8d31d1b17df640205f");
+      ("PRIME resnet18, faulted", prime, inject prime,
+       lazy (graph_of "resnet18" (Workload.prefill ~batch:1 1)),
+       "6b35fa0a1d97534dcf17892bddcd8cfe");
+      ("mobilenetv2", chip, None,
+       lazy (graph_of "mobilenetv2" (Workload.prefill ~batch:1 1)),
+       "1bf7890a4e9c420d90b6c20b109c0995");
+    ]
+
+(* A one-operator plan that asks for one compute array more than the chip
+   can give fails with the shortfall, healthy or with dead arrays. *)
+let test_placement_shortfall () =
+  let module Faultmap = Cim_arch.Faultmap in
+  let ops = Opinfo.extract chip (Cim_models.Mlp.build ~batch:1 ~dims:[ 512; 512 ] ()) in
+  let plan com =
+    { Plan.lo = 0; hi = 0; allocs = [ { Plan.uid = 0; com; mem_in = 0; mem_out = 0 } ];
+      reuse = []; intra_cycles = 0. }
+  in
+  let fm = Faultmap.inject chip ~seed:7 ~dead_rate:0.1 () in
+  Alcotest.(check bool) "some arrays dead" true (Faultmap.healthy_count fm < chip.Chip.n_arrays);
+  List.iter
+    (fun (name, faults, com) ->
+      Alcotest.check_raises name
+        (Failure "Placement: chip capacity exceeded (1 arrays short)")
+        (fun () -> ignore (Placement.place chip ?faults ops [ plan com ])))
+    [
+      ("healthy chip", None, chip.Chip.n_arrays + 1);
+      ("dead arrays", Some fm, Faultmap.healthy_count fm + 1);
+    ]
+
 let test_realized_switches_counts () =
   let g = Cim_models.Cnn.tiny_cnn ~batch:1 () in
   let ops = Opinfo.extract chip g in
@@ -437,4 +487,6 @@ let suite =
       Alcotest.test_case "placement counts and modes" `Slow test_placement_capacity_and_modes;
       Alcotest.test_case "placement switch economy" `Quick test_placement_switch_economy;
       Alcotest.test_case "realized switch totals" `Quick test_realized_switches_counts;
+      Alcotest.test_case "placement programs pinned" `Quick test_placement_programs_pinned;
+      Alcotest.test_case "placement shortfall" `Quick test_placement_shortfall;
     ] )

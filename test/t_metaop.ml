@@ -113,14 +113,16 @@ let test_structural_rules () =
 (* (5,-1) lands on index -7 of dynaplasia's 12-wide grid if y is not
    checked, and a y past max_int / 12 wraps y * 12 negative: Check must
    report both, not index its per-array state out of bounds *)
+(* every edge of the grid's bounds test: negative x or y, x = grid_cols,
+   the first row past the grid, and a y whose index would overflow *)
 let test_negative_coord () =
   List.iter
-    (fun y ->
-      let p = prog [ compute ~arrays:[ c 5 y ] () ] in
-      expect_invalid (Printf.sprintf "y = %d" y)
-        [ Printf.sprintf "compute op: array (5,%d) outside the %s grid" y chip.Chip.name ]
+    (fun (x, y) ->
+      let p = prog [ compute ~arrays:[ c x y ] () ] in
+      expect_invalid (Printf.sprintf "(%d,%d)" x y)
+        [ Printf.sprintf "compute op: array (%d,%d) outside the %s grid" x y chip.Chip.name ]
         p)
-    [ -1; (max_int / 12) + 1 ]
+    [ (5, -1); (5, (max_int / 12) + 1); (-1, 0); (12, 0); (0, 8) ]
 
 let test_switch_accounting () =
   let p =

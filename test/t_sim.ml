@@ -85,8 +85,9 @@ let test_machine_weights_and_data () =
   Alcotest.(check (option int)) "weights survive" (Some 0) (Machine.weights m (c 1 0))
 
 (* Random top-level programs on a chip of at most 3x3 arrays: switches,
-   weight writes, loads, stores and computes over its arrays and one
-   coordinate off the grid, naming tensors the program never defines. With
+   weight writes, loads, stores and computes over its arrays and three
+   coordinates off the grid (x = grid_cols, x = -1, and the cell just past
+   the last array), naming tensors the program never defines. With
    no fault map and with a dead-and-stuck one, Check's first diagnostic is
    at the instruction where Machine, driven through the instruction entry
    the functional simulator uses, first faults, and ends with the fault's
@@ -98,7 +99,9 @@ let gen_agreement =
   let coord =
     frequency
       [ (6, map (Chip.coord_of_index chip) (int_bound (n_arrays - 1)));
-        (1, return (c chip.Chip.grid_cols 0)) ]
+        (1, oneofl
+              [ c chip.Chip.grid_cols 0; c (-1) 0;
+                c (n_arrays mod chip.Chip.grid_cols) (n_arrays / chip.Chip.grid_cols) ]) ]
   in
   let coords = list_size (int_range 1 2) coord in
   let node = int_bound 1 in
