@@ -1,5 +1,6 @@
 (* E9 — Fig. 18: compilation overhead. Wall-clock compile time of CMSwitch
-   vs CIM-MLC per benchmark. The paper averages 20 runs; we take the
+   vs CIM-MLC per benchmark, in milliseconds with two decimals (a decoder
+   layer compiles in a few ms). The paper averages 20 runs; we take the
    fastest of 20 ({!Common.best}, bench/perf's estimator), the sample
    least disturbed by other tenants of the machine. The paper also
    observes CNNs costing ~2.5x more compile time than transformers thanks
@@ -39,9 +40,9 @@ let run () =
         (Printf.sprintf
            "compile wall-clock (fastest of %d runs; parallel = %d jobs)" reps
            par_jobs)
-      [ ("model", Table.Left); ("CIM-MLC (s)", Table.Right);
-        ("CMSwitch jobs=1 (s)", Table.Right);
-        (Printf.sprintf "CMSwitch jobs=%d (s)" par_jobs, Table.Right);
+      [ ("model", Table.Left); ("CIM-MLC (ms)", Table.Right);
+        ("CMSwitch jobs=1 (ms)", Table.Right);
+        (Printf.sprintf "CMSwitch jobs=%d (ms)" par_jobs, Table.Right);
         ("par speedup", Table.Right); ("ratio vs MLC", Table.Right) ]
   in
   let cnn_times = ref [] and tf_times = ref [] in
@@ -63,13 +64,14 @@ let run () =
       (match e.Zoo.family with
       | Zoo.Cnn -> cnn_times := t_cms :: !cnn_times
       | Zoo.Encoder_only | Zoo.Decoder_only -> tf_times := t_cms :: !tf_times);
+      let ms t = Table.cell_f ~digits:2 (1e3 *. t) in
       Table.add_row tbl
-        [ e.Zoo.display; Table.cell_f ~digits:3 t_mlc;
-          Table.cell_f ~digits:3 t_cms; Table.cell_f ~digits:3 t_par;
+        [ e.Zoo.display; ms t_mlc; ms t_cms; ms t_par;
           Table.cell_speedup (t_cms /. Float.max 1e-6 t_par);
           Table.cell_speedup (t_cms /. Float.max 1e-6 t_mlc) ])
     fig14_models;
   Table.print tbl;
-  Printf.printf "CNN mean %.3fs vs transformer mean %.3fs (paper: CNNs ~2.5x transformers)\n"
-    (Stats.mean !cnn_times) (Stats.mean !tf_times);
+  Printf.printf
+    "CNN mean %.2f ms vs transformer mean %.2f ms (paper: CNNs ~2.5x transformers)\n"
+    (1e3 *. Stats.mean !cnn_times) (1e3 *. Stats.mean !tf_times);
   Printf.printf "paper: CMSwitch compile time 2.8-6.3x CIM-MLC\n"

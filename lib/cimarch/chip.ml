@@ -59,12 +59,17 @@ let coord_of_index t i =
   if i < 0 || i >= t.n_arrays then fail "array index %d out of range" i;
   { x = i mod t.grid_cols; y = i / t.grid_cols }
 
-let index_of_coord t { x; y } =
+let grid_index t { x; y } =
   (* bound y before multiplying: a huge y would wrap the index negative *)
   if x < 0 || x >= t.grid_cols || y < 0 || y >= t.n_arrays
      || (y * t.grid_cols) + x >= t.n_arrays
-  then fail "coordinate (%d,%d) out of range" x y;
-  (y * t.grid_cols) + x
+  then -1
+  else (y * t.grid_cols) + x
+
+let index_of_coord t c =
+  let i = grid_index t c in
+  if i < 0 then fail "coordinate (%d,%d) out of range" c.x c.y;
+  i
 
 let all_coords t = List.init t.n_arrays (coord_of_index t)
 

@@ -54,6 +54,9 @@ val chip_weight_capacity : t -> int
 
 val coord_of_index : t -> int -> coord
 val index_of_coord : t -> coord -> int
+val grid_index : t -> coord -> int
+(** {!index_of_coord} without the exception: -1 off the grid. *)
+
 val all_coords : t -> coord list
 
 val cycles_to_us : t -> float -> float

@@ -45,14 +45,9 @@ let generate _chip (g : Graph.t) (ops : Opinfo.t array) (places : Placement.seg_
   let preamble =
     List.map vec_instr (Option.value (Hashtbl.find_opt vector_nodes_at (-1)) ~default:[])
   in
+  let arrays_or_buffer = function [] -> Flow.Buffer | cs -> Flow.Mem_arrays cs in
+  let switch target arrays = if arrays = [] then [] else [ Flow.Switch { target; arrays } ] in
   let segment_instrs (sp : Placement.seg_place) =
-    let switches =
-      (if sp.Placement.to_compute = [] then []
-       else [ Flow.Switch { target = Mode.To_compute; arrays = sp.Placement.to_compute } ])
-      @
-      if sp.Placement.to_memory = [] then []
-      else [ Flow.Switch { target = Mode.To_memory; arrays = sp.Placement.to_memory } ]
-    in
     let body =
       List.concat_map
         (fun (opl : Placement.op_place) ->
@@ -62,37 +57,32 @@ let generate _chip (g : Graph.t) (ops : Opinfo.t array) (places : Placement.seg_
              zero-byte write marks the relabel without streaming anything —
              the timing simulator charges nothing for it *)
           let fresh =
-            List.filter
-              (fun c -> not (List.mem c opl.Placement.in_place))
-              opl.Placement.compute
+            if opl.Placement.in_place = [] then opl.Placement.compute
+            else
+              List.filter
+                (fun c -> not (List.mem c opl.Placement.in_place))
+                opl.Placement.compute
           in
-          let write_list =
-            let scaled =
-              if opl.Placement.compute = [] then 0
-              else
-                info.Opinfo.weight_bytes * List.length fresh
-                / List.length opl.Placement.compute
-            in
-            (if fresh = [] then []
-             else
-               [ Flow.Write_weights
-                   { label = info.Opinfo.label; node_id = info.Opinfo.node_id;
-                     arrays = fresh; slice; bytes = scaled; in_place = false } ])
-            @
-            if opl.Placement.in_place = [] then []
+          let write arrays bytes in_place =
+            if arrays = [] then []
             else
               [ Flow.Write_weights
                   { label = info.Opinfo.label; node_id = info.Opinfo.node_id;
-                    arrays = opl.Placement.in_place; slice; bytes = 0;
-                    in_place = true } ]
+                    arrays; slice; bytes; in_place } ]
+          in
+          let write_list =
+            write fresh
+              (if fresh = [] then 0
+               else
+                 info.Opinfo.weight_bytes * List.length fresh
+                 / List.length opl.Placement.compute)
+              false
+            @ write opl.Placement.in_place 0 true
           in
           let loads =
+            let dst = arrays_or_buffer opl.Placement.mem_in in
             List.map
               (fun input ->
-                let dst =
-                  if opl.Placement.mem_in = [] then Flow.Buffer
-                  else Flow.Mem_arrays opl.Placement.mem_in
-                in
                 Flow.Load
                   { tensor = input; src = Flow.Main_memory; dst; bytes = bytes_of input })
               info.Opinfo.inputs
@@ -112,14 +102,10 @@ let generate _chip (g : Graph.t) (ops : Opinfo.t array) (places : Placement.seg_
               }
           in
           let store =
-            let src =
-              if opl.Placement.mem_out = [] then Flow.Buffer
-              else Flow.Mem_arrays opl.Placement.mem_out
-            in
             Flow.Store
               {
                 tensor = info.Opinfo.output;
-                src;
+                src = arrays_or_buffer opl.Placement.mem_out;
                 dst = Flow.Main_memory;
                 bytes = info.Opinfo.out_bytes;
               }
@@ -133,7 +119,9 @@ let generate _chip (g : Graph.t) (ops : Opinfo.t array) (places : Placement.seg_
           write_list @ loads @ (compute :: store :: vectors))
         sp.Placement.ops
     in
-    switches @ [ Flow.Parallel body ]
+    switch Mode.To_compute sp.Placement.to_compute
+    @ switch Mode.To_memory sp.Placement.to_memory
+    @ [ Flow.Parallel body ]
   in
   let final_stores =
     List.map

@@ -17,44 +17,14 @@ type seg_place = {
   to_memory : Chip.coord list;
 }
 
-(* Take [n] indices out of [pool] (a bool array of free arrays) that [can]
-   serve the requested mode, preferring indices for which [prefer] holds —
-   i.e. arrays already in the right mode. *)
-let take pool ~can ~prefer n =
-  let out = ref [] and remaining = ref n in
-  let scan want_preferred =
-    let i = ref 0 in
-    while !remaining > 0 && !i < Array.length pool do
-      if pool.(!i) && can !i && prefer !i = want_preferred then begin
-        pool.(!i) <- false;
-        out := !i :: !out;
-        decr remaining
-      end;
-      incr i
-    done
-  in
-  scan true;
-  scan false;
-  if !remaining > 0 then
-    failwith
-      (Printf.sprintf "Placement: chip capacity exceeded (%d arrays short)"
-         !remaining);
-  List.rev !out
-
-(* Take specific indices if still free and usable; returns the subset
-   obtained. *)
-let take_specific pool ~can idxs =
-  List.filter
-    (fun i ->
-      if i >= 0 && i < Array.length pool && pool.(i) && can i then begin
-        pool.(i) <- false;
-        true
-      end
-      else false)
-    idxs
-
 let place chip ?faults (ops : Opinfo.t array) (plans : Plan.seg_plan list) =
   let n = chip.Chip.n_arrays in
+  let index (c : Chip.coord) = (c.Chip.y * chip.Chip.grid_cols) + c.Chip.x in
+  let by_index a b = Int.compare (index a) (index b) in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> index a < index b && ascending rest
+    | _ -> true
+  in
   let usable target i =
     match faults with
     | None -> true
@@ -68,24 +38,65 @@ let place chip ?faults (ops : Opinfo.t array) (plans : Plan.seg_plan list) =
      say so or the switch lists would try to move them *)
   let mode = Array.init n (Faultmap.power_on_mode faults) in
   let coords = Array.init n (Chip.coord_of_index chip) in
-  let coord i = coords.(i) in
-  (* producer uid -> array indices holding its output at the end of the
-     previous segment (candidates for the in-place K-cache switch) *)
-  let prev_mem_out : (int, int list) Hashtbl.t = Hashtbl.create 8 in
+  let free = Array.make n false in
+  let picked = Array.make n 0 in
+  (* Take [k] free arrays that [can] serve [target], those already in
+     [target] mode first, each group in ascending index order. The picks
+     go into [picked]; the list is consed from its end, so it comes out in
+     pick order. *)
+  let take ~can target k =
+    let m = ref 0 in
+    for pass = 0 to 1 do
+      let i = ref 0 in
+      while !m < k && !i < n do
+        if free.(!i) && can !i && (mode.(!i) = target) = (pass = 0) then begin
+          free.(!i) <- false;
+          picked.(!m) <- !i;
+          incr m
+        end;
+        incr i
+      done
+    done;
+    if !m < k then
+      failwith
+        (Printf.sprintf "Placement: chip capacity exceeded (%d arrays short)"
+           (k - !m));
+    let l = ref [] in
+    for j = !m - 1 downto 0 do
+      l := coords.(picked.(j)) :: !l
+    done;
+    !l
+  in
+  (* [claim target acc cs]: the arrays of [cs] that move to [target] mode,
+     consed onto [acc] *)
+  let rec claim target acc = function
+    | [] -> acc
+    | c :: cs ->
+      let i = index c in
+      if mode.(i) = target then claim target acc cs
+      else begin
+        mode.(i) <- target;
+        claim target (c :: acc) cs
+      end
+  in
+  (* producer uid -> arrays holding its output at the end of the previous
+     segment (candidates for the in-place K-cache switch) *)
+  let prev_mem_out = ref (Hashtbl.create 1) in
+  let outputs pool uid = Option.value (Hashtbl.find_opt pool uid) ~default:[] in
   List.map
     (fun (plan : Plan.seg_plan) ->
-      let free = Array.init n alive in
-      let is_compute i = mode.(i) = Mode.Compute in
-      let is_memory i = mode.(i) = Mode.Memory in
+      for i = 0 to n - 1 do
+        free.(i) <- alive i
+      done;
       (* Per-op assignment in uid (topological) order: compute arrays prefer
          already-compute coordinates, memory buffers already-memory ones.
          A consumer's shared input buffers are drawn from the producer's
          already-placed output pool (Eq. 6 realised in place); the MIP's
          strengthened reuse constraints guarantee the pools are large
-         enough. Each op is kept as array indices (compute, mem_in,
-         mem_out) until the segment's switches are worked out. *)
+         enough. The mode map moves only after the whole segment is
+         placed. *)
       let mem_out_pool = Hashtbl.create 8 in
-      let ops_idx =
+      let placed =
         List.map
           (fun (a : Plan.op_alloc) ->
             let info = ops.(a.Plan.uid) in
@@ -93,85 +104,53 @@ let place chip ?faults (ops : Opinfo.t array) (plans : Plan.seg_plan list) =
                may already sit in a previous segment's output buffers —
                claim those arrays as compute arrays and skip reprogramming *)
             let in_place =
-              if info.Opinfo.kind = Cim_models.Intensity.Dynamic_matmul then begin
-                let candidates =
-                  List.concat_map
-                    (fun d ->
-                      Option.value (Hashtbl.find_opt prev_mem_out d) ~default:[])
-                    info.Opinfo.deps
-                in
-                let capped = List.filteri (fun i _ -> i < a.Plan.com) candidates in
-                take_specific free ~can:can_compute capped
-              end
+              if info.Opinfo.kind = Cim_models.Intensity.Dynamic_matmul then
+                List.concat_map (outputs !prev_mem_out) info.Opinfo.deps
+                |> List.filteri (fun k _ -> k < a.Plan.com)
+                |> List.filter (fun c ->
+                       let i = index c in
+                       let ok = free.(i) && can_compute i in
+                       if ok then free.(i) <- false;
+                       ok)
               else []
             in
-            let compute_extra =
-              take free ~can:can_compute ~prefer:is_compute
-                (a.Plan.com - List.length in_place)
+            let compute =
+              in_place
+              @ take ~can:can_compute Mode.Compute
+                  (a.Plan.com - List.length in_place)
             in
-            let mem_out =
-              take free ~can:can_memory ~prefer:is_memory a.Plan.mem_out
-            in
+            let mem_out = take ~can:can_memory Mode.Memory a.Plan.mem_out in
             Hashtbl.replace mem_out_pool a.Plan.uid mem_out;
             let shared_in =
               List.concat_map
                 (fun (i, j, r) ->
                   if j <> a.Plan.uid then []
-                  else
-                    let pool =
-                      Option.value (Hashtbl.find_opt mem_out_pool i) ~default:[]
-                    in
-                    List.filteri (fun k _ -> k < r) pool)
+                  else List.filteri (fun k _ -> k < r) (outputs mem_out_pool i))
                 plan.Plan.reuse
+              |> List.sort_uniq by_index
             in
-            let shared_in = List.sort_uniq Int.compare shared_in in
-            let mem_in_extra =
-              take free ~can:can_memory ~prefer:is_memory
-                (max 0 (a.Plan.mem_in - List.length shared_in))
+            let mem_in =
+              shared_in
+              @ take ~can:can_memory Mode.Memory
+                  (max 0 (a.Plan.mem_in - List.length shared_in))
             in
-            ( a.Plan.uid, in_place, in_place @ compute_extra,
-              List.sort Int.compare (shared_in @ mem_in_extra), mem_out ))
+            let mem_in = if ascending mem_in then mem_in else List.sort by_index mem_in in
+            { uid = a.Plan.uid; compute; in_place; mem_in; mem_out })
           plan.Plan.allocs
       in
       (* realised switches: whatever assignment disagrees with the current
          mode map *)
-      let to_compute = ref [] and to_memory = ref [] in
-      let claim target is =
-        List.iter
-          (fun i ->
-            if mode.(i) <> target then begin
-              (match target with
-              | Mode.Compute -> to_compute := coord i :: !to_compute
-              | Mode.Memory -> to_memory := coord i :: !to_memory);
-              mode.(i) <- target
-            end)
-          is
+      let to_compute, to_memory =
+        List.fold_left
+          (fun (tc, tm) op ->
+            let tc = claim Mode.Compute tc op.compute in
+            (tc, claim Mode.Memory (claim Mode.Memory tm op.mem_in) op.mem_out))
+          ([], []) placed
       in
-      List.iter
-        (fun (_, _, compute, mem_in, mem_out) ->
-          claim Mode.Compute compute;
-          claim Mode.Memory mem_in;
-          claim Mode.Memory mem_out)
-        ops_idx;
       (* the next segment sees this one's output buffers *)
-      Hashtbl.reset prev_mem_out;
-      List.iter
-        (fun (uid, _, _, _, mem_out) -> Hashtbl.replace prev_mem_out uid mem_out)
-        ops_idx;
-      let ops_placed =
-        List.map
-          (fun (uid, in_place, compute, mem_in, mem_out) ->
-            {
-              uid;
-              compute = List.map coord compute;
-              in_place = List.map coord in_place;
-              mem_in = List.map coord mem_in;
-              mem_out = List.map coord mem_out;
-            })
-          ops_idx
-      in
-      { plan; ops = ops_placed; to_compute = List.rev !to_compute;
-        to_memory = List.rev !to_memory })
+      prev_mem_out := mem_out_pool;
+      { plan; ops = placed; to_compute = List.rev to_compute;
+        to_memory = List.rev to_memory })
     plans
 
 let realized_switches places =

@@ -5,22 +5,33 @@
     segments. The realised switch lists are what code generation emits as
     [CM.switch] and what the timing simulator charges. *)
 
+(** Each list is built once, in the order below; "ascending" is by array
+    index [y * grid_cols + x]. A fresh pick takes the free arrays already
+    in the wanted mode first, ascending, then the rest, ascending. *)
 type op_place = {
   uid : int;
   compute : Cim_arch.Chip.coord list;
+      (** [in_place], then a fresh pick of the remaining compute arrays *)
   in_place : Cim_arch.Chip.coord list;
-      (** subset of [compute] claimed from a previous segment's output
+      (** prefix of [compute] claimed from a previous segment's output
           buffers holding this operator's stationary operand (the paper's
           in-place K-cache switch, §5.3): switched to compute mode without
-          weight reprogramming *)
+          weight reprogramming. In the order of the producers' [mem_out]
+          lists, producers in [deps] order. *)
   mem_in : Cim_arch.Chip.coord list;
-  mem_out : Cim_arch.Chip.coord list;
+      (** ascending: the producers' shared output buffers (Eq. 6) and a
+          fresh pick of the rest *)
+  mem_out : Cim_arch.Chip.coord list;  (** a fresh pick *)
 }
 
 type seg_place = {
   plan : Plan.seg_plan;
   ops : op_place list;
-  to_compute : Cim_arch.Chip.coord list;  (** switches performed before the segment *)
+  to_compute : Cim_arch.Chip.coord list;
+      (** switches performed before the segment: the arrays whose mode
+          differs from their assignment, each named once, in the order
+          [ops] lists them ([compute], then [mem_in], then [mem_out] per
+          operator) *)
   to_memory : Cim_arch.Chip.coord list;
 }
 

@@ -26,10 +26,8 @@ let coord_str (c : Chip.coord) = Printf.sprintf "(%d,%d)" c.Chip.x c.Chip.y
 (* The index of an array an instruction may name at all, or -1 off the
    grid, or -2 when it is dead. A clean transition formats no text. *)
 let locate st c =
-  match Chip.index_of_coord st.chip c with
-  | exception Chip.Invalid_config _ -> -1
-  | i -> (
-    match st.faults with Some fm when Faultmap.is_dead fm i -> -2 | _ -> i)
+  let i = Chip.grid_index st.chip c in
+  match st.faults with Some fm when i >= 0 && Faultmap.is_dead fm i -> -2 | _ -> i
 
 let unusable st c i =
   if i = -1 then

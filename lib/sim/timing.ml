@@ -75,9 +75,9 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
       let attempts =
         List.fold_left
           (fun acc (c : Flow.coord) ->
-            match Chip.index_of_coord chip c with
-            | exception Chip.Invalid_config _ -> acc
-            | i ->
+            let i = Chip.grid_index chip c in
+            if i < 0 then acc
+            else
               let p = Faultmap.transient_prob fm i in
               acc + fst (Machine.retry_draws rng ~p ~max_retries:max_switch_retries))
           0 arrays
@@ -123,9 +123,8 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
     let t_after = clock () in
     List.iter
       (fun (c : Flow.coord) ->
-        match Chip.index_of_coord chip c with
-        | exception Chip.Invalid_config _ -> ()
-        | i ->
+        let i = Chip.grid_index chip c in
+        if i >= 0 then begin
           let prev, since =
             Option.value (Hashtbl.find_opt residency i) ~default:(Mode.Memory, 0.)
           in
@@ -133,7 +132,8 @@ let run chip ?faults ?rng ?(max_switch_retries = 3) (p : Flow.program) =
           Trace.complete ~cat:"switch" ~pid:Trace.pid_simulator ~tid:(i + 1)
             ~ts:t_before ~dur:(t_after -. t_before)
             (Printf.sprintf "switch %s" (Mode.transition_to_string target));
-          Hashtbl.replace residency i (Mode.apply target, t_after))
+          Hashtbl.replace residency i (Mode.apply target, t_after)
+        end)
       arrays
   in
   (* a data transfer's energy per byte at an on-chip end; main memory's end
