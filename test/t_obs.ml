@@ -66,6 +66,37 @@ let test_json_malformed () =
       | v -> Alcotest.failf "%S parsed to %s" src (J.to_string v))
     [ "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "" ]
 
+(* The parser's value or message on escapes, the edges of the integer
+   range and malformed tails, pinned: a faster reader must accept the
+   same language and fail at the same position with the same words. *)
+let json_parse_pins =
+  let s x = Ok (J.String x) and i x = Ok (J.Int x) and f x = Ok (J.Float x) in
+  [ ({|"a\"b\\c\nd"|}, s "a\"b\\c\nd");
+    ({|"\u00e9"|}, s "\195\169");
+    ("\"\195\169\"", s "\195\169");
+    ({|"\u12"|}, Error "at 2: truncated \\u escape");
+    ({|"unterminated|}, Error "at 13: unterminated string");
+    ({|"bad \q"|}, Error "at 6: bad escape");
+    ("123456789012345678", i 123456789012345678);
+    ("1234567890123456789", i 1234567890123456789);
+    ("99999999999999999999", f 0x1.5af1d78b58c4p+66);
+    ("-0", i 0);
+    ("007", i 7);
+    ("1e5", f 100000.);
+    ("1.", f 1.);
+    ("-", Error "at 1: bad number \"-\"");
+    ("+5", Error "at 0: unexpected character '+'");
+    ("[1,]", Error "at 3: unexpected character ']'");
+    ({|{"a":1,}|}, Error "at 7: expected '\"', found '}'") ]
+
+let test_json_parse_pins () =
+  let json = Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (J.to_string v)) ( = ) in
+  List.iter
+    (fun (src, want) ->
+      let got = match J.of_string src with v -> Ok v | exception J.Parse_error m -> Error m in
+      Alcotest.(check (result json string)) src want got)
+    json_parse_pins
+
 (* --- trace structure --- *)
 
 type span = { name : string; ts : float; dur : float; pid : int; tid : int }
@@ -791,6 +822,7 @@ let suite =
     [
       Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
       Alcotest.test_case "json malformed" `Quick test_json_malformed;
+      Alcotest.test_case "json parser pinned" `Quick test_json_parse_pins;
       Alcotest.test_case "span nesting" `Quick test_span_nesting;
       Alcotest.test_case "span survives raise" `Quick test_span_survives_raise;
       Alcotest.test_case "monotone clock across domains" `Quick
