@@ -184,7 +184,7 @@ let prog_tier = "prog"
 
 let prog_key ?shape ~graph_text ~chip ~faults ~config ~passes () =
   String.concat "\n"
-    [ "prog.v1"; chip_canonical chip; faults_canonical faults; config; passes;
+    [ "prog.v2"; chip_canonical chip; faults_canonical faults; config; passes;
       Option.value shape ~default:"shape:none";
       graph_text ]
 
@@ -211,13 +211,13 @@ let ceiling_of_fragment s =
 (* the shape fragment is the sixth line of a prog key *)
 let bucket_ceiling key =
   match String.split_on_char '\n' key with
-  | "prog.v1" :: _chip :: _faults :: _config :: _passes :: shape :: _ ->
+  | "prog.v2" :: _chip :: _faults :: _config :: _passes :: shape :: _ ->
     ceiling_of_fragment shape
   | _ -> None
 
 type prog_payload = {
   segments : Plan.seg_plan list;
-  program_md5 : string;
+  cmsi_md5 : string;
   mip_solves : int;
   mip_cache_hits : int;
   candidates : int;
@@ -242,7 +242,7 @@ let prog_payload_to_string p =
   J.to_string
     (J.Obj
        [ ("segments", J.List (List.map plan_to_json p.segments));
-         ("program_md5", J.String p.program_md5);
+         ("cmsi_md5", J.String p.cmsi_md5);
          ("mip_solves", J.Int p.mip_solves);
          ("mip_cache_hits", J.Int p.mip_cache_hits);
          ("candidates", J.Int p.candidates);
@@ -264,11 +264,11 @@ let prog_payload_of_string s =
   | j -> (
     let int k = match J.member k j with Some (J.Int i) -> Some i | _ -> None in
     match
-      (J.member "segments" j, J.member "program_md5" j, int "mip_solves",
+      (J.member "segments" j, J.member "cmsi_md5" j, int "mip_solves",
        int "mip_cache_hits", int "candidates", int "pruned_infeasible",
        J.member "events" j)
     with
-    | ( Some (J.List segs), Some (J.String program_md5), Some mip_solves,
+    | ( Some (J.List segs), Some (J.String cmsi_md5), Some mip_solves,
         Some mip_cache_hits, Some candidates, Some pruned_infeasible,
         Some (J.List events) ) ->
       let* segments =
@@ -296,7 +296,7 @@ let prog_payload_of_string s =
           (Ok []) events
       in
       Ok
-        { segments = List.rev segments; program_md5; mip_solves;
+        { segments = List.rev segments; cmsi_md5; mip_solves;
           mip_cache_hits; candidates; pruned_infeasible;
           events = List.rev events }
     | _ -> Error "missing or ill-typed program payload field")

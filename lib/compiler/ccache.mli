@@ -71,7 +71,7 @@ val prog_key :
   ?shape:string -> graph_text:string -> chip:Cim_arch.Chip.t ->
   faults:Cim_arch.Faultmap.t option -> config:string -> passes:string ->
   unit -> string
-(** Key of one whole compilation: canonical graph text
+(** Key of one whole compilation, under the epoch line ["prog.v2"]: canonical graph text
     ({!Cim_nnir.Text.to_string}), chip, fault map, the canonical
     unified-config serialisation ([Cmswitch.Config.canonical]), the active
     pass-list fingerprint ([Passes.fingerprint], a ["passes.v1[...]"]
@@ -89,14 +89,18 @@ val shape_fragment : Bucket.t -> ceil:int -> string
 
 val bucket_ceiling : string -> int option
 (** The ceiling a prog key's {!shape_fragment} records. [None] for an
-    unbucketed key (["shape:none"]), for a key that is not a [prog.v1]
-    key, and for a malformed fragment. Never raises. *)
+    unbucketed key (["shape:none"]), for a key that is not a [prog.v2]
+    key (a [prog.v1] key of an older cache included), and for a
+    malformed fragment. Never raises. *)
 
 type prog_payload = {
   segments : Plan.seg_plan list;  (** the chosen segmentation, in order *)
-  program_md5 : string;           (** {!Cim_metaop.Flow.digest} of the emitted
+  cmsi_md5 : string;              (** {!Cim_metaop.Isa.digest} of the emitted
                                       program — replay regenerates the program and
-                                      must reproduce this digest exactly *)
+                                      must reproduce this digest exactly. The
+                                      payloads of [prog.v1] keys held
+                                      [program_md5], a {!Cim_metaop.Flow.digest};
+                                      their keys no longer match *)
   mip_solves : int;
   mip_cache_hits : int;
   candidates : int;

@@ -254,8 +254,8 @@ let attempt f =
    from a cached segmentation — the cached entry only decides WHICH
    feasible segmentation is used, so a warm compile is byte-identical to
    the cold one that stored it. The cached segmentation slots into the
-   [segment] position as a revalidation pass, and a digest-compare pass
-   guards codegen's output. Raises [Failure] (-> cache miss, caught by
+   [segment] position as a revalidation pass, and a pass comparing the
+   CMSI digest ([Isa.digest], no text printed) guards codegen's output. Raises [Failure] (-> cache miss, caught by
    [prog_cache_find]) whenever anything about the entry fails to reproduce
    a clean compile. *)
 let replay_pipeline (p : Ccache.prog_payload) =
@@ -299,7 +299,7 @@ let replay_pipeline (p : Ccache.prog_payload) =
           let program = Passes.program_exn st in
           if
             Trace.with_span "cache.compare" ~cat:"cache" (fun () ->
-                Cim_metaop.Flow.digest program <> p.Ccache.program_md5)
+                Cim_metaop.Isa.digest program <> p.Ccache.cmsi_md5)
           then failwith "regenerated program differs from cached program digest";
           st);
       validate = None;
@@ -356,16 +356,19 @@ let prog_cache_find ?shape ~cfg ~passes ~t0 chip graph =
         None))
 
 (* cache only clean results: no flow-validator findings means the program
-   can be trusted wholesale after the (cheap) replay validation *)
+   can be trusted wholesale after the (cheap) replay validation. A program
+   CMSI cannot represent (an array past 16-bit coordinates) has no digest
+   and is returned uncached. *)
 let prog_cache_store ?shape ~cfg ~passes chip graph (r : result) =
   match cfg.Config.cache with
-  | None -> ()
-  | Some store ->
-    if r.degradation.Degrade.diagnostics = [] then
+  | Some store when r.degradation.Degrade.diagnostics = [] -> (
+    match Cim_metaop.Isa.digest r.program with
+    | exception Invalid_argument _ -> ()
+    | cmsi_md5 ->
       let payload =
         {
           Ccache.segments = List.map (fun sp -> sp.Placement.plan) r.places;
-          program_md5 = Cim_metaop.Flow.digest r.program;
+          cmsi_md5;
           mip_solves = r.dp_stats.Segment.mip_solves;
           mip_cache_hits = r.dp_stats.Segment.mip_cache_hits;
           candidates = r.dp_stats.Segment.candidates;
@@ -375,7 +378,8 @@ let prog_cache_store ?shape ~cfg ~passes chip graph (r : result) =
       in
       Store.put store ~tier:Ccache.prog_tier
         ~key:(prog_cache_key ?shape ~cfg ~passes chip graph)
-        ~payload:(Ccache.prog_payload_to_string payload)
+        ~payload:(Ccache.prog_payload_to_string payload))
+  | Some _ | None -> ()
 
 let compile ?config:(cfg = Config.default) ?shape
     ?(passes = Passes.default_pipeline) ?validate_each ?on_pass chip graph =

@@ -131,8 +131,8 @@ val compile :
     program tier (key: canonical graph text, chip, fault map,
     [Config.canonical], and the {!Passes.fingerprint} of [passes]); a hit
     runs the replay pass list — the cached segmentation slotted into the
-    live extraction/placement/codegen passes, the program's digest
-    compared and {!Cim_metaop.Check} run strictly — through the same
+    live extraction/placement/codegen passes, the program's CMSI digest
+    ({!Cim_metaop.Isa.digest}) compared and {!Cim_metaop.Check} run strictly — through the same
     runner, seeded with the cached degradation events, so a stale or
     corrupted entry degrades to a miss, never a wrong program. On a miss
     the per-segment tier still memoises window MIP solutions across runs,

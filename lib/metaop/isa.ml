@@ -35,24 +35,78 @@ let unpack_i32 w = if w land 0x8000_0000 <> 0 then w - 0x1_0000_0000 else w
 
 let u32_max = 0xffff_ffff
 
+let magic = "CMSI"
+let version = 1
+
+(* The encoder writes into one sink per domain ([Domain.DLS]) that is
+   reset on every call, as [Flow]'s printer does: [head] holds the header
+   and the string table, [words] the command words. Both grow by doubling
+   and keep their size, so encoding allocates nothing once the sink has
+   reached the largest program's size; [encode] copies the image out once
+   and [digest] hashes the two parts where they lie. *)
 module Enc = struct
+  type part = { mutable buf : Bytes.t; mutable len : int }
+
   type t = {
-    buf : Buffer.t;                      (* command words, u32 LE *)
+    head : part;                         (* header and string table *)
+    words : part;                        (* command words, u32 LE *)
     strings : (string, int) Hashtbl.t;   (* string -> table index *)
-    mutable table : string list;         (* reversed table *)
     mutable n_strings : int;
-    mutable n_words : int;
+    mutable count_at : int;              (* where [head] holds the table's count *)
   }
 
-  let create () =
-    { buf = Buffer.create 4096; strings = Hashtbl.create 64; table = [];
-      n_strings = 0; n_words = 0 }
+  let key =
+    Domain.DLS.new_key (fun () ->
+        { head = { buf = Bytes.create 4096; len = 0 };
+          words = { buf = Bytes.create 65536; len = 0 };
+          strings = Hashtbl.create 256; n_strings = 0; count_at = 0 })
+
+  let reserve s n =
+    if s.len + n > Bytes.length s.buf then begin
+      let b = Bytes.create (max (2 * Bytes.length s.buf) (s.len + n)) in
+      Bytes.blit s.buf 0 b 0 s.len;
+      s.buf <- b
+    end
+
+  let add_u32 s w =
+    reserve s 4;
+    Bytes.set_int32_le s.buf s.len (Int32.of_int w);
+    s.len <- s.len + 4
+
+  let add_raw s str =
+    let n = String.length str in
+    reserve s n;
+    Bytes.blit_string str 0 s.buf s.len n;
+    s.len <- s.len + n
+
+  let add_string s str =
+    add_u32 s (String.length str);
+    add_raw s str
+
+  (* this domain's sink, reset, holding the header up to the string
+     table's count, which [finish] fills in *)
+  let start source =
+    let e = Domain.DLS.get key in
+    e.head.len <- 0;
+    e.words.len <- 0;
+    Hashtbl.clear e.strings;
+    e.n_strings <- 0;
+    add_raw e.head magic;
+    add_u32 e.head version;
+    add_string e.head source;
+    e.count_at <- e.head.len;
+    add_u32 e.head 0;
+    e
+
+  (* the string count, and the command-word count that ends [head] *)
+  let finish e =
+    Bytes.set_int32_le e.head.buf e.count_at (Int32.of_int e.n_strings);
+    add_u32 e.head (e.words.len / 4)
 
   let word e w =
     if w < 0 || w > u32_max then
       invalid_arg (Printf.sprintf "Isa.encode: word %d outside u32 range" w);
-    Buffer.add_int32_le e.buf (Int32.of_int w);
-    e.n_words <- e.n_words + 1
+    add_u32 e.words w
 
   let sidx e s =
     match Hashtbl.find_opt e.strings s with
@@ -60,7 +114,7 @@ module Enc = struct
     | None ->
       let i = e.n_strings in
       Hashtbl.add e.strings s i;
-      e.table <- s :: e.table;
+      add_string e.head s;
       e.n_strings <- i + 1;
       word e i
 
@@ -143,26 +197,26 @@ let rec encode_instr ~nested e = function
     List.iter (encode_instr ~nested:true e) body;
     Enc.word e op_par_end
 
-let magic = "CMSI"
-let version = 1
-
-let encode (p : Flow.program) =
-  let e = Enc.create () in
+(* [p]'s image in this domain's sink, valid until the next call *)
+let encode_in_sink (p : Flow.program) =
+  let e = Enc.start p.Flow.source in
   List.iter (encode_instr ~nested:false e) p.Flow.instrs;
-  let out = Buffer.create (Buffer.length e.Enc.buf + 256) in
-  Buffer.add_string out magic;
-  Buffer.add_int32_le out (Int32.of_int version);
-  Buffer.add_int32_le out (Int32.of_int (String.length p.Flow.source));
-  Buffer.add_string out p.Flow.source;
-  Buffer.add_int32_le out (Int32.of_int e.Enc.n_strings);
-  List.iter
-    (fun s ->
-      Buffer.add_int32_le out (Int32.of_int (String.length s));
-      Buffer.add_string out s)
-    (List.rev e.Enc.table);
-  Buffer.add_int32_le out (Int32.of_int e.Enc.n_words);
-  Buffer.add_buffer out e.Enc.buf;
-  Buffer.contents out
+  Enc.finish e;
+  e
+
+let encode p =
+  let { Enc.head; words; _ } = encode_in_sink p in
+  let b = Bytes.create (head.Enc.len + words.Enc.len) in
+  Bytes.blit head.Enc.buf 0 b 0 head.Enc.len;
+  Bytes.blit words.Enc.buf 0 b head.Enc.len words.Enc.len;
+  Bytes.unsafe_to_string b
+
+let digest p =
+  let { Enc.head; words; _ } = encode_in_sink p in
+  Digest.to_hex
+    (Digest.string
+       (Digest.subbytes head.Enc.buf 0 head.Enc.len
+       ^ Digest.subbytes words.Enc.buf 0 words.Enc.len))
 
 (* ---- decoder ------------------------------------------------------------- *)
 

@@ -48,7 +48,24 @@ val encode : Flow.program -> string
 (** Serialise to the binary format above. Raises [Invalid_argument] on a
     [Parallel] block nested in another (which {!Check} reports) and when a
     field cannot be represented (coord out of 16-bit range, negative byte
-    count). *)
+    count).
+
+    {!encode} and {!digest} write into one sink per domain
+    ([Domain.DLS]), reset on every call, so concurrent calls on pool
+    workers never share one: the header and string table in one part, the
+    command words in the other. Each part starts small (4 KiB, 64 KiB),
+    doubles as needed and keeps its largest size for the life of the
+    domain. The encoder is not re-entrant within a domain; nothing it
+    calls encodes a program. [encode] returns one copy of the image. *)
+
+val digest : Flow.program -> string
+(** The program's identity as CMSI, hashed in the sink without copying
+    the image: the MD5 hex of the 32 bytes [MD5 head ^ MD5 words], where
+    [head] is the image up to and including the command-word count and
+    [words] the command words after it. Equal digests mean equal images,
+    and so equal programs. The compilation cache stores it as a program's
+    [cmsi_md5] and compares it on every replay; the CLI's [program_md5=]
+    is {!Flow.digest}. Raises as {!encode} does. *)
 
 val decode : string -> (Flow.program, string) result
 (** Total inverse of {!encode}: every malformed input is an [Error], never

@@ -92,27 +92,36 @@ let to_string ?(pretty = false) v =
 
 (* --- parsing --- *)
 
+(* The reader tests [pos] against the length before every
+   [String.unsafe_get], so it allocates nothing per character: a string
+   without escapes is one [String.sub], and a number of an optional minus
+   and at most 18 digits (below [max_int]) is read in place. *)
 type state = { src : string; mutable pos : int }
 
 let fail st fmt =
   Printf.ksprintf (fun m -> raise (Parse_error (Printf.sprintf "at %d: %s" st.pos m))) fmt
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
+let[@inline] more st = st.pos < String.length st.src
+
+(* the current character; only after [more st] *)
+let[@inline] cur st = String.unsafe_get st.src st.pos
+
+let[@inline] at st c = more st && cur st = c
 
 let advance st = st.pos <- st.pos + 1
 
 let rec skip_ws st =
-  match peek st with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-    advance st;
-    skip_ws st
-  | _ -> ()
+  if more st then
+    match cur st with
+    | ' ' | '\t' | '\n' | '\r' ->
+      advance st;
+      skip_ws st
+    | _ -> ()
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st "expected %C, found %C" c c'
-  | None -> fail st "expected %C, found end of input" c
+  if not (more st) then fail st "expected %C, found end of input" c
+  else if cur st = c then advance st
+  else fail st "expected %C, found %C" c (cur st)
 
 let literal st word value =
   let n = String.length word in
@@ -122,69 +131,82 @@ let literal st word value =
   end
   else fail st "invalid literal"
 
+(* the first quote or backslash at or after [i], or the end of [src] *)
+let rec string_stop src i =
+  if i >= String.length src then i
+  else match String.unsafe_get src i with '"' | '\\' -> i | _ -> string_stop src (i + 1)
+
+(* the rest of a string from the backslash at [st.pos] *)
+let rec escapes st buf =
+  if not (more st) then fail st "unterminated string";
+  match cur st with
+  | '"' -> advance st
+  | _ (* '\\' *) ->
+    advance st;
+    (if not (more st) then fail st "bad escape"
+     else
+       match cur st with
+       | '"' -> Buffer.add_char buf '"'
+       | '\\' -> Buffer.add_char buf '\\'
+       | '/' -> Buffer.add_char buf '/'
+       | 'n' -> Buffer.add_char buf '\n'
+       | 'r' -> Buffer.add_char buf '\r'
+       | 't' -> Buffer.add_char buf '\t'
+       | 'b' -> Buffer.add_char buf '\b'
+       | 'f' -> Buffer.add_char buf '\012'
+       | 'u' ->
+         if st.pos + 4 >= String.length st.src then fail st "truncated \\u escape";
+         let hex = String.sub st.src (st.pos + 1) 4 in
+         let code =
+           try int_of_string ("0x" ^ hex)
+           with Failure _ -> fail st "bad \\u escape %s" hex
+         in
+         (* decode into UTF-8; surrogate pairs are passed through as two
+            3-byte sequences, good enough for trace names *)
+         if code < 0x80 then Buffer.add_char buf (Char.chr code)
+         else if code < 0x800 then begin
+           Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+         end
+         else begin
+           Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+           Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+           Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+         end;
+         st.pos <- st.pos + 4
+       | _ -> fail st "bad escape");
+    advance st;
+    let stop = string_stop st.src st.pos in
+    Buffer.add_substring buf st.src st.pos (stop - st.pos);
+    st.pos <- stop;
+    escapes st buf
+
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek st with
-    | None -> fail st "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> begin
-      advance st;
-      (match peek st with
-      | Some '"' -> Buffer.add_char buf '"'
-      | Some '\\' -> Buffer.add_char buf '\\'
-      | Some '/' -> Buffer.add_char buf '/'
-      | Some 'n' -> Buffer.add_char buf '\n'
-      | Some 'r' -> Buffer.add_char buf '\r'
-      | Some 't' -> Buffer.add_char buf '\t'
-      | Some 'b' -> Buffer.add_char buf '\b'
-      | Some 'f' -> Buffer.add_char buf '\012'
-      | Some 'u' ->
-        if st.pos + 4 >= String.length st.src then fail st "truncated \\u escape";
-        let hex = String.sub st.src (st.pos + 1) 4 in
-        let code =
-          try int_of_string ("0x" ^ hex)
-          with Failure _ -> fail st "bad \\u escape %s" hex
-        in
-        (* decode into UTF-8; surrogate pairs are passed through as two
-           3-byte sequences, good enough for trace names *)
-        if code < 0x80 then Buffer.add_char buf (Char.chr code)
-        else if code < 0x800 then begin
-          Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end
-        else begin
-          Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-          Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-          Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-        end;
-        st.pos <- st.pos + 4
-      | _ -> fail st "bad escape");
-      advance st;
-      loop ()
-    end
-    | Some c ->
-      Buffer.add_char buf c;
-      advance st;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
-
-let parse_number st =
   let start = st.pos in
-  let is_num_char c =
-    (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-  in
-  let rec loop () =
-    match peek st with
-    | Some c when is_num_char c ->
-      advance st;
-      loop ()
-    | _ -> ()
-  in
-  loop ();
+  let stop = string_stop st.src start in
+  st.pos <- stop;
+  if at st '"' then begin
+    advance st;
+    String.sub st.src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf st.src start (stop - start);
+    escapes st buf;
+    Buffer.contents buf
+  end
+
+let is_num_char c =
+  (c >= '0' && c <= '9') || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
+
+(* any number the in-place read declines, through [float_of_string] and
+   [int_of_string] *)
+let number_token st start =
+  st.pos <- start;
+  while more st && is_num_char (cur st) do
+    advance st
+  done;
   let token = String.sub st.src start (st.pos - start) in
   let has_frac = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token in
   if has_frac then
@@ -200,44 +222,57 @@ let parse_number st =
       | None -> fail st "bad number %S" token
     end
 
+let parse_number st =
+  let start = st.pos in
+  let neg = at st '-' in
+  if neg then advance st;
+  let digits = st.pos in
+  let n = ref 0 in
+  while more st && cur st >= '0' && cur st <= '9' && st.pos - digits < 18 do
+    n := (10 * !n) + (Char.code (cur st) - 48);
+    advance st
+  done;
+  if st.pos = digits || (more st && is_num_char (cur st)) then number_token st start
+  else Int (if neg then - !n else !n)
+
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st "unexpected end of input"
-  | Some '"' -> String (parse_string st)
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some 'n' -> literal st "null" Null
-  | Some '[' -> begin
+  if not (more st) then fail st "unexpected end of input";
+  match cur st with
+  | '"' -> String (parse_string st)
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | 'n' -> literal st "null" Null
+  | '[' ->
     advance st;
     skip_ws st;
-    match peek st with
-    | Some ']' ->
+    if at st ']' then begin
       advance st;
       List []
-    | _ ->
+    end
+    else
       let rec items acc =
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if at st ',' then begin
           advance st;
           items (v :: acc)
-        | Some ']' ->
+        end
+        else if at st ']' then begin
           advance st;
           List.rev (v :: acc)
-        | _ -> fail st "expected ',' or ']'"
+        end
+        else fail st "expected ',' or ']'"
       in
       List (items [])
-  end
-  | Some '{' -> begin
+  | '{' ->
     advance st;
     skip_ws st;
-    match peek st with
-    | Some '}' ->
+    if at st '}' then begin
       advance st;
       Obj []
-    | _ ->
+    end
+    else
       let rec members acc =
         skip_ws st;
         let k = parse_string st in
@@ -245,19 +280,19 @@ let rec parse_value st =
         expect st ':';
         let v = parse_value st in
         skip_ws st;
-        match peek st with
-        | Some ',' ->
+        if at st ',' then begin
           advance st;
           members ((k, v) :: acc)
-        | Some '}' ->
+        end
+        else if at st '}' then begin
           advance st;
           List.rev ((k, v) :: acc)
-        | _ -> fail st "expected ',' or '}'"
+        end
+        else fail st "expected ',' or '}'"
       in
       Obj (members [])
-  end
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st "unexpected character %C" c
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st "unexpected character %C" c
 
 let of_string s =
   let st = { src = s; pos = 0 } in

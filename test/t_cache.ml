@@ -15,7 +15,9 @@ module Ccache = Cim_compiler.Ccache
 module Segment = Cim_compiler.Segment
 module Opinfo = Cim_compiler.Opinfo
 module Flow = Cim_metaop.Flow
+module Isa = Cim_metaop.Isa
 module Check = Cim_metaop.Check
+module J = Cim_obs.Json
 
 let chip = Config.dynaplasia
 
@@ -127,7 +129,7 @@ let test_prog_payload_round_trip () =
   let p =
     {
       Ccache.segments = List.map (fun sp -> sp.Cim_compiler.Placement.plan) r.Cmswitch.places;
-      program_md5 = Flow.digest r.Cmswitch.program;
+      cmsi_md5 = Isa.digest r.Cmswitch.program;
       mip_solves = r.Cmswitch.dp_stats.Segment.mip_solves;
       mip_cache_hits = r.Cmswitch.dp_stats.Segment.mip_cache_hits;
       candidates = r.Cmswitch.dp_stats.Segment.candidates;
@@ -138,7 +140,7 @@ let test_prog_payload_round_trip () =
   match Ccache.prog_payload_of_string (Ccache.prog_payload_to_string p) with
   | Error e -> Alcotest.failf "prog payload round trip: %s" e
   | Ok p' ->
-    Alcotest.(check string) "program digest" p.Ccache.program_md5 p'.Ccache.program_md5;
+    Alcotest.(check string) "program digest" p.Ccache.cmsi_md5 p'.Ccache.cmsi_md5;
     Alcotest.(check int) "segment count" (List.length p.Ccache.segments)
       (List.length p'.Ccache.segments);
     (* the decoder drops intra_cycles by design — the loader recomputes it
@@ -237,12 +239,12 @@ let test_wrong_digest_fails_compare () =
       | Ok p -> p
       | Error e -> Alcotest.failf "stored prog payload does not decode: %s" e)
   in
-  let md5 = Bytes.of_string p.Ccache.program_md5 in
+  let md5 = Bytes.of_string p.Ccache.cmsi_md5 in
   Bytes.set md5 0 (if Bytes.get md5 0 = '0' then '1' else '0');
   Store.put s ~tier:Ccache.prog_tier ~key
     ~payload:
       (Ccache.prog_payload_to_string
-         { p with Ccache.program_md5 = Bytes.to_string md5 });
+         { p with Ccache.cmsi_md5 = Bytes.to_string md5 });
   let s = Store.open_dir dir in
   let warm = compile_with_store s g in
   Alcotest.(check int) "rejected entry is no hit" 0
@@ -267,6 +269,81 @@ let test_warm_parallel_matches_cold_serial () =
     (Store.counters warm_store).Store.invalid;
   Alcotest.(check string) "byte-identical across job counts"
     (Flow.to_string cold.Cmswitch.program)
+    (Flow.to_string warm.Cmswitch.program)
+
+(* A program CMSI cannot represent has no digest to store: on a one-row
+   grid of 65600 arrays whose first 65540 are dead, every array left sits
+   past the 16-bit coordinate range. Both cached compiles return the
+   uncached program, store nothing in the prog tier and raise nothing. *)
+let test_unencodable_program_uncached () =
+  let chip =
+    Chip.validate { Config.dynaplasia with Chip.n_arrays = 65600; grid_cols = 65600 }
+  in
+  let faults =
+    Cim_arch.Faultmap.of_list chip
+      (List.init 65540 (fun i -> (Chip.coord_of_index chip i, Cim_arch.Faultmap.Dead)))
+  in
+  let g = Cim_models.Mlp.build ~batch:1 ~dims:[ 64; 64; 10 ] () in
+  let uncached = Cmswitch.compile ~config:Cfg.(default |> with_faults (Some faults)) chip g in
+  Alcotest.(check int) "uncached compile is clean" 0
+    (List.length uncached.Cmswitch.degradation.Cim_compiler.Degrade.diagnostics);
+  (match Isa.encode uncached.Cmswitch.program with
+  | _ -> Alcotest.fail "the program was meant to be unencodable"
+  | exception Invalid_argument _ -> ());
+  let dir = fresh_dir () in
+  List.iter
+    (fun run ->
+      let s = Store.open_dir dir in
+      let cfg = Cfg.(default |> with_faults (Some faults) |> with_cache (Some s)) in
+      let r = Cmswitch.compile ~config:cfg chip g in
+      let c = Store.tier_counters s Ccache.prog_tier in
+      Alcotest.(check string) (run ^ ": the uncached program")
+        (Flow.to_string uncached.Cmswitch.program) (Flow.to_string r.Cmswitch.program);
+      Alcotest.(check (list int)) (run ^ ": prog hits, puts, invalid") [ 0; 0; 0 ]
+        [ c.Store.hits; c.Store.puts; c.Store.invalid ])
+    [ "first"; "second" ]
+
+(* The prog key moved to epoch [prog.v2] when the payload's digest became
+   the CMSI digest, so an entry an older compiler stored (key line
+   [prog.v1], payload field [program_md5], a [Flow.digest]) is never read:
+   the compile counts one miss and no invalid entry. *)
+let test_old_epoch_entry_is_a_miss () =
+  let dir = fresh_dir () in
+  let g = small_graph () in
+  let r = Cmswitch.compile chip g in
+  let key = default_prog_key g in
+  let epoch, rest =
+    match String.index_opt key '\n' with
+    | Some i -> (String.sub key 0 i, String.sub key i (String.length key - i))
+    | None -> Alcotest.fail "a prog key has more than one line"
+  in
+  Alcotest.(check string) "the key's epoch" "prog.v2" epoch;
+  let old_payload =
+    Ccache.prog_payload_to_string
+      {
+        Ccache.segments = List.map (fun sp -> sp.Cim_compiler.Placement.plan) r.Cmswitch.places;
+        cmsi_md5 = Flow.digest r.Cmswitch.program;
+        mip_solves = r.Cmswitch.dp_stats.Segment.mip_solves;
+        mip_cache_hits = r.Cmswitch.dp_stats.Segment.mip_cache_hits;
+        candidates = r.Cmswitch.dp_stats.Segment.candidates;
+        pruned_infeasible = r.Cmswitch.dp_stats.Segment.pruned_infeasible;
+        events = [];
+      }
+    |> J.of_string
+    |> (function
+         | J.Obj kvs ->
+           J.Obj (List.map (fun (k, v) -> ((if k = "cmsi_md5" then "program_md5" else k), v)) kvs)
+         | _ -> Alcotest.fail "a prog payload is an object")
+    |> J.to_string
+  in
+  Store.put (Store.open_dir dir) ~tier:Ccache.prog_tier ~key:("prog.v1" ^ rest)
+    ~payload:old_payload;
+  let s = Store.open_dir dir in
+  let warm = compile_with_store s g in
+  let c = Store.tier_counters s Ccache.prog_tier in
+  Alcotest.(check (list int)) "prog hits, misses, invalid" [ 0; 1; 0 ]
+    [ c.Store.hits; c.Store.misses; (Store.counters s).Store.invalid ];
+  Alcotest.(check string) "cold program" (Flow.to_string r.Cmswitch.program)
     (Flow.to_string warm.Cmswitch.program)
 
 let test_config_change_misses () =
@@ -342,6 +419,126 @@ let test_seg_keys_pinned (_, chip, model, tweak, n, md5, stats) () =
           s.Segment.pruned_infeasible ])
     stats
 
+(* --- parsers stay total under mutation ------------------------------------ *)
+
+type real_entry = {
+  tier : string;
+  key : string;
+  file : string;       (* the entry file's text *)
+  payload : string;
+  ops : Opinfo.t array;
+  window : int * int;  (* a window a seg payload decodes against *)
+}
+
+(* every entry a resnet18 compile and a llama2-7b decode-layer compile
+   store; a seg entry is paired with the first window of its plan's length
+   on which it decodes *)
+let real_entries =
+  lazy
+    (List.concat_map
+       (fun model ->
+         let g = T_parallel.graph_of model in
+         let s = Store.open_dir (fresh_dir ()) in
+         ignore (Cmswitch.compile ~config:Cfg.(default |> with_cache (Some s)) chip g);
+         let ops = Opinfo.extract chip g in
+         let m = Array.length ops in
+         let window payload =
+           let len =
+             match J.member "plan" (J.of_string payload) with
+             | Some plan -> (
+               match J.member "hi" plan with Some (J.Int hi) -> hi + 1 | _ -> 1)
+             | None -> 1
+           in
+           let fits lo =
+             Result.is_ok
+               (Ccache.seg_payload_of_string ~chip ~ops ~lo ~hi:(lo + len - 1) payload)
+           in
+           match List.find_opt fits (List.init (max 0 (m - len + 1)) Fun.id) with
+           | Some lo -> (lo, lo + len - 1)
+           | None -> (0, min (m - 1) (len - 1))
+         in
+         List.concat_map
+           (fun tier ->
+             Store.fold_keys s ~tier ~init:[] ~f:(fun acc key ->
+                 let payload = Option.get (Store.find s ~tier ~key) in
+                 let file = In_channel.with_open_bin (Store.entry_path s ~tier ~key) In_channel.input_all in
+                 let window = if tier = Ccache.seg_tier then window payload else (0, 0) in
+                 { tier; key; file; payload; ops; window } :: acc))
+           [ Ccache.seg_tier; Ccache.prog_tier ])
+       [ "resnet18"; "llama2-7b" ])
+
+(* one to three steps, each a truncation, a byte flip (half of them to a
+   digit or a JSON delimiter, which keeps more mutants parseable) or a
+   splice (a run of up to 16 bytes copied to another place) *)
+let gen_byte_mutant s =
+  let open QCheck.Gen in
+  let byte =
+    frequency [ (1, map Char.chr (int_bound 255)); (1, oneofl (List.of_seq (String.to_seq "0123456789-,:[]{}\""))) ]
+  in
+  let step s =
+    let n = String.length s in
+    if n = 0 then return s
+    else
+      frequency
+        [ (1, map (fun k -> String.sub s 0 k) (int_bound n));
+          ( 2,
+            map2
+              (fun i b -> String.mapi (fun j c -> if j = i then b else c) s)
+              (int_bound (n - 1)) byte );
+          ( 2,
+            let+ i = int_bound (n - 1) and+ len = int_range 1 16 and+ j = int_bound n in
+            let len = min len (n - i) in
+            String.sub s 0 j ^ String.sub s i len ^ String.sub s j (n - j) ) ]
+  in
+  let rec go k s = if k = 0 then return s else step s >>= go (k - 1) in
+  int_range 1 3 >>= fun k -> go k s
+
+let gen_mutated_entry =
+  let open QCheck.Gen in
+  let* tier = oneofl [ Ccache.seg_tier; Ccache.prog_tier ] in
+  let* e = oneofl (List.filter (fun e -> e.tier = tier) (Lazy.force real_entries)) in
+  let+ file = gen_byte_mutant e.file and+ payload = gen_byte_mutant e.payload in
+  (e, file, payload)
+
+(* A mutated entry file or payload never makes a reader raise: [Store.find]
+   returns [None] or a payload, each tier's payload decoder a [result], and
+   [Json.of_string] raises nothing but [Parse_error]. *)
+let prop_parsers_total =
+  let dir = lazy (fresh_dir ()) in
+  QCheck.Test.make ~name:"cache readers are total on mutated entries" ~count:300
+    (QCheck.make
+       ~print:(fun (e, file, payload) ->
+         Printf.sprintf "%s entry\nfile: %S\npayload: %S" e.tier file payload)
+       (QCheck.Gen.delay (fun () -> gen_mutated_entry)))
+    (fun (e, file, payload) ->
+      let total what f =
+        match f () with
+        | () -> ()
+        | exception J.Parse_error _ when what = "Json.of_string" -> ()
+        | exception ex -> QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string ex)
+      in
+      let decode payload =
+        if e.tier = Ccache.prog_tier then
+          total "prog_payload_of_string" (fun () ->
+              ignore (Ccache.prog_payload_of_string payload : (_, string) result))
+        else
+          let lo, hi = e.window in
+          total "seg_payload_of_string" (fun () ->
+              ignore
+                (Ccache.seg_payload_of_string ~chip ~ops:e.ops ~lo ~hi payload
+                  : (_, string) result))
+      in
+      List.iter (fun s -> total "Json.of_string" (fun () -> ignore (J.of_string s))) [ file; payload ];
+      let s = Store.open_dir (Lazy.force dir) in
+      Store.put s ~tier:e.tier ~key:e.key ~payload:e.payload;
+      Out_channel.with_open_bin (Store.entry_path s ~tier:e.tier ~key:e.key) (fun oc ->
+          output_string oc file);
+      total "Store.find" (fun () -> Option.iter decode (Store.find s ~tier:e.tier ~key:e.key));
+      decode payload;
+      true)
+
+let qtest = QCheck_alcotest.to_alcotest
+
 let suite =
   ( "cache",
     [
@@ -366,8 +563,13 @@ let suite =
       Alcotest.test_case "warm parallel matches cold serial" `Quick
         test_warm_parallel_matches_cold_serial;
       Alcotest.test_case "config change misses" `Quick test_config_change_misses;
+      Alcotest.test_case "unencodable program is returned uncached" `Quick
+        test_unencodable_program_uncached;
+      Alcotest.test_case "old-epoch prog entry is a miss" `Quick
+        test_old_epoch_entry_is_a_miss;
       Alcotest.test_case "seg tier skips re-solves" `Quick
         test_seg_tier_skips_resolves;
+      qtest prop_parsers_total;
     ]
     @ List.map
         (fun ((name, _, _, _, _, _, _) as case) ->

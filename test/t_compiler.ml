@@ -407,17 +407,33 @@ let test_placement_switch_economy () =
 (* One compile per placement path, pinned by program digest at the default
    [jobs]: an in-place K-cache claim beside shared input buffers (llama2-7b
    at kv 2000), dead and stuck arrays on both chips, and shared inputs with
-   takes that fall back to the other mode (mobilenetv2). *)
+   takes that fall back to the other mode (mobilenetv2). Each cold compile
+   fills one fresh cache directory, and a second compile through a new
+   handle replays it: the fleet's recompile path, faulted included. *)
 let test_placement_programs_pinned () =
   let module Cmswitch = Cim_compiler.Cmswitch in
   let module Faultmap = Cim_arch.Faultmap in
+  let module Store = Cim_cache.Store in
   let inject chip = Some (Faultmap.inject chip ~seed:7 ~dead_rate:0.05 ~stuck_rate:0.05 ()) in
   let prime = Config.prime in
+  let dir = Filename.temp_dir "cmswitch-placement-pins" "" in
   List.iter
     (fun (name, chip, faults, g, want) ->
-      let config = Ccfg.(default |> with_faults faults) in
-      let r = Cmswitch.compile ~config chip (Lazy.force g) in
-      Alcotest.(check string) name want (Cim_metaop.Flow.digest r.Cmswitch.program))
+      let compile () =
+        let store = Store.open_dir dir in
+        let config = Ccfg.(default |> with_faults faults |> with_cache (Some store)) in
+        let r = Cmswitch.compile ~config chip (Lazy.force g) in
+        (Cim_metaop.Flow.digest r.Cmswitch.program, store)
+      in
+      let cold, _ = compile () in
+      Alcotest.(check string) name want cold;
+      let warm, store = compile () in
+      Alcotest.(check (triple string int int))
+        (name ^ ": warm digest, prog hits, invalid")
+        (want, 1, 0)
+        ( warm,
+          (Store.tier_counters store Cim_compiler.Ccache.prog_tier).Store.hits,
+          (Store.counters store).Store.invalid ))
     [
       ("llama2-7b decode kv 2000", chip, None,
        lazy (graph_of "llama2-7b" (Workload.decode ~batch:1 2000)),

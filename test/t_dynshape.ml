@@ -213,7 +213,9 @@ let test_prog_key_ceiling () =
     (fun k ->
       Alcotest.(check (option int)) "not a prog key" None (Ccache.bucket_ceiling k))
     [ ""; "shape.v1(buckets.v1(pow2:32:2048):ceil=64)";
-      "seg.v1\nchip\nalloc\nsignature\nx\nshape.v1(buckets.v1(pow2:32:2048):ceil=64)" ]
+      "seg.v1\nchip\nalloc\nsignature\nx\nshape.v1(buckets.v1(pow2:32:2048):ceil=64)";
+      (* an older cache's key, whose payload held the Flow digest *)
+      "prog.v1\nchip\nfaults\nconfig\npasses\nshape.v1(buckets.v1(pow2:32:2048):ceil=64)\ng" ]
 
 let test_warm_bucketed_resolves_zero_milps () =
   with_temp_store @@ fun store ->

@@ -1,11 +1,13 @@
 (* Tests for the meta-operator flow: validation of Fig. 13 programs,
    printer/parser round trip, the identity of the sink printer with the
    Format printer (on random and compiled programs), the digest, the
-   per-domain sink, and switch accounting. *)
+   per-domain sinks of the printer and the CMSI encoder, and switch
+   accounting. *)
 
 module Flow = Cim_metaop.Flow
 module Parse = Cim_metaop.Parse
 module Check = Cim_metaop.Check
+module Isa = Cim_metaop.Isa
 module Chip = Cim_arch.Chip
 module Mode = Cim_arch.Mode
 module Workload = Cim_models.Workload
@@ -270,42 +272,58 @@ let prop_digest =
        (gen_program ~ints:gen_int_wide ~floats:gen_float_wide))
     (fun p -> Flow.digest p = Digest.to_hex (Digest.string (Flow.to_string p)))
 
-(* the sink is reset on every call: A, then a longer B, then A again gives
-   A's text and digest both times *)
+(* the sinks are reset on every call: A, then a longer B, then A again
+   gives A's text, digests and CMSI image both times. The images come from
+   the ISA tests' generator, whose programs CMSI can represent; text and
+   image calls interleave, so neither sink disturbs the other. *)
 let prop_sink_resets =
   let gen = gen_program ~ints:gen_int_wide ~floats:gen_float_wide in
-  QCheck.Test.make ~name:"printing A, B, A gives A's text twice" ~count:100
+  let image = T_pipeline.gen_program in
+  QCheck.Test.make ~name:"printing A, B, A gives A's text and image twice" ~count:100
     (QCheck.make
-       ~print:(fun (a, b) -> Flow.to_string a ^ "\n---\n" ^ Flow.to_string b)
-       (QCheck.Gen.pair gen gen))
-    (fun (a, b) ->
+       ~print:(fun ((a, b), (ia, ib)) ->
+         String.concat "\n---\n" (List.map Flow.to_string [ a; b; ia; ib ]))
+       QCheck.Gen.(pair (pair gen gen) (pair image image)))
+    (fun ((a, b), (ia, ib)) ->
       let b = { b with Flow.instrs = b.Flow.instrs @ a.Flow.instrs } in
+      let ib = { ib with Flow.instrs = ib.Flow.instrs @ ia.Flow.instrs } in
       let text = Flow.to_string a and md5 = Flow.digest a in
-      let b_text = Flow.to_string b and b_md5 = Flow.digest b in
-      Flow.to_string a = text && Flow.digest a = md5
+      let img = Isa.encode ia and cmsi = Isa.digest ia in
+      let b_text = Flow.to_string b and b_img = Isa.encode ib in
+      let b_md5 = Flow.digest b and b_cmsi = Isa.digest ib in
+      Flow.to_string a = text && Isa.encode ia = img
+      && Flow.digest a = md5 && Isa.digest ia = cmsi
       && b_text = Format.asprintf "%a" Flow.pp b
-      && b_md5 = Digest.to_hex (Digest.string b_text))
+      && b_md5 = Digest.to_hex (Digest.string b_text)
+      && Isa.decode b_img = Ok ib
+      && b_cmsi = T_pipeline.cmsi_digest b_img ~words:(Isa.word_count ib))
 
-(* one sink per domain: digests taken on two pool workers at once equal
-   the serial ones. Each task also prints a program of a few hundred KB,
-   so the workers' sinks grow while the other worker prints. *)
+(* one sink per domain: digests and images taken on two pool workers at
+   once equal the serial ones. Each task also prints and encodes a
+   program of a few hundred KB, so the workers' sinks grow while the other
+   worker writes. *)
 let test_digest_on_pool () =
   let rand = Random.State.make [| 25 |] in
-  let gen = gen_program ~ints:gen_int_wide ~floats:gen_float_wide in
-  let chunk () =
+  let chunk gen =
     let ps = QCheck.Gen.generate ~rand ~n:8 gen in
     let big = List.hd ps in
     { big with Flow.instrs = List.concat (List.init 400 (fun _ -> big.Flow.instrs)) }
     :: ps
   in
-  let chunks = List.init 8 (fun _ -> chunk ()) in
-  let serial = List.map (List.map Flow.digest) chunks in
+  let texts = List.init 8 (fun _ -> chunk (gen_program ~ints:gen_int_wide ~floats:gen_float_wide)) in
+  let images = List.init 8 (fun _ -> chunk T_pipeline.gen_program) in
+  let ids (ps, is) =
+    ( List.map Flow.digest ps,
+      List.map (fun p -> (Isa.digest p, Digest.to_hex (Digest.string (Isa.encode p)))) is )
+  in
+  let chunks = List.combine texts images in
+  let serial = List.map ids chunks in
   let parallel =
     Pool.with_pool ~jobs:2 (fun pool ->
-        List.map (fun ps -> Pool.submit pool (fun () -> List.map Flow.digest ps)) chunks
-        |> List.map Pool.await)
+        List.map (fun c -> Pool.submit pool (fun () -> ids c)) chunks |> List.map Pool.await)
   in
-  Alcotest.(check (list (list string))) "pool digests = serial digests" serial parallel
+  Alcotest.(check (list (pair (list string) (list (pair string string)))))
+    "pool digests = serial digests" serial parallel
 
 (* the same identity on what the compiler emits: a CNN whole graph and a
    decoder layer whose text runs to hundreds of KB *)

@@ -377,6 +377,20 @@ let prop_encode_decode =
     (QCheck.make ~print:Flow.to_string gen_program)
     (fun p -> Isa.decode (Isa.encode p) = Ok p)
 
+(* [Isa.digest]'s definition on an image of [words] command words: the
+   MD5 of the MD5s of its head (up to and including the word count) and
+   of its command words *)
+let cmsi_digest img ~words =
+  let n = String.length img and w = 4 * words in
+  Digest.to_hex
+    (Digest.string
+       (Digest.string (String.sub img 0 (n - w)) ^ Digest.string (String.sub img (n - w) w)))
+
+let prop_digest_definition =
+  QCheck.Test.make ~name:"digest = MD5 of the image's two part MD5s" ~count:300
+    (QCheck.make ~print:Flow.to_string gen_program)
+    (fun p -> Isa.digest p = cmsi_digest (Isa.encode p) ~words:(Isa.word_count p))
+
 (* one instruction of each kind that carries a byte count *)
 let byte_count_instrs bytes =
   let sl = { Flow.lo = 0; hi = 4 } and at = [ { Chip.x = 0; y = 0 } ] in
@@ -408,19 +422,23 @@ let test_compiled_round_trips () =
     (byte_count_instrs (-5))
 
 (* The CMSI bytes and listing of three compiled programs, pinned: MD5 of
-   the encoded stream and of the disassembly, and the command, word and
-   byte counts. Any change to the codec or the listing format moves one. *)
+   the encoded stream and of the disassembly, the command, word and byte
+   counts, and the program's [Isa.digest]. Any change to the codec, the
+   listing format or the digest moves one. *)
 let cmsi_pins =
   [ ( "resnet18", Workload.prefill ~batch:1 1,
-      ("4fe9862e78a1b79d3e3ee502c57ae649", "3e417ee5b5183c8505c70457f086a622", 226, 4820, 21094) );
+      ("4fe9862e78a1b79d3e3ee502c57ae649", "3e417ee5b5183c8505c70457f086a622", 226, 4820, 21094),
+      "911e7b5f293e6ebe01c7de69cbd1e9bf" );
     ( "llama2-7b", Workload.decode ~batch:1 64,
-      ("a4d8931e27df6233b1a2f631202d7dba", "af908ded403e0e811728777fb388d1f3", 2202, 58230, 242629) );
+      ("a4d8931e27df6233b1a2f631202d7dba", "af908ded403e0e811728777fb388d1f3", 2202, 58230, 242629),
+      "5508ca556a43020ce247245fa38c91d6" );
     ( "bert-large", Workload.prefill ~batch:1 16,
-      ("2bdb3e9a6943d4d3b6306f546f515d2f", "556098b898565b56b4f627baa5649787", 202, 5581, 23774) ) ]
+      ("2bdb3e9a6943d4d3b6306f546f515d2f", "556098b898565b56b4f627baa5649787", 202, 5581, 23774),
+      "71cf66f81bd12b5138e9a4c44511afbc" ) ]
 
 let test_cmsi_pins () =
   List.iter
-    (fun (key, w, (enc, listing, cmds, words, nbytes)) ->
+    (fun (key, w, (enc, listing, cmds, words, nbytes), cmsi) ->
       let mc =
         Cmswitch.compile_model ~config:Cfg.(default |> with_jobs 1) chip
           (Option.get (Zoo.find key)) w
@@ -433,7 +451,8 @@ let test_cmsi_pins () =
         key
         ((enc, listing), ((cmds, words), nbytes))
         ( (md5 bytes, md5 (Isa.disassemble p)),
-          ((Isa.cmd_count p, Isa.word_count p), String.length bytes) ))
+          ((Isa.cmd_count p, Isa.word_count p), String.length bytes) );
+      Alcotest.(check string) (key ^ ": Isa.digest") cmsi (Isa.digest p))
     cmsi_pins
 
 let test_decoder_robustness () =
@@ -583,6 +602,7 @@ let suite =
       Alcotest.test_case "cache isolation across pipelines" `Quick
         test_cache_pass_isolation;
       qtest prop_encode_decode;
+      qtest prop_digest_definition;
       Alcotest.test_case "compiled programs round trip" `Quick
         test_compiled_round_trips;
       Alcotest.test_case "CMSI bytes and listings pinned" `Quick test_cmsi_pins;
