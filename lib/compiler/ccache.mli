@@ -71,16 +71,19 @@ val prog_key :
   ?shape:string -> graph_text:string -> chip:Cim_arch.Chip.t ->
   faults:Cim_arch.Faultmap.t option -> config:string -> passes:string ->
   unit -> string
-(** Key of one whole compilation, under the epoch line ["prog.v2"]: canonical graph text
-    ({!Cim_nnir.Text.to_string}), chip, fault map, the canonical
-    unified-config serialisation ([Cmswitch.Config.canonical]), the active
-    pass-list fingerprint ([Passes.fingerprint], a ["passes.v1[...]"]
-    line — a reordered or customised pipeline can never replay a program
-    cached under a different one), and an optional versioned shape
-    fragment. When a bucket policy is active the caller passes [?shape] as
-    a ["shape.v1(...)"] line keyed on the bucket ceiling (never the raw
+(** Key of one whole compilation, under the epoch line ["prog.v2"]:
+    canonical graph text ({!Cim_nnir.Text.to_string}), chip, fault map,
+    the canonical unified-config serialisation
+    ([Cmswitch.Config.canonical]), the active pass-list fingerprint
+    ([Passes.fingerprint], a ["passes.v1[...]"] line — a reordered or
+    customised pipeline can never replay a program cached under a
+    different one), and an optional versioned shape fragment. When a
+    bucket policy is active the caller passes [?shape] as a
+    ["shape.v1(...)"] line keyed on the bucket ceiling (never the raw
     length), so every length inside a bucket derives the same key; without
-    bucketing the fragment is the literal ["shape:none"]. *)
+    bucketing the fragment is the literal ["shape:none"]. The epoch moved
+    from ["prog.v1"] when the payload's digest became {!Cim_metaop.Isa.digest},
+    so an older cache's prog entries miss and are never read. *)
 
 val shape_fragment : Bucket.t -> ceil:int -> string
 (** The [?shape] line of {!prog_key} for a program compiled at bucket

@@ -255,7 +255,8 @@ let attempt f =
    feasible segmentation is used, so a warm compile is byte-identical to
    the cold one that stored it. The cached segmentation slots into the
    [segment] position as a revalidation pass, and a pass comparing the
-   CMSI digest ([Isa.digest], no text printed) guards codegen's output. Raises [Failure] (-> cache miss, caught by
+   program's CMSI digest ([Isa.digest], which prints nothing) guards
+   codegen's output. Raises [Failure] (-> cache miss, caught by
    [prog_cache_find]) whenever anything about the entry fails to reproduce
    a clean compile. *)
 let replay_pipeline (p : Ccache.prog_payload) =

@@ -132,9 +132,10 @@ val compile :
     [Config.canonical], and the {!Passes.fingerprint} of [passes]); a hit
     runs the replay pass list — the cached segmentation slotted into the
     live extraction/placement/codegen passes, the program's CMSI digest
-    ({!Cim_metaop.Isa.digest}) compared and {!Cim_metaop.Check} run strictly — through the same
-    runner, seeded with the cached degradation events, so a stale or
-    corrupted entry degrades to a miss, never a wrong program. On a miss
+    ({!Cim_metaop.Isa.digest}) compared and {!Cim_metaop.Check} run
+    strictly — through the same runner, seeded with the cached
+    degradation events, so a stale or corrupted entry degrades to a miss,
+    never a wrong program. On a miss
     the per-segment tier still memoises window MIP solutions across runs,
     and a clean result is stored back. Cache hits preserve the
     byte-identical determinism contract at any job count.

@@ -92,14 +92,15 @@ let pp ppf p =
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_instr)
     p.instrs
 
-(* [to_string] is the program's identity: the cache compares the digest of
-   a regenerated program against a stored one on every warm hit, so it is
-   on the replay path and prints a whole layer (up to about 1 MB) each
-   time. It prints into one byte sink per domain that lives as long as the
-   domain and is reset on every call: [digest] hashes the sink in place,
-   so a replay allocates neither the text nor any growth copy of it once
-   the sink has reached the largest program's size. Ints go in digit by
-   digit, a coordinate of a grid up to 32x32 is one blit from a table of
+(* [to_string] is the program's printed identity: its digest is the CLI's
+   [program_md5=] and what the goldens and the benchmark's fingerprints
+   hold, and a whole layer prints to up to about 1 MB. (The cache's replay
+   compares [Isa.digest] instead, which prints nothing.) It prints into
+   the domain's shared sink ([Sink.shared], also the encoder's), which is
+   reset on every call: [digest] hashes the sink in place, so a digest
+   allocates neither the text nor any growth copy of it once the sink has
+   reached the largest program's size. Ints go in digit by digit, a
+   coordinate of a grid up to 32x32 is one blit from a table of
    preprinted [",(x,y)"], [%S] strings go through the escaper only when
    they need it, and the two [%.17g] floats of a compute go through the C
    formatter that [Printf] calls. The output is byte-identical to [pp] —
@@ -108,16 +109,9 @@ let pp ppf p =
    one exception is an empty program or parallel block, for which [pp]
    prints an indented blank line; codegen emits neither. *)
 
-type sink = { mutable buf : Bytes.t; mutable len : int }
+type sink = Sink.t = { mutable buf : Bytes.t; mutable len : int }
 
-let sink_key = Domain.DLS.new_key (fun () -> { buf = Bytes.create 65536; len = 0 })
-
-let grow s n =
-  let b = Bytes.create (max (2 * Bytes.length s.buf) (s.len + n)) in
-  Bytes.blit s.buf 0 b 0 s.len;
-  s.buf <- b
-
-let[@inline] reserve s n = if s.len + n > Bytes.length s.buf then grow s n
+let[@inline] reserve s n = if s.len + n > Bytes.length s.buf then Sink.grow s n
 
 let add_char s c =
   reserve s 1;
@@ -284,8 +278,7 @@ let rec add_instr s ~indent = function
 
 (* the text of [p] in this domain's sink, valid until the next call *)
 let print p =
-  let s = Domain.DLS.get sink_key in
-  s.len <- 0;
+  let s = Sink.shared () in
   add_string s "flow ";
   add_quoted s p.source;
   List.iter

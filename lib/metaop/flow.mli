@@ -64,18 +64,23 @@ val pp : Format.formatter -> program -> unit
 
 val to_string : program -> string
 (** The same bytes as {!pp}, except that an empty program or parallel
-    block gets no blank line. This text is the program's identity.
+    block gets no blank line. This text is the program's printed
+    identity; the compilation cache identifies a program by its CMSI
+    image instead ({!Isa.digest}).
 
-    {!to_string} and {!digest} print into one byte sink per domain
+    {!to_string} and {!digest} print into the domain's [Sink.shared]
     ([Domain.DLS]), reset on every call, so concurrent calls on pool
-    workers never share one. The sink starts at 64 KiB, doubles as needed
-    and keeps its largest size for the life of the domain: 1 MiB after
-    the largest zoo program (the opt-13b decode layer at kv 2047, about
-    876 KiB of text on DynaPlasia). The printer is not re-entrant
-    within a domain; nothing it calls prints a program. [to_string]
-    returns a copy of the sink's text. *)
+    workers never share one; {!Isa.encode} writes its command words into
+    the same sink. The sink starts at 64 KiB, doubles as needed and keeps
+    its largest size for the life of the domain: 1 MiB after the largest
+    zoo program (the opt-13b decode layer at kv 2047, about 876 KiB of
+    text on DynaPlasia). The printer is not re-entrant within a domain;
+    nothing it calls prints or encodes a program. [to_string] returns a
+    copy of the sink's text. *)
 
 val digest : program -> string
 (** MD5 hex of {!to_string}, hashed in the sink without copying the
-    text: the [program_md5] the compilation cache stores and compares on
-    every replay, and the CLI prints. *)
+    text: the [program_md5=] the CLI prints and the goldens and the
+    benchmark's fingerprints hold. The compilation cache stores and
+    compares {!Isa.digest}, which hashes the smaller CMSI image and
+    formats no numbers. *)

@@ -38,18 +38,20 @@ let u32_max = 0xffff_ffff
 let magic = "CMSI"
 let version = 1
 
-(* The encoder writes into one sink per domain ([Domain.DLS]) that is
-   reset on every call, as [Flow]'s printer does: [head] holds the header
-   and the string table, [words] the command words. Both grow by doubling
-   and keep their size, so encoding allocates nothing once the sink has
-   reached the largest program's size; [encode] copies the image out once
-   and [digest] hashes the two parts where they lie. *)
+(* The encoder keeps one state per domain ([Domain.DLS]) that is reset on
+   every call: [head] holds the header and the string table, and the
+   command words go into the domain's shared sink ([Sink.shared]), the one
+   [Flow]'s printer uses, so a domain holds one buffer the size of its
+   largest program's text for both. Both parts grow by doubling and keep
+   their size, so encoding allocates nothing once they have reached the
+   largest program's size; [encode] copies the image out once and
+   [digest] hashes the two parts where they lie. *)
 module Enc = struct
-  type part = { mutable buf : Bytes.t; mutable len : int }
+  type part = Sink.t = { mutable buf : Bytes.t; mutable len : int }
 
   type t = {
     head : part;                         (* header and string table *)
-    words : part;                        (* command words, u32 LE *)
+    mutable words : part;                (* command words, u32 LE *)
     strings : (string, int) Hashtbl.t;   (* string -> table index *)
     mutable n_strings : int;
     mutable count_at : int;              (* where [head] holds the table's count *)
@@ -57,18 +59,12 @@ module Enc = struct
 
   let key =
     Domain.DLS.new_key (fun () ->
-        { head = { buf = Bytes.create 4096; len = 0 };
-          words = { buf = Bytes.create 65536; len = 0 };
+        { head = Sink.create 4096; words = Sink.create 0;
           strings = Hashtbl.create 256; n_strings = 0; count_at = 0 })
 
-  let reserve s n =
-    if s.len + n > Bytes.length s.buf then begin
-      let b = Bytes.create (max (2 * Bytes.length s.buf) (s.len + n)) in
-      Bytes.blit s.buf 0 b 0 s.len;
-      s.buf <- b
-    end
+  let[@inline] reserve s n = if s.len + n > Bytes.length s.buf then Sink.grow s n
 
-  let add_u32 s w =
+  let[@inline] add_u32 s w =
     reserve s 4;
     Bytes.set_int32_le s.buf s.len (Int32.of_int w);
     s.len <- s.len + 4
@@ -88,7 +84,7 @@ module Enc = struct
   let start source =
     let e = Domain.DLS.get key in
     e.head.len <- 0;
-    e.words.len <- 0;
+    e.words <- Sink.shared ();
     Hashtbl.clear e.strings;
     e.n_strings <- 0;
     add_raw e.head magic;
@@ -103,7 +99,7 @@ module Enc = struct
     Bytes.set_int32_le e.head.buf e.count_at (Int32.of_int e.n_strings);
     add_u32 e.head (e.words.len / 4)
 
-  let word e w =
+  let[@inline] word e w =
     if w < 0 || w > u32_max then
       invalid_arg (Printf.sprintf "Isa.encode: word %d outside u32 range" w);
     add_u32 e.words w
@@ -129,9 +125,15 @@ module Enc = struct
     word e (Int64.to_int (Int64.logand (Int64.shift_right_logical bits 32) 0xffff_ffffL));
     word e (Int64.to_int (Int64.logand bits 0xffff_ffffL))
 
+  let rec coord_words e = function
+    | [] -> ()
+    | c :: cs ->
+      word e (pack_coord c);
+      coord_words e cs
+
   let coords e cs =
     word e (List.length cs);
-    List.iter (fun c -> word e (pack_coord c)) cs
+    coord_words e cs
 
   let location e = function
     | Flow.Main_memory -> word e 0

@@ -50,13 +50,14 @@ val encode : Flow.program -> string
     field cannot be represented (coord out of 16-bit range, negative byte
     count).
 
-    {!encode} and {!digest} write into one sink per domain
-    ([Domain.DLS]), reset on every call, so concurrent calls on pool
-    workers never share one: the header and string table in one part, the
-    command words in the other. Each part starts small (4 KiB, 64 KiB),
-    doubles as needed and keeps its largest size for the life of the
-    domain. The encoder is not re-entrant within a domain; nothing it
-    calls encodes a program. [encode] returns one copy of the image. *)
+    {!encode} and {!digest} write into per-domain sinks ([Domain.DLS]),
+    reset on every call, so concurrent calls on pool workers never share
+    one: the header and string table in one part, the command words in
+    the domain's [Sink.shared], the sink {!Flow.to_string} prints into.
+    Each part doubles as needed and keeps its largest size for the life
+    of the domain. The encoder is not re-entrant within a domain; nothing
+    it calls encodes or prints a program. [encode] returns one copy of the
+    image. *)
 
 val digest : Flow.program -> string
 (** The program's identity as CMSI, hashed in the sink without copying

@@ -469,14 +469,40 @@ let real_entries =
 
 (* one to three steps, each a truncation, a byte flip (half of them to a
    digit or a JSON delimiter, which keeps more mutants parseable) or a
-   splice (a run of up to 16 bytes copied to another place) *)
+   splice: a run of up to 16 bytes copied to another place, or a list or
+   object that is a list element copied to where another such element
+   starts, which keeps the JSON well formed and reaches the payload
+   decoders' checks *)
+(* the list element of [s] that starts at [i], with a comma after it: up
+   to the first ',' or closing bracket outside brackets *)
+let list_element s i =
+  let rec go k depth =
+    if k >= String.length s then String.sub s i (k - i)
+    else
+      match s.[k] with
+      | '[' | '{' -> go (k + 1) (depth + 1)
+      | (']' | '}') when depth = 0 -> String.sub s i (k - i) ^ ","
+      | ']' | '}' -> go (k + 1) (depth - 1)
+      | ',' when depth = 0 -> String.sub s i (k - i + 1)
+      | _ -> go (k + 1) depth
+  in
+  go i 0
+
 let gen_byte_mutant s =
   let open QCheck.Gen in
   let byte =
-    frequency [ (1, map Char.chr (int_bound 255)); (1, oneofl (List.of_seq (String.to_seq "0123456789-,:[]{}\""))) ]
+    frequency
+      [ (1, map Char.chr (int_bound 255));
+        (1, oneofl (List.of_seq (String.to_seq "0123456789-,:[]{}\""))) ]
   in
+  let insert s j run = String.sub s 0 j ^ run ^ String.sub s j (String.length s - j) in
   let step s =
     let n = String.length s in
+    let starts =
+      List.filter
+        (fun i -> (s.[i - 1] = '[' || s.[i - 1] = ',') && (s.[i] = '[' || s.[i] = '{'))
+        (List.init (max 0 (n - 1)) succ)
+    in
     if n = 0 then return s
     else
       frequency
@@ -485,10 +511,13 @@ let gen_byte_mutant s =
             map2
               (fun i b -> String.mapi (fun j c -> if j = i then b else c) s)
               (int_bound (n - 1)) byte );
-          ( 2,
+          ( 1,
             let+ i = int_bound (n - 1) and+ len = int_range 1 16 and+ j = int_bound n in
-            let len = min len (n - i) in
-            String.sub s 0 j ^ String.sub s i len ^ String.sub s j (n - j) ) ]
+            insert s j (String.sub s i (min len (n - i))) );
+          ( (if starts = [] then 0 else 2),
+            let+ i = oneofl (if starts = [] then [ 0 ] else starts)
+            and+ j = oneofl (if starts = [] then [ 0 ] else starts) in
+            insert s j (list_element s i) ) ]
   in
   let rec go k s = if k = 0 then return s else step s >>= go (k - 1) in
   int_range 1 3 >>= fun k -> go k s
