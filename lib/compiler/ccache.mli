@@ -82,8 +82,9 @@ val prog_key :
     ["shape.v1(...)"] line keyed on the bucket ceiling (never the raw
     length), so every length inside a bucket derives the same key; without
     bucketing the fragment is the literal ["shape:none"]. The epoch moved
-    from ["prog.v1"] when the payload's digest became {!Cim_metaop.Isa.digest},
-    so an older cache's prog entries miss and are never read. *)
+    from ["prog.v1"] when the payload's digest became
+    {!Cim_metaop.Isa.digest}, so an older cache's prog entries miss and
+    are never read. *)
 
 val shape_fragment : Bucket.t -> ceil:int -> string
 (** The [?shape] line of {!prog_key} for a program compiled at bucket
@@ -100,10 +101,7 @@ type prog_payload = {
   segments : Plan.seg_plan list;  (** the chosen segmentation, in order *)
   cmsi_md5 : string;              (** {!Cim_metaop.Isa.digest} of the emitted
                                       program — replay regenerates the program and
-                                      must reproduce this digest exactly. The
-                                      payloads of [prog.v1] keys held
-                                      [program_md5], a {!Cim_metaop.Flow.digest};
-                                      their keys no longer match *)
+                                      must reproduce this digest exactly *)
   mip_solves : int;
   mip_cache_hits : int;
   candidates : int;
