@@ -59,14 +59,14 @@ let model_cost ?(chip = Config.dynaplasia) compiler key (w : Workload.t) =
     Mutex.unlock cache_mutex;
     r
 
-(* Evaluate independent sweep points on the segment-solver pool. Each point
-   compiles serially inside its worker (Segment.run's nested-parallelism
-   guard), so the domain count stays bounded by the pool size. Point order
-   in the result is preserved; with one recommended domain this is exactly
+(* Evaluate independent sweep points on a pool. Each point compiles
+   serially inside its worker (a pool created on a worker runs inline), so
+   the domain count stays bounded by the pool size. Point order in the
+   result is preserved; with one recommended domain this is exactly
    List.map. *)
 let par_map f xs =
   let jobs = Pool.default_jobs () in
-  if jobs > 1 && Pool.current_worker () = None then
+  if jobs > 1 then
     Pool.with_pool ~name:"bench-sweep" ~jobs (fun p -> Pool.map_list p f xs)
   else List.map f xs
 

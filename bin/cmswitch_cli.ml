@@ -134,10 +134,12 @@ let jobs_conv =
 let jobs_arg =
   Arg.(value & opt (some jobs_conv) None
        & info [ "jobs" ] ~docv:"N"
-           ~doc:"Concurrent MILP solvers per DP frontier (default: \
+           ~doc:"Concurrent MILP solvers per compile (default: \
                  $(b,CMSWITCH_JOBS), else the recommended domain count). \
-                 Compilation output is byte-identical for every value; \
-                 only wall-clock changes.")
+                 The same count sizes the functional simulator's pool \
+                 ($(b,--sim-check)) and the fleet's plan prefetch. Output \
+                 is byte-identical for every value; only wall-clock \
+                 changes.")
 
 let tensor_backend_conv =
   let parse s =

@@ -34,7 +34,7 @@ module Config : sig
         (** sub-operator cap, fraction of the chip (Opinfo.extract) *)
     max_segment_ops : int;        (** DP window cap (Segment) *)
     jobs : int;
-        (** concurrent MILP solvers per DP frontier; output is
+        (** concurrent MILP solvers per compile; output is
             byte-identical for every value, so [jobs] is {e excluded} from
             {!canonical} *)
     milp_max_nodes : int;         (** branch-and-bound node budget (Alloc) *)

@@ -200,7 +200,7 @@ let partition chip ~cap (stats : Intensity.node_stats) ~rows ~cols ~replicas
   List.rev !pieces
 
 let extract chip ?(partition_fraction = 0.5) (g : Graph.t) =
-  if partition_fraction <= 0. || partition_fraction > 1. then
+  if not (partition_fraction > 0. && partition_fraction <= 1.) then
     invalid_arg "Opinfo.extract: partition_fraction must be in (0, 1]";
   let cap =
     max 1 (int_of_float (partition_fraction *. float_of_int chip.Chip.n_arrays))

@@ -36,7 +36,8 @@ exception Unsupported of string
 val extract : Cim_arch.Chip.t -> ?partition_fraction:float -> Cim_nnir.Graph.t -> t array
 (** [partition_fraction] (default 0.5) caps one sub-operator at that
     fraction of the chip's arrays. Raises [Unsupported] on malformed CIM
-    nodes and [Invalid_argument] on a bad fraction. *)
+    nodes and [Invalid_argument] on a fraction outside (0, 1], NaN
+    included. *)
 
 val arrays_for : Cim_arch.Chip.t -> rows:int -> cols:int -> replicas:int -> int
 (** Fig. 12: [ceil(rows/array_h) * ceil(cols/array_w) * replicas]. *)

@@ -317,7 +317,7 @@ let prefetch_plans ~config ~chip planner schedule =
   in
   let solve (c, fm) = planner ~chip:c ~faults:fm in
   let results =
-    if config.jobs > 1 && Pool.current_worker () = None then
+    if config.jobs > 1 then
       Pool.with_pool ~name:"fleet-plan" ~jobs:config.jobs (fun p ->
           Pool.map_list p solve tasks)
     else List.map solve tasks

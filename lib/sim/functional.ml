@@ -283,12 +283,7 @@ let run chip ?faults ?rng ?max_switch_retries ?jobs ?backend (g : Graph.t)
   (match Check.run chip ?faults p with
   | [] -> ()
   | d :: _ -> err "invalid program: %s" (Check.diagnostic_to_string d));
-  (* from inside a pool worker (e.g. a fleet prefetch task) degrade to
-     serial instead of multiplying domains *)
-  let jobs =
-    if Pool.current_worker () <> None then 1
-    else match jobs with Some j -> j | None -> Pool.default_jobs ()
-  in
+  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
   let backend = match backend with Some b -> b | None -> Kernels.backend () in
   Pool.with_pool ~name:"funcsim" ~jobs (fun pool ->
       Kernels.with_pool (Some pool) (fun () ->

@@ -45,11 +45,11 @@ val run :
     transient-switch retry budget of the fault model (see
     {!Machine.create}).
 
-    [jobs] (default {!Cim_util.Pool.default_jobs}, forced to 1 when already
-    inside a pool worker) sizes the work pool the simulator runs on; each
-    [Parallel] block's independent CIM nodes are pre-evaluated concurrently
-    and the row-parallel {!Cim_tensor.Kernels} split large matmuls across
-    the same pool. [backend] (default {!Cim_tensor.Kernels.backend}) picks
+    [jobs] (default {!Cim_util.Pool.default_jobs}; a run on a pool worker
+    gets an inline pool, see {!Cim_util.Pool.create}) sizes the work pool
+    the simulator runs on; each [Parallel] block's independent CIM nodes
+    are pre-evaluated concurrently and the row-parallel
+    {!Cim_tensor.Kernels} split large matmuls across the same pool. [backend] (default {!Cim_tensor.Kernels.backend}) picks
     the kernel engine for the run. Under the determinism contract the
     report — outputs, errors, instruction counts, switch stats — is
     byte-identical at any [jobs] and for either backend; {!digest} is the

@@ -26,9 +26,8 @@ type t = {
   mutable domains : unit Domain.t list; (* empty when jobs = 1 *)
 }
 
-(* Which pool worker (if any) the current domain is. Nested parallel code
-   checks this to degrade to serial instead of spawning domains from inside
-   a worker. *)
+(* Which pool worker (if any) the current domain is. [create] reads it to
+   run a pool made on a worker inline, so domain counts never multiply. *)
 let worker_key : int option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
@@ -64,6 +63,7 @@ let rec worker_loop t =
 let create ?(name = "pool") ?on_worker_start ~jobs () =
   if jobs < 1 then
     invalid_arg (Printf.sprintf "Pool.create (%s): jobs must be >= 1, got %d" name jobs);
+  let jobs = if current_worker () = None then jobs else 1 in
   let t =
     { jobs; m = Mutex.create (); nonempty = Condition.create ();
       q = Queue.create (); closed = false; domains = [] }

@@ -31,6 +31,10 @@ val create : ?name:string -> ?on_worker_start:(int -> unit) -> jobs:int -> unit 
 (** [create ~jobs ()] spawns [jobs] worker domains ([jobs = 1] spawns
     none). [on_worker_start i] runs first on worker [i] (0-based, on the
     worker's own domain) — used to label observability state per domain.
+    Called from a pool worker, it spawns nothing and returns a 1-job pool
+    whose tasks run inline on that worker, so nested parallel code (a
+    [Segment.run] inside a parallel sweep, a simulation inside a fleet
+    prefetch) runs serial and domain counts never multiply.
     Raises [Invalid_argument] when [jobs < 1]. *)
 
 val jobs : t -> int
@@ -55,8 +59,8 @@ val with_pool : ?name:string -> ?on_worker_start:(int -> unit) -> jobs:int ->
 
 val current_worker : unit -> int option
 (** [Some i] when called from worker [i] of some pool, [None] on any other
-    domain. Lets nested code degrade to serial instead of spawning domains
-    from inside a worker (domain counts would otherwise multiply). *)
+    domain. {!create} reads it to run nested pools inline; code holding a
+    pool reads it so the pool's own workers do not submit back into it. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one task per element, await in order. Exceptions re-raise in

@@ -379,6 +379,49 @@ let test_seg_tier_skips_resolves () =
     ((Store.tier_counters s2 Ccache.seg_tier).Store.hits > 0);
   Alcotest.(check bool) "identical segmentation" true (plans1 = plans2)
 
+(* Seg-tier hits and solves interleave in one queue: a compute-only
+   compile warms every window's compute-only mode, so a dual-mode compile
+   of the same graph hits that mode and solves the other, window by
+   window. At jobs 1 and at jobs 4 it returns the uncached program and
+   schedule, and the two agree on stats and degradation events. *)
+let test_interleaved_seg_hits () =
+  let chip = Config.prime in
+  let g = small_graph () in
+  let uncached = Cmswitch.compile ~config:Cfg.(with_jobs 1 default) chip g in
+  let warmed jobs =
+    let dir = fresh_dir () in
+    let cfg = Cfg.(default |> with_force_all_compute true) in
+    ignore
+      (Cmswitch.compile
+         ~config:(Cfg.with_cache (Some (Store.open_dir dir)) cfg)
+         chip g);
+    let s = Store.open_dir dir in
+    let r =
+      Cmswitch.compile
+        ~config:Cfg.(default |> with_jobs jobs |> with_cache (Some s))
+        chip g
+    in
+    let c = Store.tier_counters s Ccache.seg_tier in
+    let what = Printf.sprintf "jobs=%d: " jobs in
+    Alcotest.(check string) (what ^ "uncached program")
+      (Flow.to_string uncached.Cmswitch.program)
+      (Flow.to_string r.Cmswitch.program);
+    Alcotest.(check bool) (what ^ "uncached schedule") true
+      (uncached.Cmswitch.schedule = r.Cmswitch.schedule);
+    Alcotest.(check bool) (what ^ "seg-tier hits") true (c.Store.hits > 0);
+    Alcotest.(check int) (what ^ "seg-tier invalid") 0 c.Store.invalid;
+    Alcotest.(check bool) (what ^ "some windows solved") true
+      (r.Cmswitch.dp_stats.Segment.mip_solves > 0);
+    r
+  in
+  let serial = warmed 1 and par = warmed 4 in
+  Alcotest.(check bool) "same DP stats" true
+    (serial.Cmswitch.dp_stats = par.Cmswitch.dp_stats);
+  let events r = r.Cmswitch.degradation.Cim_compiler.Degrade.events in
+  Alcotest.(check bool) "the solves fired events" true (events serial <> []);
+  Alcotest.(check bool) "same events, in order" true
+    (events serial = events par)
+
 (* Every window the DP solves is stored under a seg key that embeds the
    window's signature, so the sorted keys of a cold compile pin every
    signature byte and the set of windows solved. The graphs are the
@@ -596,6 +639,8 @@ let suite =
         test_unencodable_program_uncached;
       Alcotest.test_case "old-epoch prog entry is a miss" `Quick
         test_old_epoch_entry_is_a_miss;
+      Alcotest.test_case "seg-tier hits interleave with solves" `Quick
+        test_interleaved_seg_hits;
       Alcotest.test_case "seg tier skips re-solves" `Quick
         test_seg_tier_skips_resolves;
       qtest prop_parsers_total;

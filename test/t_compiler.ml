@@ -120,11 +120,63 @@ let test_partition_covers_columns () =
         by_node)
     (Lazy.force sample_graphs)
 
+(* A bad Config input raises [Invalid_argument] naming the input from
+   [compile], and [compile_robust]'s report carries that message, not a
+   diagnosis of the chip. *)
+let config_mlp () = Cim_models.Mlp.build ~batch:1 ~dims:[ 64; 64; 10 ] ()
+
+let has_sub needle hay =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
 let test_partition_fraction_validation () =
   let g = Cim_models.Cnn.tiny_cnn ~batch:1 () in
-  Alcotest.check_raises "bad fraction"
-    (Invalid_argument "Opinfo.extract: partition_fraction must be in (0, 1]")
-    (fun () -> ignore (Opinfo.extract chip ~partition_fraction:0. g))
+  let msg = "Opinfo.extract: partition_fraction must be in (0, 1]" in
+  Alcotest.check_raises "bad fraction" (Invalid_argument msg) (fun () ->
+      ignore (Opinfo.extract chip ~partition_fraction:0. g));
+  (* NaN fails every comparison, so only a range test written as
+     [not (p > 0. && p <= 1.)] rejects it *)
+  let cfg = Ccfg.(with_partition_fraction nan default) in
+  Alcotest.check_raises "NaN fraction" (Invalid_argument msg) (fun () ->
+      ignore (Cim_compiler.Cmswitch.compile ~config:cfg chip (config_mlp ())));
+  match Cim_compiler.Cmswitch.compile_robust ~config:cfg chip (config_mlp ()) with
+  | Ok _ -> Alcotest.fail "compile_robust compiled a NaN partition fraction"
+  | Error report ->
+    Alcotest.(check bool) "the report names the fraction" true
+      (report.Degrade.diagnostics <> []
+      && List.for_all (has_sub msg) report.Degrade.diagnostics)
+
+let test_window_cap_validation () =
+  List.iter
+    (fun cap ->
+      let cfg = Ccfg.(with_max_segment_ops cap default) in
+      let msg =
+        Printf.sprintf "Segment.run: max_segment_ops must be >= 1, got %d" cap
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "window cap %d" cap)
+        (Invalid_argument msg)
+        (fun () ->
+          ignore (Cim_compiler.Cmswitch.compile ~config:cfg chip (config_mlp ())));
+      (* the serial step takes no window cap, so compile_robust recovers;
+         its first fallback event names the cap and none blames the chip *)
+      match Cim_compiler.Cmswitch.compile_robust ~config:cfg chip (config_mlp ()) with
+      | Error _ -> Alcotest.failf "compile_robust found no plan at cap %d" cap
+      | Ok r -> (
+        match r.Cim_compiler.Cmswitch.degradation.Degrade.events with
+        | first :: _ as events ->
+          Alcotest.(check string)
+            (Printf.sprintf "serial fallback names cap %d" cap)
+            ("ladder level 0: " ^ msg) first.Degrade.detail;
+          Alcotest.(check bool) "no event blames the chip" false
+            (List.exists
+               (fun (e : Degrade.event) -> has_sub "exceeds chip" e.Degrade.detail)
+               events)
+        | [] -> Alcotest.failf "compile_robust recorded no fallback at cap %d" cap))
+    [ 0; -3 ]
 
 (* --- Alloc (the per-segment MIP) --- *)
 
@@ -492,6 +544,7 @@ let suite =
       Alcotest.test_case "partition conserves MACs" `Slow test_partition_conserves_macs;
       Alcotest.test_case "partition covers columns" `Slow test_partition_covers_columns;
       Alcotest.test_case "partition fraction validated" `Quick test_partition_fraction_validation;
+      Alcotest.test_case "window cap validated" `Quick test_window_cap_validation;
       Alcotest.test_case "MIP constraints hold" `Slow test_alloc_constraints_hold;
       Alcotest.test_case "MIP all-compute restriction" `Quick test_alloc_force_all_compute;
       Alcotest.test_case "dual-mode dominates all-compute" `Slow test_alloc_dominates_all_compute;

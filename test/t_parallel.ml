@@ -1,8 +1,9 @@
 (* The parallel-compilation determinism contract: a compile at --jobs N is
-   byte-identical to the serial compile — programs, plans, DP stats, and
-   metrics (modulo the wall-clock compile.seconds histogram). Checked two
-   ways: jobs=1 vs jobs=4 fingerprints compared in-process, and both against
-   golden fixtures under test/golden/ (tolerance-free; refresh with
+   byte-identical to the serial compile — programs, plans, DP stats,
+   degradation events in order, and metrics (modulo the wall-clock
+   compile.seconds histogram). Checked two ways: jobs=1 vs jobs=4
+   fingerprints compared in-process, and both against golden fixtures
+   under test/golden/ (tolerance-free; refresh with
    CMSWITCH_UPDATE_GOLDEN=1 dune runtest). *)
 
 module Config = Cim_arch.Config
@@ -10,6 +11,7 @@ module Zoo = Cim_models.Zoo
 module Workload = Cim_models.Workload
 module Cmswitch = Cim_compiler.Cmswitch
 module Segment = Cim_compiler.Segment
+module Degrade = Cim_compiler.Degrade
 module Plan = Cim_compiler.Plan
 module Flow = Cim_metaop.Flow
 module Metrics = Cim_obs.Metrics
@@ -37,6 +39,7 @@ type fingerprint = {
   program : string;
   schedule : Plan.schedule;      (* structural, exact-float comparison *)
   stats : Segment.stats;
+  events : Degrade.event list;   (* the solves' fallbacks, in firing order *)
   metrics : string list;         (* markdown lines, wall-clock entries dropped *)
 }
 
@@ -69,6 +72,7 @@ let compile_fp ~jobs chip model =
       { program = Flow.to_string r.Cmswitch.program;
         schedule = r.Cmswitch.schedule;
         stats = r.Cmswitch.dp_stats;
+        events = r.Cmswitch.degradation.Degrade.events;
         metrics = metrics_lines () })
 
 (* ---- jobs=1 vs jobs=4 ---------------------------------------------------- *)
@@ -80,6 +84,8 @@ let test_determinism chip model () =
   Alcotest.(check bool) "schedule (plans, exact floats)" true
     (serial.schedule = par.schedule);
   Alcotest.(check bool) "DP stats" true (serial.stats = par.stats);
+  Alcotest.(check bool) "degradation events, in order" true
+    (serial.events = par.events);
   Alcotest.(check (list string)) "metrics" serial.metrics par.metrics
 
 (* ---- golden fixtures ----------------------------------------------------- *)

@@ -1,7 +1,7 @@
 (* Unit tests for the domain work pool: job-count validation (shared with
    the CLI --jobs flag), result ordering, worker-exception propagation
    (re-raise at await, never a deadlock), shutdown semantics including
-   cancellation of never-started tasks, and the nested-parallelism guard. *)
+   cancellation of never-started tasks, and nested pools running inline. *)
 
 module Pool = Cim_util.Pool
 module Segment = Cim_compiler.Segment
@@ -136,6 +136,24 @@ let test_current_worker () =
       Alcotest.(check bool) "inline task is not a worker" true
         (Pool.await (Pool.submit p Pool.current_worker) = None))
 
+let test_nested_pool_is_inline () =
+  (* a pool created on a worker spawns nothing: it reports one job and
+     runs every task on the worker that created it *)
+  let outer, jobs, inner =
+    Pool.with_pool ~jobs:2 (fun p ->
+        Pool.await
+          (Pool.submit p (fun () ->
+               Pool.with_pool ~jobs:4 (fun q ->
+                   ( Pool.current_worker (),
+                     Pool.jobs q,
+                     Pool.map_list q (fun _ -> Pool.current_worker ())
+                       [ (); (); () ] )))))
+  in
+  Alcotest.(check bool) "created on a worker" true (outer <> None);
+  Alcotest.(check int) "nested pool reports one job" 1 jobs;
+  Alcotest.(check bool) "tasks ran on the creating worker" true
+    (List.for_all (( = ) outer) inner)
+
 let test_nested_runs_degrade () =
   (* Segment.run called from inside a pool worker must go serial (and in
      particular terminate) rather than spawn a nested domain pool *)
@@ -170,5 +188,7 @@ let suite =
       Alcotest.test_case "pool survives a failed task" `Quick test_pool_survives_failure;
       Alcotest.test_case "shutdown cancels queued tasks" `Quick test_shutdown_cancels_queued;
       Alcotest.test_case "current_worker" `Quick test_current_worker;
+      Alcotest.test_case "a pool created on a worker is inline" `Quick
+        test_nested_pool_is_inline;
       Alcotest.test_case "nested Segment.run degrades to serial" `Quick test_nested_runs_degrade;
     ] )
